@@ -5,8 +5,12 @@ Instance file grammar (line oriented, ``#`` starts a comment):
     capacity <uint>          exactly once
     item <weight> <value>    one line per item, in item order
 
-Exit codes: 0 success, 1 parse or I/O error, 2 simulator capacity exceeded,
-3 quantum/classical verification mismatch.
+Exit codes: 0 success; 1 parse, I/O or command-line usage error; 2 qubit
+capacity exceeded (the ``--qubit-cap`` limit, or the 62-qubit limit of int64
+basis indices); 3 quantum/classical verification mismatch or a failed
+integrity check (an oracle whose uncompute leaves an ancilla dirty). Errors
+are reported on stderr in a line containing ``error:``; a verification
+mismatch prints a ``MISMATCH:`` line on stdout instead.
 
 Candidate bitstrings are printed most-significant-item-first (item 1 is the
 leftmost character). Machine-format output is line-oriented ``key=value``
@@ -20,6 +24,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .knapsack import (
     KnapsackInstance,
@@ -30,7 +35,7 @@ from .knapsack import (
     maximize,
     verify_instance,
 )
-from .statevector import DEFAULT_QUBIT_CAP, CapacityError
+from .statevector import DEFAULT_QUBIT_CAP, CapacityError, IntegrityError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,6 +56,14 @@ _GATE_KIND_ORDER = (
 
 class InstanceParseError(Exception):
     """Malformed instance file; the message names the offending line."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports usage errors with EXIT_INPUT; argparse's own code 2 means capacity here."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,7 +253,7 @@ def cmd_estimate(path: str, out=None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qsmax",
         description=(
             "Maximize 0/1 knapsack value with iterative Grover search "
@@ -304,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
+    except IntegrityError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (InstanceParseError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

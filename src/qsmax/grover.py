@@ -11,6 +11,15 @@ unaffected; tests compare exactly those.
 Tapp (arXiv:quant-ph/9605034) for the case where the number of marked items
 is unknown: grow a cutoff m by a factor 6/5 after every failed measurement,
 draw the iteration count j uniformly below m, and cap m at sqrt(N).
+
+The search needs only the oracle's phase pattern. Every oracle stage is a
+permutation circuit, so ``oracle_marks`` reads the marked set off one
+integer index map per oracle and checks the uncompute exactly; a Grover
+iteration is then a sign flip on the marked set followed by
+``a - 2 mean(a)`` on the 2^n candidate amplitudes (``search_amplitudes``).
+``prepare_search_state`` and ``grover_iteration`` run the same iteration
+gate by gate on a StateVector and serve as the reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -28,11 +37,13 @@ from .statevector import (
     IntegrityError,
     StateVector,
     apply_sequence,
+    check_index_width,
     cphase_flip_zero,
     h,
-    measure_all,
     new_zero_state,
     norm_squared,
+    permute_indices,
+    sample_basis,
     subspace_probability,
     x,
 )
@@ -173,36 +184,96 @@ def grover_iteration(
     return state
 
 
+def oracle_marks(oracle: OracleCircuit) -> np.ndarray:
+    """Boolean mask over q-register values: True where the oracle flips the phase.
+
+    Pushes every candidate basis state, with the kickback qubit at 0 and at
+    1, through prepare, mark and unprepare as one int64 index map. Each image
+    must equal its input with the kickback bit flipped on the marked
+    candidates of both branches, which is exactly the phase-kickback
+    contract; otherwise IntegrityError names the first offending candidate.
+    Raises CapacityError above ``MAX_INDEX_QUBITS`` qubits.
+    """
+    check_index_width(oracle.num_qubits)
+    basis = _frame_basis(oracle)
+    image = permute_indices(
+        basis, oracle.prepare.gates + oracle.mark.gates + oracle.unprepare.gates
+    )
+    kick = 1 << oracle.kickback_qubit
+    flips = image ^ basis
+    flips_r0, flips_r1 = np.split(flips, 2)
+    bad = np.flatnonzero((flips_r0 != flips_r1) | ((flips_r0 & ~kick) != 0))
+    if bad.size:
+        candidate = int(bad[0])
+        raise IntegrityError(
+            f"ancilla contamination after uncompute: q value {candidate} maps "
+            f"to basis states {int(image[candidate])} and "
+            f"{int(image[candidate + flips_r0.size])}"
+        )
+    return flips_r0 == kick
+
+
+def _frame_basis(oracle: OracleCircuit) -> np.ndarray:
+    """Full-register index of every q value, kickback 0 then kickback 1."""
+    q = oracle.q_register
+    register = np.arange(1 << q.width, dtype=np.int64) << q.offset
+    return np.concatenate((register, register | (1 << oracle.kickback_qubit)))
+
+
+def search_amplitudes(marks: np.ndarray, iterations: int) -> np.ndarray:
+    """Candidate amplitudes after ``iterations`` Grover iterations.
+
+    Starts from the uniform superposition over ``marks.size`` candidates.
+    Entry x is the amplitude of |x>_q |0...0> |->; the gate-level state
+    holds it as a_x/sqrt(2) at kickback 0 and -a_x/sqrt(2) at kickback 1.
+    Each iteration flips the sign of the marked amplitudes, then applies the
+    emitted diffusion operator ``I - 2|s><s|``, which maps a to a - 2 mean(a).
+    """
+    amplitudes = np.full(marks.size, 1.0 / math.sqrt(marks.size))
+    signs = np.where(marks, -1.0, 1.0)
+    for _ in range(iterations):
+        amplitudes *= signs
+        amplitudes -= 2.0 * amplitudes.mean()
+    return amplitudes
+
+
 def boyer_search(
     oracle: OracleCircuit,
     classical_check: Callable[[int], bool],
     schedule: BoyerSchedule,
     max_steps: int,
     measure_rng: np.random.Generator,
-    *,
-    qubit_cap: int | None = DEFAULT_QUBIT_CAP,
 ) -> BoyerResult:
     """Search for a candidate passing ``classical_check`` with M unknown.
 
-    Each step draws j below the cutoff, prepares the uniform superposition,
-    applies j Grover iterations, measures the q register, and hands the
-    outcome to ``classical_check``. Exhaustion after ``max_steps``
+    Each step draws j below the cutoff, applies j Grover iterations to the
+    uniform superposition, measures the whole register, and hands the q
+    value to ``classical_check``. Exhaustion after ``max_steps``
     measurements is a normal return, not an error.
+
+    The marked set comes from ``oracle_marks`` once per call, which raises
+    IntegrityError unless the uncompute restores every ancilla exactly.
+    Measurement samples the same distribution, in the same sorted order of
+    full-register indices and with the same norm check, as ``measure_all``
+    on the gate-level state, so a seeded ``measure_rng`` draws the same
+    outcomes.
     """
-    diffusion = build_diffusion(oracle.q_register)
+    marks = oracle_marks(oracle)
     q = oracle.q_register
+    basis = _frame_basis(oracle)
+    order = np.argsort(basis)
+    basis = basis[order]
     q_mask = (1 << q.width) - 1
     steps: list[BoyerStep] = []
     iterations = 0
     for _ in range(max_steps):
         m_now = schedule.m
         j = schedule.draw_iterations()
-        state = prepare_search_state(oracle, qubit_cap=qubit_cap)
-        for _ in range(j):
-            grover_iteration(state, oracle, diffusion)
+        amplitudes = search_amplitudes(marks, j)
         iterations += j
-        basis = measure_all(state, measure_rng)
-        candidate = (basis >> q.offset) & q_mask
+        half = amplitudes * amplitudes / 2.0  # |a_x|^2 / 2 on each kickback branch
+        chosen = sample_basis(basis, np.concatenate((half, half))[order], measure_rng)
+        candidate = (chosen >> q.offset) & q_mask
         passed = bool(classical_check(candidate))
         steps.append(BoyerStep(m=m_now, j=j, candidate=candidate, passed=passed))
         if passed:

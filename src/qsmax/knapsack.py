@@ -4,6 +4,13 @@ Problem model, register planning, oracle compilation, the threshold-raising
 maximization driver, classical brute-force references, and gate-level
 resource estimation.
 
+The oracle is made of permutation gates only, so the candidate table and the
+verification suite never simulate amplitudes: they push every candidate
+basis index through the compiled stages as one int64 index map
+(``statevector.permute_indices``) and read registers and kickback flips off
+the images exactly. The compute stage does not depend on the threshold and
+is compiled once per instance.
+
 Register file (in qubit order): ``q`` candidate bits (item k is qubit k-1,
 so item 1 is the least significant), ``w`` accumulated weight, ``g`` shared
 scratch for loaded constants, ``f`` fitness in two's complement, ``v``
@@ -37,24 +44,20 @@ from .grover import (
     boyer_search,
     build_diffusion,
     iteration_count,
+    oracle_marks,
 )
 from .statevector import (
     DEFAULT_QUBIT_CAP,
     CapacityError,
+    Gate,
     GateKind,
     GateSequence,
-    apply_sequence,
-    get_amplitude,
-    h,
-    measure_all,
-    new_basis_state,
-    norm_squared,
-    x,
+    IntegrityError,
+    check_index_width,
+    permute_indices,
 )
 
 MAX_ITEMS = 12
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,17 +252,50 @@ def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
     return best
 
 
+def compile_prepare(instance: KnapsackInstance, plan: RegisterPlan) -> GateSequence:
+    """Compute stage of the oracle; it does not depend on the threshold.
+
+    Per item, load its weight into g and add into w under the item qubit,
+    then likewise values into f; compare the capacity (loaded in g) against
+    w into v; negate f where v is set so invalid candidates turn negative.
+    """
+    g_w = plan.g.slice(plan.w.width)
+    g_f = plan.g.slice(plan.f.width)
+    gates: list[Gate] = []
+    for k, (weight, _) in enumerate(instance.items):
+        load = build_load_constant(weight, g_w)
+        gates += load
+        gates += build_controlled_modular_adder(plan.q.bit(k), g_w, plan.w)
+        gates += load
+    for k, (_, value) in enumerate(instance.items):
+        load = build_load_constant(value, g_f)
+        gates += load
+        gates += build_controlled_modular_adder(plan.q.bit(k), g_f, plan.f)
+        gates += load
+    # Capacities beyond the register range compare identically to the largest
+    # representable weight (every weight fits in w), so clamp.
+    capacity = min(instance.capacity, (1 << plan.w.width) - 1)
+    load_cap = build_load_constant(capacity, g_w)
+    gates += load_cap
+    gates += build_comparator(g_w, plan.w, plan.v)  # v ^= capacity < weight
+    gates += load_cap
+    gates += build_controlled_negate(plan.v, plan.f)
+    return GateSequence(gates)
+
+
 def compile_oracle(
-    instance: KnapsackInstance, plan: RegisterPlan, threshold: int
+    instance: KnapsackInstance,
+    plan: RegisterPlan,
+    threshold: int,
+    *,
+    prepare: GateSequence | None = None,
 ) -> OracleCircuit:
     """Compile the phase oracle marking valid candidates with fitness > threshold.
 
-    prepare: per item, load its weight into g and add into w under the item
-    qubit, then likewise values into f; compare the capacity (loaded in g)
-    against w into v; negate f where v is set so invalid candidates turn
-    negative. mark: load the threshold into g and flip the kickback qubit
-    where threshold < f under signed comparison. unprepare: exact reverse of
-    prepare.
+    prepare: ``compile_prepare``, or the given ``prepare`` compiled earlier
+    for the same instance and plan. mark: load the threshold into g and flip
+    the kickback qubit where threshold < f under signed comparison.
+    unprepare: exact reverse of prepare.
     """
     enc = plan.fitness_encoding
     if not enc.min_value <= threshold <= enc.max_value:
@@ -267,36 +303,15 @@ def compile_oracle(
             f"threshold {threshold} not representable in {plan.f.width}-bit "
             f"two's complement [{enc.min_value}, {enc.max_value}]"
         )
-    g_w = plan.g.slice(plan.w.width)
+    if prepare is None:
+        prepare = compile_prepare(instance, plan)
     g_f = plan.g.slice(plan.f.width)
-
-    prepare = GateSequence()
-    for k, (weight, _) in enumerate(instance.items):
-        load = build_load_constant(weight, g_w)
-        prepare = prepare + load
-        prepare = prepare + build_controlled_modular_adder(plan.q.bit(k), g_w, plan.w)
-        prepare = prepare + load
-    for k, (_, value) in enumerate(instance.items):
-        load = build_load_constant(value, g_f)
-        prepare = prepare + load
-        prepare = prepare + build_controlled_modular_adder(plan.q.bit(k), g_f, plan.f)
-        prepare = prepare + load
-    # Capacities beyond the register range compare identically to the largest
-    # representable weight (every weight fits in w), so clamp.
-    capacity = min(instance.capacity, (1 << plan.w.width) - 1)
-    load_cap = build_load_constant(capacity, g_w)
-    prepare = prepare + load_cap
-    prepare = prepare + build_comparator(g_w, plan.w, plan.v)  # v ^= capacity < weight
-    prepare = prepare + load_cap
-    prepare = prepare + build_controlled_negate(plan.v, plan.f)
-
     load_threshold = build_load_constant(enc.encode(threshold), g_f)
     mark = (
         load_threshold
         + build_signed_comparator(g_f, plan.f, plan.r)  # r ^= threshold < fitness
         + load_threshold
     )
-
     return OracleCircuit(
         prepare=prepare,
         mark=mark,
@@ -307,28 +322,22 @@ def compile_oracle(
     )
 
 
-def enumerate_table(
-    instance: KnapsackInstance, *, qubit_cap: int | None = DEFAULT_QUBIT_CAP
+def _table_rows(
+    instance: KnapsackInstance, plan: RegisterPlan, prepare: GateSequence
 ) -> list[CandidateEvaluation]:
-    """Evaluate every candidate through the quantum path.
+    """Every candidate in table order, read off the compute stage's index map.
 
-    Prepares each basis state, runs the oracle's compute stage, and reads the
-    w/f/v registers back off the single surviving basis index. Reported
-    fitness is pre-negation (the circuit stores the negated fitness for
-    invalid candidates).
+    Reported fitness is pre-negation (the circuit stores the negated fitness
+    for invalid candidates).
     """
-    plan = plan_registers(instance, qubit_cap=qubit_cap)
-    prepare = compile_oracle(instance, plan, 0).prepare
+    check_index_width(plan.total_qubits)
+    n = instance.n
+    candidates = all_candidates(n)
+    q_values = np.array([candidate_to_index(c, n) for c in candidates], dtype=np.int64)
+    image = permute_indices(q_values << plan.q.offset, prepare)
     enc = plan.fitness_encoding
-    rng = np.random.default_rng(0)  # measurement is deterministic on basis states
     rows: list[CandidateEvaluation] = []
-    for candidate in all_candidates(instance.n):
-        q_value = candidate_to_index(candidate, instance.n)
-        state = new_basis_state(
-            plan.total_qubits, q_value << plan.q.offset, qubit_cap=qubit_cap
-        )
-        apply_sequence(state, prepare)
-        basis = measure_all(state, rng)
+    for candidate, basis in zip(candidates, image.tolist()):
         weight = plan.w.value_of(basis)
         stored_fitness = enc.decode(plan.f.value_of(basis))
         invalid = (basis >> plan.v) & 1
@@ -343,6 +352,19 @@ def enumerate_table(
     return rows
 
 
+def enumerate_table(
+    instance: KnapsackInstance, *, qubit_cap: int | None = DEFAULT_QUBIT_CAP
+) -> list[CandidateEvaluation]:
+    """Evaluate every candidate through the oracle's compute stage.
+
+    All candidate basis states go through ``prepare`` as one int64 index
+    map; w, f and v are read off each image. Raises CapacityError above
+    ``qubit_cap`` or above 62 qubits.
+    """
+    plan = plan_registers(instance, qubit_cap=qubit_cap)
+    return _table_rows(instance, plan, compile_prepare(instance, plan))
+
+
 def verify_instance(
     instance: KnapsackInstance,
     *,
@@ -353,15 +375,18 @@ def verify_instance(
     """Quantum/classical agreement suite for one instance.
 
     Checks the circuit-computed table against ``classical_evaluate`` for all
-    candidates, then the oracle's kickback phase against the classical
-    predicate (valid and fitness strictly above threshold) at
-    ``num_thresholds`` sampled thresholds.
+    candidates, then the oracle against the classical predicate (valid and
+    fitness strictly above threshold) at ``num_thresholds`` sampled
+    thresholds. The oracle check is exact integer equality on both kickback
+    branches: ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)``, so any
+    ancilla left dirty or any wrong mark is a mismatch.
     """
     plan = plan_registers(instance, qubit_cap=qubit_cap)
     n = instance.n
+    prepare = compile_prepare(instance, plan)
     classical_rows = [classical_evaluate(instance, c) for c in all_candidates(n)]
 
-    for quantum, classical in zip(enumerate_table(instance, qubit_cap=qubit_cap), classical_rows):
+    for quantum, classical in zip(_table_rows(instance, plan, prepare), classical_rows):
         if quantum != classical:
             return VerifyReport(
                 ok=False,
@@ -376,34 +401,26 @@ def verify_instance(
                 ),
             )
 
+    q_values = [candidate_to_index(c.candidate, n) for c in classical_rows]
     rng = np.random.default_rng(threshold_seed)
     max_threshold = sum(instance.values)
     thresholds = tuple(
         int(t) for t in rng.integers(0, max_threshold + 1, size=num_thresholds)
     )
-    kick = plan.r
     for threshold in thresholds:
-        oracle = compile_oracle(instance, plan, threshold)
-        for classical in classical_rows:
-            q_value = candidate_to_index(classical.candidate, n)
-            state = new_basis_state(
-                plan.total_qubits, q_value << plan.q.offset, qubit_cap=qubit_cap
+        oracle = compile_oracle(instance, plan, threshold, prepare=prepare)
+        try:
+            marks = oracle_marks(oracle)
+        except IntegrityError as err:
+            return VerifyReport(
+                ok=False,
+                candidates_checked=1 << n,
+                thresholds_checked=thresholds,
+                mismatch=f"threshold {threshold}: {err}",
             )
-            apply_sequence(state, GateSequence([x(kick), h(kick)]))
-            apply_sequence(state, oracle.prepare)
-            apply_sequence(state, oracle.mark)
-            apply_sequence(state, oracle.unprepare)
-            marked = classical.valid and classical.fitness > threshold
-            sign = -1.0 if marked else 1.0
-            base = q_value << plan.q.offset
-            amp0 = get_amplitude(state, base)
-            amp1 = get_amplitude(state, base | (1 << kick))
-            stray = norm_squared(state) - (abs(amp0) ** 2 + abs(amp1) ** 2)
-            if (
-                abs(amp0 - sign / _SQRT2) > 1e-10
-                or abs(amp1 + sign / _SQRT2) > 1e-10
-                or stray > 1e-12
-            ):
+        for classical, marked in zip(classical_rows, marks[q_values].tolist()):
+            expected = classical.valid and classical.fitness > threshold
+            if marked != expected:
                 return VerifyReport(
                     ok=False,
                     candidates_checked=1 << n,
@@ -411,8 +428,7 @@ def verify_instance(
                     mismatch=(
                         f"candidate {classical.candidate} at threshold {threshold}: "
                         f"kickback phase disagrees with the classical predicate "
-                        f"(marked={marked}, amp0={amp0:.6f}, amp1={amp1:.6f}, "
-                        f"stray={stray:.2e})"
+                        f"(expected marked={expected})"
                     ),
                 )
     return VerifyReport(
@@ -479,6 +495,7 @@ def maximize(
     if max_steps_per_round is None:
         max_steps_per_round = 3 * math.ceil(math.sqrt(big_n))
 
+    prepare = compile_prepare(instance, plan)
     starting_threshold = threshold
     steps: list[TraceStep] = []
     cumulative_j = 0
@@ -486,7 +503,7 @@ def maximize(
     consecutive_exhausted = 0
     while rounds < max_rounds and consecutive_exhausted < confirmation_count:
         rounds += 1
-        oracle = compile_oracle(instance, plan, threshold)
+        oracle = compile_oracle(instance, plan, threshold, prepare=prepare)
         current = threshold
 
         def check(candidate_index: int, t: int = current) -> bool:
@@ -496,14 +513,7 @@ def maximize(
         schedule = BoyerSchedule(
             sqrt_n_cap=math.sqrt(big_n), rng=schedule_rng, lam=growth
         )
-        result = boyer_search(
-            oracle,
-            check,
-            schedule,
-            max_steps_per_round,
-            measure_rng,
-            qubit_cap=qubit_cap,
-        )
+        result = boyer_search(oracle, check, schedule, max_steps_per_round, measure_rng)
         for step in result.steps:
             cumulative_j += step.j
             candidate = index_to_candidate(step.candidate, n)

@@ -20,7 +20,11 @@ Conventions used throughout the package:
 
 Gate set: X, H, CNOT, TOFFOLI, MCX (multi-controlled X), PERES and its
 adjoint, and a phase flip on the all-zero subspace of a qubit list (the
-phase core of the inversion-about-average operator).
+phase core of the inversion-about-average operator). All of them except H
+and the phase flip permute basis states; ``permute_indices`` runs a circuit
+of those as an integer map on int64 basis indices, with no amplitudes.
+Basis indices are int64 throughout, so no state may exceed
+``MAX_INDEX_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_QUBIT_CAP = 26
+
+# Widest register whose basis indices and bit masks fit int64 arithmetic.
+MAX_INDEX_QUBITS = 62
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -60,16 +67,17 @@ class GateKind(enum.Enum):
     CPHASE_FLIP_ZERO = "CPHASE_FLIP_ZERO"
 
 
-_SELF_INVERSE = frozenset(
-    {
-        GateKind.X,
-        GateKind.H,
-        GateKind.CNOT,
-        GateKind.TOFFOLI,
-        GateKind.MCX,
-        GateKind.CPHASE_FLIP_ZERO,
-    }
-)
+# Operand-count rule (targets, controls) of each gate kind.
+_OPERAND_RULES = {
+    GateKind.X: lambda nt, nc: nt == 1 and nc == 0,
+    GateKind.H: lambda nt, nc: nt == 1 and nc == 0,
+    GateKind.CNOT: lambda nt, nc: nt == 1 and nc == 1,
+    GateKind.TOFFOLI: lambda nt, nc: nt == 1 and nc == 2,
+    GateKind.MCX: lambda nt, nc: nt == 1 and nc >= 1,
+    GateKind.PERES: lambda nt, nc: nt == 3 and nc == 0,
+    GateKind.PERES_INV: lambda nt, nc: nt == 3 and nc == 0,
+    GateKind.CPHASE_FLIP_ZERO: lambda nt, nc: nt >= 1 and nc == 0,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,25 +95,17 @@ class Gate:
     controls: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(int(q) for q in self.targets))
-        object.__setattr__(self, "controls", tuple(int(q) for q in self.controls))
-        operands = self.targets + self.controls
+        targets = tuple(map(int, self.targets))
+        controls = tuple(map(int, self.controls))
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "controls", controls)
+        operands = targets + controls
         if not operands or min(operands) < 0:
             raise ValueError(f"{self.kind.value}: bad operand list {operands!r}")
         if len(set(operands)) != len(operands):
             raise ValueError(f"{self.kind.value}: duplicate qubit in {operands!r}")
-        nt, nc = len(self.targets), len(self.controls)
-        valid = {
-            GateKind.X: nt == 1 and nc == 0,
-            GateKind.H: nt == 1 and nc == 0,
-            GateKind.CNOT: nt == 1 and nc == 1,
-            GateKind.TOFFOLI: nt == 1 and nc == 2,
-            GateKind.MCX: nt == 1 and nc >= 1,
-            GateKind.PERES: nt == 3 and nc == 0,
-            GateKind.PERES_INV: nt == 3 and nc == 0,
-            GateKind.CPHASE_FLIP_ZERO: nt >= 1 and nc == 0,
-        }[self.kind]
-        if not valid:
+        nt, nc = len(targets), len(controls)
+        if not _OPERAND_RULES[self.kind](nt, nc):
             raise ValueError(
                 f"{self.kind.value}: invalid operand counts "
                 f"(targets={nt}, controls={nc})"
@@ -229,6 +229,15 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy(), active)
 
 
+def check_index_width(num_qubits: int) -> None:
+    """Raise CapacityError if int64 basis indices cannot address ``num_qubits``."""
+    if num_qubits > MAX_INDEX_QUBITS:
+        raise CapacityError(
+            f"{num_qubits} qubits exceeds the {MAX_INDEX_QUBITS}-qubit limit "
+            f"of int64 basis indices"
+        )
+
+
 def _check_qubit_count(num_qubits: int, qubit_cap: int | None) -> None:
     if num_qubits < 1:
         raise ValueError(f"need at least 1 qubit, got {num_qubits}")
@@ -299,28 +308,39 @@ def _control_mask(gate: Gate) -> int:
     return mask
 
 
+def permute_indices(indices: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
+    """Images of int64 basis indices under permutation gates applied in order.
+
+    X, CNOT, TOFFOLI, MCX, PERES and PERES_INV send every basis state to one
+    basis state, so a circuit of them is an integer map on basis indices.
+    Returns a new array. Raises ValueError on H or CPHASE_FLIP_ZERO, which do
+    not permute the basis.
+    """
+    out = np.array(indices, dtype=np.int64)
+    for gate in gates:
+        kind = gate.kind
+        if kind is GateKind.X:
+            out ^= 1 << gate.targets[0]
+        elif kind is GateKind.TOFFOLI or kind is GateKind.CNOT or kind is GateKind.MCX:
+            cmask = _control_mask(gate)
+            out ^= ((out & cmask) == cmask) * (1 << gate.targets[0])
+        elif kind is GateKind.PERES or kind is GateKind.PERES_INV:
+            a, b, c = gate.targets
+            abit = (out >> a) & 1
+            bbit = (out >> b) & 1
+            if kind is GateKind.PERES_INV:
+                bbit ^= abit  # its CNOT runs first, so its Toffoli reads a XOR b
+            out ^= (abit << b) ^ ((abit & bbit) << c)
+        else:
+            raise ValueError(f"{kind.value} does not permute basis states")
+    return out
+
+
 def _sparse_apply(state: StateVector, gate: Gate) -> None:
     active = state._active
     amps = state.amplitudes
     kind = gate.kind
-    if kind is GateKind.X:
-        _relocate(state, active ^ (1 << gate.targets[0]))
-    elif kind in (GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX):
-        cmask = _control_mask(gate)
-        fire = (active & cmask) == cmask
-        _relocate(state, active ^ (fire.astype(np.int64) << gate.targets[0]))
-    elif kind is GateKind.PERES:
-        a, b, c = gate.targets
-        abit = (active >> a) & 1
-        bbit = (active >> b) & 1
-        _relocate(state, active ^ (abit << b) ^ ((abit & bbit) << c))
-    elif kind is GateKind.PERES_INV:
-        a, b, c = gate.targets
-        abit = (active >> a) & 1
-        bbit = (active >> b) & 1
-        new_b = abit ^ bbit
-        _relocate(state, active ^ (abit << b) ^ ((abit & new_b) << c))
-    elif kind is GateKind.CPHASE_FLIP_ZERO:
+    if kind is GateKind.CPHASE_FLIP_ZERO:
         zmask = 0
         for q in gate.targets:
             zmask |= 1 << q
@@ -336,8 +356,8 @@ def _sparse_apply(state: StateVector, gate: Gate) -> None:
         amps[lo] = (a0 + a1) * _INV_SQRT2
         amps[hi] = (a0 - a1) * _INV_SQRT2
         state._active = union[amps[union] != 0]
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown gate kind {kind}")
+    else:
+        _relocate(state, permute_indices(active, (gate,)))
     if state._active is not None and len(state._active) > _sparse_limit(state.num_qubits):
         state._active = None
 
@@ -473,20 +493,23 @@ def measure_all(state: StateVector, rng: np.random.Generator) -> int:
     more than 1e-6.
     """
     if state._active is None:
-        probs = np.abs(state.amplitudes) ** 2
-        total = float(probs.sum())
-        _check_measure_norm(total)
-        return int(rng.choice(state.dimension, p=probs / total))
+        return sample_basis(state.dimension, np.abs(state.amplitudes) ** 2, rng)
     active = state._active
-    probs = np.abs(state.amplitudes[active]) ** 2
+    return sample_basis(active, np.abs(state.amplitudes[active]) ** 2, rng)
+
+
+def sample_basis(
+    indices: np.ndarray | int, probs: np.ndarray, rng: np.random.Generator
+) -> int:
+    """Draw one of ``indices`` (sorted; an int n means range(n)) with ``probs``.
+
+    Raises IntegrityError if the probabilities sum more than 1e-6 away from
+    1 in norm.
+    """
     total = float(probs.sum())
-    _check_measure_norm(total)
-    return int(rng.choice(active, p=probs / total))
-
-
-def _check_measure_norm(total: float) -> None:
     if abs(math.sqrt(total) - 1.0) > 1e-6:
         raise IntegrityError(f"state norm drifted to {math.sqrt(total)!r}; refusing to sample")
+    return int(rng.choice(indices, p=probs / total))
 
 
 def _densify(state: StateVector) -> StateVector:

@@ -267,6 +267,92 @@ class TestGoldenFiles:
         assert out.getvalue() == self._golden("estimate.golden")
 
 
+# Run in a fresh interpreter: replaces the oracle compiler with one whose
+# mark stage leaks a candidate bit into the g register, then runs the CLI.
+_DIRTY_ORACLE_MAIN = """
+import sys
+from qsmax import cli, knapsack
+from qsmax.grover import OracleCircuit
+from qsmax.statevector import cnot
+
+compile_clean = knapsack.compile_oracle
+
+def compile_dirty(instance, plan, threshold, **kwargs):
+    oracle = compile_clean(instance, plan, threshold, **kwargs)
+    return OracleCircuit(
+        prepare=oracle.prepare,
+        mark=oracle.mark + [cnot(plan.q.bit(0), plan.g.bit(0))],
+        unprepare=oracle.unprepare,
+        q_register=oracle.q_register,
+        kickback_qubit=oracle.kickback_qubit,
+        num_qubits=oracle.num_qubits,
+    )
+
+knapsack.compile_oracle = compile_dirty
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestExitCodeContract:
+    """Every documented exit code, through a real process."""
+
+    @staticmethod
+    def _run(*args, main=None):
+        entry = ["-c", main, *args] if main else ["-m", "qsmax", *args]
+        return subprocess.run([sys.executable, *entry], capture_output=True, text=True)
+
+    def test_success(self):
+        assert self._run("table", DEMO).returncode == EXIT_OK
+
+    def test_parse_error(self, tmp_path):
+        result = self._run("table", write_instance(tmp_path, "capacity 5\nitem 3\n"))
+        assert result.returncode == EXIT_INPUT
+        assert "error: line 2" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table", "--qubit-cap", "30", "f"),  # table takes no --qubit-cap
+            ("solve",),
+            ("solve", DEMO, "--seed", "x"),
+            ("frobnicate", DEMO),
+        ],
+    )
+    def test_usage_error_is_input_error(self, args):
+        result = self._run(*args)
+        assert result.returncode == EXIT_INPUT
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_help_exits_zero(self):
+        assert self._run("--help").returncode == EXIT_OK
+
+    def test_qubit_cap_exceeded(self):
+        result = self._run("solve", DEMO, "--qubit-cap", "20")
+        assert result.returncode == EXIT_CAPACITY
+        assert "error:" in result.stderr
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_cap_raised_past_int64_indices_is_capacity_error(self, tmp_path, command):
+        # 102 qubits: the raised cap lets the instance through, int64 indices do not
+        body = "capacity 1\nitem 1073741824 1073741824\nitem 1073741824 1073741824\n"
+        path = write_instance(tmp_path, body)
+        result = self._run(command, path, "--qubit-cap", "200")
+        assert result.returncode == EXIT_CAPACITY
+        assert "int64" in result.stderr
+
+    def test_verify_mismatch(self):
+        result = self._run("verify", DEMO, main=_DIRTY_ORACLE_MAIN)
+        assert result.returncode == EXIT_MISMATCH
+        assert result.stdout.startswith("MISMATCH:")
+
+    def test_integrity_error(self):
+        result = self._run("solve", DEMO, "--seed", "1", main=_DIRTY_ORACLE_MAIN)
+        assert result.returncode == EXIT_MISMATCH
+        assert result.stderr.startswith("error: ancilla contamination")
+        assert "Traceback" not in result.stderr
+
+
 class TestSubprocessEntry:
     """End-to-end through the installed module entry point."""
 

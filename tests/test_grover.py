@@ -7,16 +7,22 @@ import math
 import numpy as np
 import pytest
 
+from conftest import DEMO_CAPACITY, DEMO_ITEMS
 from qsmax.arithmetic import RegisterRef
 from qsmax.grover import (
+    BoyerResult,
     BoyerSchedule,
+    BoyerStep,
     OracleCircuit,
     boyer_search,
     build_diffusion,
     grover_iteration,
     iteration_count,
+    oracle_marks,
     prepare_search_state,
+    search_amplitudes,
 )
+from qsmax.knapsack import KnapsackInstance, compile_oracle, plan_registers
 from qsmax.statevector import (
     GateSequence,
     IntegrityError,
@@ -26,18 +32,26 @@ from qsmax.statevector import (
     get_amplitude,
     h,
     mcx,
+    measure_all,
     new_basis_state,
     norm_squared,
+    toffoli,
     x,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def toy_oracle(n: int, marked: set[int], extra_ancillas: int = 0) -> OracleCircuit:
-    """Oracle flipping the kickback qubit exactly on the marked q values."""
-    q = RegisterRef("q", 0, n)
-    kickback = n
+def toy_oracle(
+    n: int, marked: set[int], extra_ancillas: int = 0, kickback_below_q: bool = False
+) -> OracleCircuit:
+    """Oracle flipping the kickback qubit exactly on the marked q values.
+
+    The kickback sits above q, or with ``kickback_below_q`` at qubit 0 under
+    q, where sorted full-register order interleaves the two kickback branches.
+    """
+    q = RegisterRef("q", int(kickback_below_q), n)
+    kickback = 0 if kickback_below_q else n
     gates = []
     for target in marked:
         off = [x(q.bit(i)) for i in range(n) if not (target >> i) & 1]
@@ -52,6 +66,47 @@ def toy_oracle(n: int, marked: set[int], extra_ancillas: int = 0) -> OracleCircu
         kickback_qubit=kickback,
         num_qubits=n + 1 + extra_ancillas,
     )
+
+
+def demo_oracle(threshold: int) -> OracleCircuit:
+    instance = KnapsackInstance(DEMO_ITEMS, DEMO_CAPACITY)
+    return compile_oracle(instance, plan_registers(instance), threshold)
+
+
+def dirty_oracle(leak) -> OracleCircuit:
+    """toy_oracle with one extra gate in ``mark`` that breaks the uncompute."""
+    oracle = toy_oracle(3, {5}, extra_ancillas=1)
+    return OracleCircuit(
+        prepare=oracle.prepare,
+        mark=oracle.mark + [leak],
+        unprepare=oracle.unprepare,
+        q_register=oracle.q_register,
+        kickback_qubit=oracle.kickback_qubit,
+        num_qubits=oracle.num_qubits,
+    )
+
+
+def reference_boyer_search(oracle, classical_check, schedule, max_steps, measure_rng):
+    """The unknown-count search run gate by gate on the full statevector."""
+    diffusion = build_diffusion(oracle.q_register)
+    q = oracle.q_register
+    q_mask = (1 << q.width) - 1
+    steps = []
+    iterations = 0
+    for _ in range(max_steps):
+        m_now = schedule.m
+        j = schedule.draw_iterations()
+        state = prepare_search_state(oracle)
+        for _ in range(j):
+            grover_iteration(state, oracle, diffusion)
+        iterations += j
+        candidate = (measure_all(state, measure_rng) >> q.offset) & q_mask
+        passed = bool(classical_check(candidate))
+        steps.append(BoyerStep(m=m_now, j=j, candidate=candidate, passed=passed))
+        if passed:
+            return BoyerResult(candidate, tuple(steps), iterations)
+        schedule.grow()
+    return BoyerResult(None, tuple(steps), iterations)
 
 
 def q_amplitudes(state, oracle) -> np.ndarray:
@@ -220,18 +275,85 @@ class TestGroverIteration:
             assert iteration_count(big_n, m) - k_floor in (0, 1)
 
     def test_dirty_ancilla_raises_integrity_error(self):
-        oracle = toy_oracle(3, {5}, extra_ancillas=1)
-        dirty = OracleCircuit(
-            prepare=oracle.prepare,
-            mark=oracle.mark + [cnot(0, 4)],  # leaks candidate bit 0 into the ancilla
-            unprepare=oracle.unprepare,
-            q_register=oracle.q_register,
-            kickback_qubit=oracle.kickback_qubit,
-            num_qubits=oracle.num_qubits,
-        )
+        dirty = dirty_oracle(cnot(0, 4))  # leaks candidate bit 0 into the ancilla
         state = prepare_search_state(dirty)
         with pytest.raises(IntegrityError, match="contamination"):
             grover_iteration(state, dirty, build_diffusion(dirty.q_register))
+
+
+class TestFusedSearch:
+    """The index-map marks and 2^n-amplitude iteration against the gate level."""
+
+    def test_marks_of_toy_oracle(self):
+        marks = oracle_marks(toy_oracle(4, {3, 9, 14}))
+        assert np.flatnonzero(marks).tolist() == [3, 9, 14]
+
+    def test_marks_of_demo_oracle(self):
+        # threshold 13: exactly candidates 0110 and 0111 (q values 6 and 14)
+        assert np.flatnonzero(oracle_marks(demo_oracle(13))).tolist() == [6, 14]
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            pytest.param(demo_oracle(13), id="demo-t13"),
+            pytest.param(toy_oracle(4, set()), id="toy-M0"),
+            pytest.param(toy_oracle(4, {11}), id="toy-M1"),
+            pytest.param(toy_oracle(4, {3, 9, 14}), id="toy-M3"),
+            pytest.param(toy_oracle(4, set(range(16))), id="toy-M16"),
+        ],
+    )
+    def test_amplitudes_match_grover_iteration(self, oracle):
+        marks = oracle_marks(oracle)
+        diffusion = build_diffusion(oracle.q_register)
+        state = prepare_search_state(oracle)
+        for j in range(6):
+            if j:
+                grover_iteration(state, oracle, diffusion)
+            fused = search_amplitudes(marks, j)
+            np.testing.assert_allclose(q_amplitudes(state, oracle), fused, rtol=0, atol=1e-12)
+            # everything else on the gate level is the kickback-1 mirror image
+            assert abs(norm_squared(state) - float(np.sum(fused**2))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            pytest.param(demo_oracle(13), id="demo-t13"),
+            pytest.param(demo_oracle(17), id="demo-t17"),
+            pytest.param(toy_oracle(4, {2, 7, 12}, kickback_below_q=True), id="kickback-below-q"),
+        ],
+    )
+    def test_boyer_search_equals_gate_level_reference(self, oracle):
+        marked = set(np.flatnonzero(oracle_marks(oracle)).tolist())
+        sqrt_n = math.sqrt(1 << oracle.q_register.width)
+
+        def run(search, seed):
+            sched_rng, meas_rng = [
+                np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+            ]
+            schedule = BoyerSchedule(sqrt_n_cap=sqrt_n, rng=sched_rng)
+            return search(oracle, marked.__contains__, schedule, 6, meas_rng)
+
+        results = [run(boyer_search, seed) for seed in range(5)]
+        assert results == [run(reference_boyer_search, seed) for seed in range(5)]
+        assert any(step.j > 0 for result in results for step in result.steps)
+
+    @pytest.mark.parametrize(
+        "leak",
+        [
+            pytest.param(cnot(0, 4), id="q-bit-into-ancilla"),
+            pytest.param(cnot(3, 4), id="kickback-into-ancilla"),
+            pytest.param(x(0), id="q-bit-flipped"),
+            # fires only where the kickback started at 1: the kickback-0 branch is clean
+            pytest.param(toffoli(3, 1, 4), id="kickback-1-branch-only"),
+        ],
+    )
+    def test_dirty_uncompute_raises_integrity_error(self, leak):
+        dirty = dirty_oracle(leak)
+        with pytest.raises(IntegrityError, match="contamination"):
+            oracle_marks(dirty)
+        schedule = BoyerSchedule(sqrt_n_cap=math.sqrt(8), rng=np.random.default_rng(0))
+        with pytest.raises(IntegrityError, match="contamination"):
+            boyer_search(dirty, lambda c: False, schedule, 5, np.random.default_rng(1))
 
 
 class TestBoyerSearch:

@@ -13,7 +13,7 @@ from conftest import (
     random_instance,
 )
 from qsmax import knapsack as kp
-from qsmax.grover import prepare_search_state
+from qsmax.grover import OracleCircuit, prepare_search_state
 from qsmax.knapsack import (
     KnapsackInstance,
     all_candidates,
@@ -31,6 +31,7 @@ from qsmax.knapsack import (
 from qsmax.statevector import (
     CapacityError,
     GateSequence,
+    cnot,
     apply_sequence,
     get_amplitude,
     h,
@@ -265,6 +266,67 @@ class TestVerify:
             instance = random_instance(rng, (3, 4, 5)[index % 3])
             report = verify_instance(instance, threshold_seed=index)
             assert report.ok, report.mismatch
+
+
+    def test_dirty_uncompute_is_a_mismatch(self, demo_instance, monkeypatch):
+        compile_clean = kp.compile_oracle
+
+        def compile_dirty(*args, **kwargs):
+            oracle = compile_clean(*args, **kwargs)
+            plan = plan_registers(demo_instance)
+            return OracleCircuit(
+                prepare=oracle.prepare,
+                mark=oracle.mark + [cnot(plan.q.bit(1), plan.g.bit(0))],
+                unprepare=oracle.unprepare,
+                q_register=oracle.q_register,
+                kickback_qubit=oracle.kickback_qubit,
+                num_qubits=oracle.num_qubits,
+            )
+
+        monkeypatch.setattr(kp, "compile_oracle", compile_dirty)
+        report = verify_instance(demo_instance)
+        assert not report.ok
+        assert "contamination" in report.mismatch
+
+
+    def test_wrong_marks_are_a_mismatch(self, demo_instance, monkeypatch):
+        compile_clean = kp.compile_oracle
+
+        def compile_off_by_one(instance, plan, threshold, **kwargs):
+            return compile_clean(instance, plan, threshold + 1, **kwargs)
+
+        monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
+        report = verify_instance(demo_instance)
+        assert not report.ok
+        assert "kickback phase disagrees" in report.mismatch
+
+
+class TestWideRegisters:
+    """Index maps need no dense state, so only the int64 width limits them."""
+
+    # 36 qubits: refused under the default cap, cheap under a raised one
+    WIDE = KnapsackInstance(((1000, 1), (1, 1000)), 1000)
+    # 102 qubits: past the 62-qubit limit of int64 basis indices
+    TOO_WIDE = KnapsackInstance(((2**30, 2**30), (2**30, 2**30)), 1)
+
+    def test_wide_instance_solves_and_verifies_above_the_default_cap(self):
+        assert plan_registers(self.WIDE, qubit_cap=None).total_qubits == 36
+        with pytest.raises(CapacityError):
+            enumerate_table(self.WIDE)
+        quantum = enumerate_table(self.WIDE, qubit_cap=40)
+        assert quantum == [classical_evaluate(self.WIDE, c) for c in all_candidates(2)]
+        assert verify_instance(self.WIDE, qubit_cap=40).ok
+        trace = maximize(self.WIDE, seed=3, qubit_cap=40)
+        assert (trace.final_candidate, trace.final_fitness) == ("01", 1000)
+
+    def test_past_int64_width_raises_capacity_error(self):
+        assert plan_registers(self.TOO_WIDE, qubit_cap=None).total_qubits == 102
+        with pytest.raises(CapacityError, match="int64"):
+            enumerate_table(self.TOO_WIDE, qubit_cap=None)
+        with pytest.raises(CapacityError, match="int64"):
+            verify_instance(self.TOO_WIDE, qubit_cap=None)
+        with pytest.raises(CapacityError, match="int64"):
+            maximize(self.TOO_WIDE, seed=0, qubit_cap=None)
 
 
 class TestMaximize:

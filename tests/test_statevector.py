@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import permutation_kinds, random_sequence
+from conftest import apply_to_basis, permutation_kinds, random_sequence
 from qsmax import statevector as sv
 from qsmax.statevector import (
     CapacityError,
@@ -15,9 +15,11 @@ from qsmax.statevector import (
     GateKind,
     GateSequence,
     IntegrityError,
+    MAX_INDEX_QUBITS,
     _densify,
     apply_gate,
     apply_sequence,
+    check_index_width,
     cnot,
     cphase_flip_zero,
     from_amplitudes,
@@ -29,6 +31,7 @@ from qsmax.statevector import (
     new_zero_state,
     peres,
     peres_inv,
+    permute_indices,
     toffoli,
     x,
 )
@@ -274,3 +277,43 @@ class TestEngineProperties:
         if state._active is not None:
             outside = np.delete(np.arange(state.dimension), state._active)
             assert not state.amplitudes[outside].any()
+
+
+class TestIndexMap:
+    """``permute_indices`` against the gate-by-gate engine on basis states."""
+
+    @pytest.mark.parametrize("num_qubits", [3, 5, 7])
+    def test_matches_gate_level_on_all_basis_inputs(self, num_qubits):
+        rng = np.random.default_rng(400 + num_qubits)
+        basis = np.arange(1 << num_qubits, dtype=np.int64)
+        for _ in range(6):
+            seq = random_sequence(rng, num_qubits, 40, kinds=permutation_kinds())
+            expected = [apply_to_basis(num_qubits, seq, int(b)) for b in basis]
+            assert permute_indices(basis, seq).tolist() == expected
+
+    def test_matches_whole_array_kernels(self):
+        # apply_to_basis runs the active-set kernels, which call permute_indices
+        # one gate at a time; the whole-array kernels are independent of it.
+        rng = np.random.default_rng(17)
+        num_qubits = 5
+        seq = random_sequence(rng, num_qubits, 60, kinds=permutation_kinds())
+        image = permute_indices(np.arange(1 << num_qubits), seq)
+        for b in range(1 << num_qubits):
+            state = _densify(new_basis_state(num_qubits, b))
+            apply_sequence(state, seq)
+            assert get_amplitude(state, int(image[b])) == 1.0
+
+    def test_input_is_not_modified(self):
+        basis = np.arange(8, dtype=np.int64)
+        permute_indices(basis, [x(0), cnot(0, 1), peres(0, 1, 2)])
+        assert basis.tolist() == list(range(8))
+
+    @pytest.mark.parametrize("gate", [h(0), cphase_flip_zero([0, 1])])
+    def test_rejects_non_permutation_gates(self, gate):
+        with pytest.raises(ValueError, match="does not permute"):
+            permute_indices(np.arange(4), [x(1), gate])
+
+    def test_int64_width_guard(self):
+        check_index_width(MAX_INDEX_QUBITS)
+        with pytest.raises(CapacityError, match="int64"):
+            check_index_width(MAX_INDEX_QUBITS + 1)
