@@ -13,8 +13,11 @@ is unknown: grow a cutoff m by a factor 6/5 after every failed measurement,
 draw the iteration count j uniformly below m, and cap m at sqrt(N).
 
 The search needs only the oracle's phase pattern. Every oracle stage is a
-permutation circuit, so ``oracle_marks`` reads the marked set off one
-integer index map per oracle and checks the uncompute exactly; a Grover
+permutation circuit, so its effect on basis states is an integer map. Once
+per instance, ``prepare_frame`` pushes the frame (every q value with the
+kickback at 0 and at 1) through the threshold-independent compute stage.
+Per round, ``oracle_marks`` pushes those images through ``mark`` only,
+reads the marked set off them and checks the uncompute exactly; a Grover
 iteration is then a sign flip on the marked set followed by
 ``a - 2 mean(a)`` on the 2^n candidate amplitudes (``search_amplitudes``).
 ``prepare_search_state`` and ``grover_iteration`` run the same iteration
@@ -184,40 +187,85 @@ def grover_iteration(
     return state
 
 
-def oracle_marks(oracle: OracleCircuit) -> np.ndarray:
-    """Boolean mask over q-register values: True where the oracle flips the phase.
+@dataclass(frozen=True, slots=True)
+class PreparedFrame:
+    """The oracle frame pushed through the compute stage, once per instance.
 
-    Pushes every candidate basis state, with the kickback qubit at 0 and at
-    1, through prepare, mark and unprepare as one int64 index map. Each image
-    must equal its input with the kickback bit flipped on the marked
-    candidates of both branches, which is exactly the phase-kickback
-    contract; otherwise IntegrityError names the first offending candidate.
+    The frame is every q value with the kickback qubit at 0, then every q
+    value with it at 1, all other qubits 0. ``images`` holds ``prepare``'s
+    image of each, in that order (P0 then P1). ``order`` sorts the frame's
+    full-register indices into ``sorted_basis``, the order in which
+    measurement samples. The images belong to this ``prepare`` object.
+    """
+
+    prepare: GateSequence
+    images: np.ndarray
+    sorted_basis: np.ndarray
+    order: np.ndarray
+
+
+def prepare_frame(
+    prepare: GateSequence, q_register: RegisterRef, kickback_qubit: int, num_qubits: int
+) -> PreparedFrame:
+    """Push the frame through ``prepare`` as one int64 index map.
+
     Raises CapacityError above ``MAX_INDEX_QUBITS`` qubits.
     """
-    check_index_width(oracle.num_qubits)
-    basis = _frame_basis(oracle)
-    image = permute_indices(
-        basis, oracle.prepare.gates + oracle.mark.gates + oracle.unprepare.gates
+    check_index_width(num_qubits)
+    register = np.arange(1 << q_register.width, dtype=np.int64) << q_register.offset
+    basis = np.concatenate((register, register | (1 << kickback_qubit)))
+    order = np.argsort(basis)
+    return PreparedFrame(
+        prepare=prepare,
+        images=permute_indices(basis, prepare),
+        sorted_basis=basis[order],
+        order=order,
     )
-    kick = 1 << oracle.kickback_qubit
-    flips = image ^ basis
-    flips_r0, flips_r1 = np.split(flips, 2)
-    bad = np.flatnonzero((flips_r0 != flips_r1) | ((flips_r0 & ~kick) != 0))
+
+
+def _frame_for(oracle: OracleCircuit, frame: PreparedFrame | None) -> PreparedFrame:
+    """``frame`` if it was computed from the oracle's ``prepare``, a new one if None."""
+    if frame is None:
+        return prepare_frame(
+            oracle.prepare, oracle.q_register, oracle.kickback_qubit, oracle.num_qubits
+        )
+    if frame.prepare is not oracle.prepare:
+        raise ValueError("frame was computed from another prepare object")
+    return frame
+
+
+def oracle_marks(oracle: OracleCircuit, frame: PreparedFrame | None = None) -> np.ndarray:
+    """Boolean mask over q-register values: True where the oracle flips the phase.
+
+    ``frame`` holds prepare's images P = (P0, P1) of every candidate with
+    the kickback at 0 and at 1, computed once per instance by
+    ``prepare_frame`` from this oracle's ``prepare`` object (ValueError
+    otherwise); without it they are computed here. Only ``mark`` runs per
+    call: Y = mark(P). The phase-kickback contract is
+    ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on both kickback
+    branches with the same b. ``OracleCircuit`` requires ``unprepare`` to be
+    ``prepare.reverse()`` gate for gate, and a reversed permutation circuit
+    inverts the original on basis indices, so unprepare sends P back to the
+    frame and the contract is equivalent to: where b = (Y0 != P0), Y0 == P1
+    and Y1 == P0; elsewhere Y1 == P1. Any other image raises IntegrityError
+    naming the first offending candidate and the basis states its two
+    branches end in after ``unprepare``. Raises CapacityError above
+    ``MAX_INDEX_QUBITS`` qubits.
+    """
+    frame = _frame_for(oracle, frame)
+    marked = permute_indices(frame.images, oracle.mark)
+    p0, p1 = np.split(frame.images, 2)
+    y0, y1 = np.split(marked, 2)
+    flips = y0 != p0
+    bad = np.flatnonzero(np.where(flips, (y0 != p1) | (y1 != p0), y1 != p1))
     if bad.size:
         candidate = int(bad[0])
+        image = permute_indices(marked[[candidate, candidate + p0.size]], oracle.unprepare)
         raise IntegrityError(
             f"ancilla contamination after uncompute: q value {candidate} maps "
-            f"to basis states {int(image[candidate])} and "
-            f"{int(image[candidate + flips_r0.size])}"
+            f"to basis states {int(image[0])} and {int(image[1])}"
         )
-    return flips_r0 == kick
-
-
-def _frame_basis(oracle: OracleCircuit) -> np.ndarray:
-    """Full-register index of every q value, kickback 0 then kickback 1."""
-    q = oracle.q_register
-    register = np.arange(1 << q.width, dtype=np.int64) << q.offset
-    return np.concatenate((register, register | (1 << oracle.kickback_qubit)))
+    return flips
 
 
 def search_amplitudes(marks: np.ndarray, iterations: int) -> np.ndarray:
@@ -243,6 +291,8 @@ def boyer_search(
     schedule: BoyerSchedule,
     max_steps: int,
     measure_rng: np.random.Generator,
+    *,
+    frame: PreparedFrame | None = None,
 ) -> BoyerResult:
     """Search for a candidate passing ``classical_check`` with M unknown.
 
@@ -252,17 +302,16 @@ def boyer_search(
     measurements is a normal return, not an error.
 
     The marked set comes from ``oracle_marks`` once per call, which raises
-    IntegrityError unless the uncompute restores every ancilla exactly.
-    Measurement samples the same distribution, in the same sorted order of
-    full-register indices and with the same norm check, as ``measure_all``
-    on the gate-level state, so a seeded ``measure_rng`` draws the same
-    outcomes.
+    IntegrityError unless the uncompute restores every ancilla exactly. Pass
+    the instance's ``frame`` so that only ``mark`` runs here; without it
+    the compute stage runs too. Measurement samples the same distribution,
+    in the same sorted order of full-register indices and with the same
+    norm check, as ``measure_all`` on the gate-level state, so a seeded
+    ``measure_rng`` draws the same outcomes.
     """
-    marks = oracle_marks(oracle)
+    frame = _frame_for(oracle, frame)
+    marks = oracle_marks(oracle, frame)
     q = oracle.q_register
-    basis = _frame_basis(oracle)
-    order = np.argsort(basis)
-    basis = basis[order]
     q_mask = (1 << q.width) - 1
     steps: list[BoyerStep] = []
     iterations = 0
@@ -272,7 +321,9 @@ def boyer_search(
         amplitudes = search_amplitudes(marks, j)
         iterations += j
         half = amplitudes * amplitudes / 2.0  # |a_x|^2 / 2 on each kickback branch
-        chosen = sample_basis(basis, np.concatenate((half, half))[order], measure_rng)
+        chosen = sample_basis(
+            frame.sorted_basis, np.concatenate((half, half))[frame.order], measure_rng
+        )
         candidate = (chosen >> q.offset) & q_mask
         passed = bool(classical_check(candidate))
         steps.append(BoyerStep(m=m_now, j=j, candidate=candidate, passed=passed))

@@ -4,12 +4,16 @@ Problem model, register planning, oracle compilation, the threshold-raising
 maximization driver, classical brute-force references, and gate-level
 resource estimation.
 
-The oracle is made of permutation gates only, so the candidate table and the
-verification suite never simulate amplitudes: they push every candidate
-basis index through the compiled stages as one int64 index map
+The oracle is made of permutation gates only, so the candidate table, the
+verification suite and the search never simulate the full register: they
+push basis indices through the compiled stages as int64 index maps
 (``statevector.permute_indices``) and read registers and kickback flips off
-the images exactly. The compute stage does not depend on the threshold and
-is compiled once per instance.
+the images exactly. The compute stage does not depend on the threshold, so
+each of ``enumerate_table``, ``verify_instance`` and ``maximize`` compiles
+it and pushes every candidate through it once per instance
+(``grover.prepare_frame``); the table reads w, f and v off those images,
+and each search round or verify threshold compiles and pushes only the
+marking stage (``grover.oracle_marks``).
 
 Register file (in qubit order): ``q`` candidate bits (item k is qubit k-1,
 so item 1 is the least significant), ``w`` accumulated weight, ``g`` shared
@@ -23,6 +27,7 @@ items 2, 3 and 4 are packed. Internally item k maps to q-register bit k-1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -41,10 +46,12 @@ from .arithmetic import (
 from .grover import (
     BoyerSchedule,
     OracleCircuit,
+    PreparedFrame,
     boyer_search,
     build_diffusion,
     iteration_count,
     oracle_marks,
+    prepare_frame,
 )
 from .statevector import (
     DEFAULT_QUBIT_CAP,
@@ -53,8 +60,6 @@ from .statevector import (
     GateKind,
     GateSequence,
     IntegrityError,
-    check_index_width,
-    permute_indices,
 )
 
 MAX_ITEMS = 12
@@ -186,6 +191,19 @@ def index_to_candidate(index: int, n: int) -> str:
 def all_candidates(n: int) -> list[str]:
     """All candidate strings in table order (string read as a binary number)."""
     return [format(d, f"0{n}b") for d in range(1 << n)]
+
+
+def candidate_indices(n: int) -> np.ndarray:
+    """q-register value of every candidate in table order, as int64.
+
+    String position k is item k+1, i.e. q bit k, and the table reads the
+    string as a binary number, so entry d is d with its n bits reversed.
+    """
+    table = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros_like(table)
+    for k in range(n):
+        out |= ((table >> (n - 1 - k)) & 1) << k
+    return out
 
 
 def plan_registers(
@@ -322,19 +340,25 @@ def compile_oracle(
     )
 
 
+def _compute_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFrame:
+    """Compile the compute stage and push every candidate through it once.
+
+    Raises CapacityError above 62 qubits.
+    """
+    return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
+
+
 def _table_rows(
-    instance: KnapsackInstance, plan: RegisterPlan, prepare: GateSequence
+    instance: KnapsackInstance, plan: RegisterPlan, frame: PreparedFrame
 ) -> list[CandidateEvaluation]:
-    """Every candidate in table order, read off the compute stage's index map.
+    """Every candidate in table order, read off the frame's kickback-0 images.
 
     Reported fitness is pre-negation (the circuit stores the negated fitness
     for invalid candidates).
     """
-    check_index_width(plan.total_qubits)
     n = instance.n
     candidates = all_candidates(n)
-    q_values = np.array([candidate_to_index(c, n) for c in candidates], dtype=np.int64)
-    image = permute_indices(q_values << plan.q.offset, prepare)
+    image = frame.images[candidate_indices(n)]
     enc = plan.fitness_encoding
     rows: list[CandidateEvaluation] = []
     for candidate, basis in zip(candidates, image.tolist()):
@@ -357,12 +381,12 @@ def enumerate_table(
 ) -> list[CandidateEvaluation]:
     """Evaluate every candidate through the oracle's compute stage.
 
-    All candidate basis states go through ``prepare`` as one int64 index
-    map; w, f and v are read off each image. Raises CapacityError above
-    ``qubit_cap`` or above 62 qubits.
+    All candidate basis states go through ``prepare`` once as one int64
+    index map; w, f and v are read off each image. Raises CapacityError
+    above ``qubit_cap`` or above 62 qubits.
     """
     plan = plan_registers(instance, qubit_cap=qubit_cap)
-    return _table_rows(instance, plan, compile_prepare(instance, plan))
+    return _table_rows(instance, plan, _compute_frame(instance, plan))
 
 
 def verify_instance(
@@ -377,16 +401,19 @@ def verify_instance(
     Checks the circuit-computed table against ``classical_evaluate`` for all
     candidates, then the oracle against the classical predicate (valid and
     fitness strictly above threshold) at ``num_thresholds`` sampled
-    thresholds. The oracle check is exact integer equality on both kickback
-    branches: ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)``, so any
-    ancilla left dirty or any wrong mark is a mismatch.
+    thresholds. The compute stage runs once; the table is read off its
+    images, and each threshold pushes them through its marking stage only.
+    The oracle check is exact integer equality on both kickback branches,
+    equivalent to ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)``
+    (see ``oracle_marks``), so any ancilla left dirty or any wrong mark is a
+    mismatch.
     """
     plan = plan_registers(instance, qubit_cap=qubit_cap)
     n = instance.n
-    prepare = compile_prepare(instance, plan)
+    frame = _compute_frame(instance, plan)
     classical_rows = [classical_evaluate(instance, c) for c in all_candidates(n)]
 
-    for quantum, classical in zip(_table_rows(instance, plan, prepare), classical_rows):
+    for quantum, classical in zip(_table_rows(instance, plan, frame), classical_rows):
         if quantum != classical:
             return VerifyReport(
                 ok=False,
@@ -401,16 +428,16 @@ def verify_instance(
                 ),
             )
 
-    q_values = [candidate_to_index(c.candidate, n) for c in classical_rows]
+    q_values = candidate_indices(n)
     rng = np.random.default_rng(threshold_seed)
     max_threshold = sum(instance.values)
     thresholds = tuple(
         int(t) for t in rng.integers(0, max_threshold + 1, size=num_thresholds)
     )
     for threshold in thresholds:
-        oracle = compile_oracle(instance, plan, threshold, prepare=prepare)
+        oracle = compile_oracle(instance, plan, threshold, prepare=frame.prepare)
         try:
-            marks = oracle_marks(oracle)
+            marks = oracle_marks(oracle, frame)
         except IntegrityError as err:
             return VerifyReport(
                 ok=False,
@@ -452,9 +479,11 @@ def maximize(
 ) -> SearchTrace:
     """Find the maximum-fitness valid candidate by threshold-raising search.
 
-    Each round compiles the oracle at the current threshold and runs the
+    The compute stage is compiled and pushed through once; each round
+    compiles only the marking stage at the current threshold and runs the
     unknown-count search; a found candidate raises the threshold to its
-    fitness. ``confirmation_count`` consecutive exhausted rounds (default 1)
+    fitness. Each distinct measured candidate is evaluated classically
+    once. ``confirmation_count`` consecutive exhausted rounds (default 1)
     end the run. The seed fully determines the run: it spawns independent
     streams for the initial threshold draw, the schedule's j draws, and
     measurement sampling.
@@ -495,7 +524,12 @@ def maximize(
     if max_steps_per_round is None:
         max_steps_per_round = 3 * math.ceil(math.sqrt(big_n))
 
-    prepare = compile_prepare(instance, plan)
+    frame = _compute_frame(instance, plan)
+
+    @functools.cache
+    def evaluate(candidate_index: int) -> CandidateEvaluation:
+        return classical_evaluate(instance, index_to_candidate(candidate_index, n))
+
     starting_threshold = threshold
     steps: list[TraceStep] = []
     cumulative_j = 0
@@ -503,21 +537,23 @@ def maximize(
     consecutive_exhausted = 0
     while rounds < max_rounds and consecutive_exhausted < confirmation_count:
         rounds += 1
-        oracle = compile_oracle(instance, plan, threshold, prepare=prepare)
+        oracle = compile_oracle(instance, plan, threshold, prepare=frame.prepare)
         current = threshold
 
         def check(candidate_index: int, t: int = current) -> bool:
-            ev = classical_evaluate(instance, index_to_candidate(candidate_index, n))
+            ev = evaluate(candidate_index)
             return ev.valid and ev.fitness > t
 
         schedule = BoyerSchedule(
             sqrt_n_cap=math.sqrt(big_n), rng=schedule_rng, lam=growth
         )
-        result = boyer_search(oracle, check, schedule, max_steps_per_round, measure_rng)
+        result = boyer_search(
+            oracle, check, schedule, max_steps_per_round, measure_rng, frame=frame
+        )
         for step in result.steps:
             cumulative_j += step.j
-            candidate = index_to_candidate(step.candidate, n)
-            ev = classical_evaluate(instance, candidate)
+            ev = evaluate(step.candidate)
+            candidate = ev.candidate
             new_threshold = ev.fitness if step.passed else threshold
             steps.append(
                 TraceStep(

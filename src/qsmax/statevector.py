@@ -171,10 +171,11 @@ def cphase_flip_zero(qubits: Sequence[int]) -> Gate:
 class GateSequence:
     """Ordered, immutable list of gates (the circuit IR)."""
 
-    __slots__ = ("gates",)
+    __slots__ = ("gates", "_reverse")
 
     def __init__(self, gates: Iterable[Gate] = ()) -> None:
         self.gates: tuple[Gate, ...] = tuple(gates)
+        self._reverse: GateSequence | None = None
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -195,8 +196,13 @@ class GateSequence:
         return self.gates == other.gates
 
     def reverse(self) -> "GateSequence":
-        """The inverse sequence: reversed order, each gate replaced by its adjoint."""
-        return GateSequence(g.inverse() for g in reversed(self.gates))
+        """The inverse sequence: reversed order, each gate replaced by its adjoint.
+
+        Built on the first call and returned as the same object afterwards.
+        """
+        if self._reverse is None:
+            self._reverse = GateSequence(g.inverse() for g in reversed(self.gates))
+        return self._reverse
 
     def qubits(self) -> frozenset[int]:
         """All qubit indices any gate touches."""

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DEMO_CAPACITY, DEMO_ITEMS
+from conftest import (
+    DEMO_CAPACITY,
+    DEMO_ITEMS,
+    permutation_kinds,
+    random_gate,
+    random_sequence,
+)
 from qsmax.arithmetic import RegisterRef
 from qsmax.grover import (
     BoyerResult,
@@ -19,10 +25,16 @@ from qsmax.grover import (
     grover_iteration,
     iteration_count,
     oracle_marks,
+    prepare_frame,
     prepare_search_state,
     search_amplitudes,
 )
-from qsmax.knapsack import KnapsackInstance, compile_oracle, plan_registers
+from qsmax.knapsack import (
+    KnapsackInstance,
+    compile_oracle,
+    compile_prepare,
+    plan_registers,
+)
 from qsmax.statevector import (
     GateSequence,
     IntegrityError,
@@ -35,6 +47,7 @@ from qsmax.statevector import (
     measure_all,
     new_basis_state,
     norm_squared,
+    permute_indices,
     toffoli,
     x,
 )
@@ -84,6 +97,26 @@ def dirty_oracle(leak) -> OracleCircuit:
         kickback_qubit=oracle.kickback_qubit,
         num_qubits=oracle.num_qubits,
     )
+
+
+def whole_oracle_marks(oracle: OracleCircuit):
+    """The phase-kickback contract checked on prepare + mark + unprepare.
+
+    Returns (marks, None), or (None, (q value, image at kickback 0, image at
+    kickback 1)) for the first candidate whose images break the contract.
+    """
+    q = oracle.q_register
+    kick = 1 << oracle.kickback_qubit
+    register = np.arange(1 << q.width, dtype=np.int64) << q.offset
+    whole = oracle.prepare + oracle.mark + oracle.unprepare
+    image0 = permute_indices(register, whole)
+    image1 = permute_indices(register | kick, whole)
+    flips0, flips1 = image0 ^ register, image1 ^ register ^ kick
+    bad = np.flatnonzero((flips0 != flips1) | ((flips0 & ~kick) != 0))
+    if bad.size:
+        c = int(bad[0])
+        return None, (c, int(image0[c]), int(image1[c]))
+    return flips0 == kick, None
 
 
 def reference_boyer_search(oracle, classical_check, schedule, max_steps, measure_rng):
@@ -354,6 +387,47 @@ class TestFusedSearch:
         schedule = BoyerSchedule(sqrt_n_cap=math.sqrt(8), rng=np.random.default_rng(0))
         with pytest.raises(IntegrityError, match="contamination"):
             boyer_search(dirty, lambda c: False, schedule, 5, np.random.default_rng(1))
+
+
+    def test_check_equals_the_whole_oracle_contract_on_random_oracles(self):
+        # q = qubits 0-2, ancillas 3-4, kickback 5. prepare never touches the
+        # kickback; mark flips it under random controls, and half the time
+        # one more random gate follows, which may break the uncompute.
+        rng = np.random.default_rng(23)
+        q = RegisterRef("q", 0, 3)
+        outcomes = set()
+        for _ in range(200):
+            prepare = random_sequence(rng, 5, 10, kinds=permutation_kinds())
+            controls = rng.choice(5, size=int(rng.integers(1, 4)), replace=False)
+            mark = GateSequence([mcx([int(c) for c in controls], 5)])
+            if rng.random() < 0.5:
+                mark += [random_gate(rng, 6, permutation_kinds())]
+            oracle = OracleCircuit(prepare, mark, prepare.reverse(), q, 5, 6)
+            marks, bad = whole_oracle_marks(oracle)
+            if bad is None:
+                assert oracle_marks(oracle).tolist() == marks.tolist()
+            else:
+                c, image0, image1 = bad
+                expected = f"q value {c} maps to basis states {image0} and {image1}$"
+                with pytest.raises(IntegrityError, match=expected):
+                    oracle_marks(oracle)
+            outcomes.add(bad is None)
+        assert outcomes == {True, False}
+
+    def test_frame_of_another_prepare_is_refused(self):
+        instance = KnapsackInstance(DEMO_ITEMS, DEMO_CAPACITY)
+        plan = plan_registers(instance)
+        prepare = compile_prepare(instance, plan)
+        frame = prepare_frame(prepare, plan.q, plan.r, plan.total_qubits)
+        other = compile_oracle(instance, plan, 13)  # compiles its own, equal prepare
+        assert other.prepare == prepare and other.prepare is not prepare
+        with pytest.raises(ValueError, match="another prepare"):
+            oracle_marks(other, frame)
+        schedule = BoyerSchedule(sqrt_n_cap=4.0, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="another prepare"):
+            boyer_search(other, bool, schedule, 5, np.random.default_rng(1), frame=frame)
+        same = compile_oracle(instance, plan, 13, prepare=prepare)
+        assert oracle_marks(same, frame).tolist() == oracle_marks(other).tolist()
 
 
 class TestBoyerSearch:

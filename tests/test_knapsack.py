@@ -12,15 +12,19 @@ from conftest import (
     DEMO_BEST_FITNESS,
     random_instance,
 )
+from qsmax import grover
 from qsmax import knapsack as kp
+from qsmax import statevector as sv
 from qsmax.grover import OracleCircuit, prepare_search_state
 from qsmax.knapsack import (
     KnapsackInstance,
     all_candidates,
+    candidate_indices,
     candidate_to_index,
     classical_evaluate,
     classical_max,
     compile_oracle,
+    compile_prepare,
     enumerate_table,
     estimate_resources,
     index_to_candidate,
@@ -83,6 +87,11 @@ class TestInstance:
         # item 1 is the leftmost character and the lowest q bit
         assert candidate_to_index("1000", 4) == 1
         assert candidate_to_index("0111", 4) == 14
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_candidate_indices_match_candidate_to_index(self, n):
+        expected = [candidate_to_index(c, n) for c in all_candidates(n)]
+        assert candidate_indices(n).tolist() == expected
 
     def test_bad_candidate_strings(self):
         with pytest.raises(ValueError):
@@ -299,6 +308,63 @@ class TestVerify:
         report = verify_instance(demo_instance)
         assert not report.ok
         assert "kickback phase disagrees" in report.mismatch
+
+
+class TestComputeOnce:
+    """The compute stage goes through the index map once per instance."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Gates of every ``permute_indices`` call and every compiled oracle."""
+        pushed, compiled = [], []
+        push, compile_clean = sv.permute_indices, kp.compile_oracle
+
+        def counting_push(indices, gates):
+            pushed.append(tuple(gates))
+            return push(indices, gates)
+
+        def recording_compile(*args, **kwargs):
+            compiled.append(compile_clean(*args, **kwargs))
+            return compiled[-1]
+
+        for module in (grover, kp, sv):
+            if hasattr(module, "permute_indices"):
+                monkeypatch.setattr(module, "permute_indices", counting_push)
+        monkeypatch.setattr(kp, "compile_oracle", recording_compile)
+        return pushed, compiled
+
+    def _assert_prepare_once_then_marks(self, recorded, instance):
+        pushed, compiled = recorded
+        prepare = compile_prepare(instance, plan_registers(instance)).gates
+        assert pushed[0] == prepare
+        assert pushed[1:] == [oracle.mark.gates for oracle in compiled]
+        assert all(oracle.prepare is compiled[0].prepare for oracle in compiled)
+
+    def test_maximize(self, demo_instance, recorded):
+        trace = maximize(demo_instance, seed=1, confirmation_count=2)
+        assert len(recorded[1]) == trace.rounds > 1
+        self._assert_prepare_once_then_marks(recorded, demo_instance)
+
+    def test_verify(self, demo_instance, recorded):
+        report = verify_instance(demo_instance)
+        assert report.ok
+        assert len(recorded[1]) == len(report.thresholds_checked)
+        self._assert_prepare_once_then_marks(recorded, demo_instance)
+
+    def test_each_measured_candidate_is_evaluated_once(self, demo_instance, monkeypatch):
+        evaluated = []
+        evaluate = kp.classical_evaluate
+
+        def counting_evaluate(instance, candidate):
+            evaluated.append(candidate)
+            return evaluate(instance, candidate)
+
+        monkeypatch.setattr(kp, "classical_evaluate", counting_evaluate)
+        trace = maximize(demo_instance, seed=1, confirmation_count=2)
+        measured = [step.measured_candidate for step in trace.steps]
+        assert len(set(measured)) < len(measured)  # some candidate is measured twice
+        # the initial threshold draw, then each distinct measured candidate once
+        assert evaluated[1:] == list(dict.fromkeys(measured))
 
 
 class TestWideRegisters:

@@ -167,6 +167,11 @@ class TestSequences:
         kinds = [g.kind for g in seq.reverse()]
         assert kinds == [GateKind.H, GateKind.PERES_INV, GateKind.X]
 
+    def test_reverse_is_built_once(self):
+        seq = GateSequence([x(0), peres(0, 1, 2)])
+        assert seq.reverse() is seq.reverse()
+        assert seq.reverse().reverse() == seq
+
     def test_four_hadamards_make_uniform(self):
         state = new_zero_state(4)
         apply_sequence(state, GateSequence(h(i) for i in range(4)))
@@ -302,6 +307,17 @@ class TestIndexMap:
             state = _densify(new_basis_state(num_qubits, b))
             apply_sequence(state, seq)
             assert get_amplitude(state, int(image[b])) == 1.0
+
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6])
+    def test_reverse_inverts_the_map_on_all_basis_inputs(self, num_qubits):
+        # The premise of oracle_marks' check: unprepare = prepare.reverse()
+        # sends prepare's image of every basis index back to that index.
+        rng = np.random.default_rng(500 + num_qubits)
+        basis = np.arange(1 << num_qubits, dtype=np.int64)
+        for _ in range(8):
+            seq = random_sequence(rng, num_qubits, 40, kinds=permutation_kinds())
+            image = permute_indices(basis, seq)
+            assert permute_indices(image, seq.reverse()).tolist() == basis.tolist()
 
     def test_input_is_not_modified(self):
         basis = np.arange(8, dtype=np.int64)
