@@ -22,9 +22,11 @@ Gate set: X, H, CNOT, TOFFOLI, MCX (multi-controlled X), PERES and its
 adjoint, and a phase flip on the all-zero subspace of a qubit list (the
 phase core of the inversion-about-average operator). All of them except H
 and the phase flip permute basis states; ``permute_indices`` runs a circuit
-of those as an integer map on int64 basis indices, with no amplitudes.
-Basis indices are int64 throughout, so no state may exceed
-``MAX_INDEX_QUBITS`` qubits.
+of those as an integer map on int64 basis indices, with no amplitudes. It
+runs bit-sliced: one Python int per qubit holds that qubit's bit of every
+index (a bit plane), so a gate costs one or two big-int operations however
+many indices there are. Basis indices are int64 throughout, so no state may
+exceed ``MAX_INDEX_QUBITS`` qubits.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ class GateKind(enum.Enum):
     PERES_INV = "PERES_INV"
     MCX = "MCX"
     CPHASE_FLIP_ZERO = "CPHASE_FLIP_ZERO"
+
+
+# The plane kernel dispatches on these: a global is cheaper than an enum lookup.
+_X, _CNOT, _TOFFOLI, _MCX = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX
+_PERES, _PERES_INV = GateKind.PERES, GateKind.PERES_INV
 
 
 # Operand-count rule (targets, controls) of each gate kind.
@@ -307,38 +314,89 @@ def _relocate(state: StateVector, new_index: np.ndarray) -> None:
         state._active = np.sort(new_index)
 
 
-def _control_mask(gate: Gate) -> int:
-    mask = 0
-    for c in gate.controls:
-        mask |= 1 << c
-    return mask
-
-
 def permute_indices(indices: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
     """Images of int64 basis indices under permutation gates applied in order.
 
     X, CNOT, TOFFOLI, MCX, PERES and PERES_INV send every basis state to one
     basis state, so a circuit of them is an integer map on basis indices.
-    Returns a new array. Raises ValueError on H or CPHASE_FLIP_ZERO, which do
-    not permute the basis.
+    The indices are transposed once into bit planes (one Python int per
+    qubit; its bit i is that qubit's bit of ``indices[i]``). Each gate XORs
+    its target plane with all ones (X) or with the AND of its control planes
+    (PERES: a Toffoli then a CNOT, PERES_INV the reverse), and the planes are
+    transposed back once. Returns a new int64 array. Raises ValueError on H
+    or CPHASE_FLIP_ZERO, which do not permute the basis, and CapacityError
+    when a gate qubit or an index bit is above ``MAX_INDEX_QUBITS`` (the
+    next bit is int64's sign).
+    """
+    out = np.ascontiguousarray(indices, dtype="<i8")
+    n = out.size
+    # Bit k of indices[i] becomes bit k*n + i of ``big``: plane k is the n-bit
+    # slice at k*n. Plane 63, the int64 sign bit, must stay empty.
+    bits = np.unpackbits(out.view(np.uint8), bitorder="little").reshape(n, 64)
+    big = int.from_bytes(np.packbits(bits.T.ravel(), bitorder="little").tobytes(), "little")
+    ones = (1 << n) - 1
+    p = [(big >> (k * n)) & ones for k in range(MAX_INDEX_QUBITS + 1)]
+    if big >> ((MAX_INDEX_QUBITS + 1) * n):
+        check_index_width(MAX_INDEX_QUBITS + 1)
+    try:
+        for gate in gates:
+            kind = gate.kind
+            if kind is _TOFFOLI:
+                c0, c1 = gate.controls
+                p[gate.targets[0]] ^= p[c0] & p[c1]
+            elif kind is _CNOT:
+                p[gate.targets[0]] ^= p[gate.controls[0]]
+            elif kind is _X:
+                p[gate.targets[0]] ^= ones
+            elif kind is _MCX:
+                controls = gate.controls
+                fire = p[controls[0]]
+                for c in controls[1:]:
+                    fire &= p[c]
+                p[gate.targets[0]] ^= fire
+            elif kind is _PERES:
+                a, b, c = gate.targets
+                p[c] ^= p[a] & p[b]
+                p[b] ^= p[a]
+            elif kind is _PERES_INV:
+                a, b, c = gate.targets
+                p[b] ^= p[a]
+                p[c] ^= p[a] & p[b]
+            else:
+                raise ValueError(f"{kind.value} does not permute basis states")
+    except IndexError:  # a qubit past the last plane
+        check_index_width(max(gate.qubits))
+        raise
+    big = 0
+    for plane in reversed(p):
+        big = (big << n) | plane
+    bits = np.unpackbits(np.frombuffer(big.to_bytes(8 * n, "little"), np.uint8), bitorder="little")
+    image = np.packbits(bits.reshape(64, n).T.ravel(), bitorder="little").view("<i8")
+    return image.reshape(out.shape)
+
+
+def _index_step(indices: np.ndarray, gate: Gate) -> np.ndarray:
+    """``permute_indices`` of one gate, as numpy algebra on the index array.
+
+    The active-set kernels move their indices with it; the tests use it as a
+    reference independent of the plane kernel.
     """
     out = np.array(indices, dtype=np.int64)
-    for gate in gates:
-        kind = gate.kind
-        if kind is GateKind.X:
-            out ^= 1 << gate.targets[0]
-        elif kind is GateKind.TOFFOLI or kind is GateKind.CNOT or kind is GateKind.MCX:
-            cmask = _control_mask(gate)
-            out ^= ((out & cmask) == cmask) * (1 << gate.targets[0])
-        elif kind is GateKind.PERES or kind is GateKind.PERES_INV:
-            a, b, c = gate.targets
-            abit = (out >> a) & 1
-            bbit = (out >> b) & 1
-            if kind is GateKind.PERES_INV:
-                bbit ^= abit  # its CNOT runs first, so its Toffoli reads a XOR b
-            out ^= (abit << b) ^ ((abit & bbit) << c)
-        else:
-            raise ValueError(f"{kind.value} does not permute basis states")
+    kind = gate.kind
+    if kind is GateKind.X:
+        out ^= 1 << gate.targets[0]
+    elif kind is GateKind.TOFFOLI or kind is GateKind.CNOT or kind is GateKind.MCX:
+        cmask = sum(1 << c for c in gate.controls)
+        out ^= ((out & cmask) == cmask) * (1 << gate.targets[0])
+    elif kind is GateKind.PERES or kind is GateKind.PERES_INV:
+        a, b, c = gate.targets
+        abit = (out >> a) & 1
+        bbit = (out >> b) & 1
+        if kind is GateKind.PERES_INV:
+            bbit ^= abit  # its CNOT runs first, so its Toffoli reads a XOR b
+        out ^= (abit << b) ^ ((abit & bbit) << c)
+    else:
+        raise ValueError(f"{kind.value} does not permute basis states")
     return out
 
 
@@ -363,7 +421,7 @@ def _sparse_apply(state: StateVector, gate: Gate) -> None:
         amps[hi] = (a0 - a1) * _INV_SQRT2
         state._active = union[amps[union] != 0]
     else:
-        _relocate(state, permute_indices(active, (gate,)))
+        _relocate(state, _index_step(active, gate))
     if state._active is not None and len(state._active) > _sparse_limit(state.num_qubits):
         state._active = None
 

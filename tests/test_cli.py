@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
 import subprocess
 import sys
@@ -266,6 +268,51 @@ class TestGoldenFiles:
         cli.cmd_estimate(DEMO, out=out)
         assert out.getvalue() == self._golden("estimate.golden")
 
+
+    def test_demo_trace_digest(self):
+        # SHA-256 of the machine traces of demo solve seeds 1000-1039, with
+        # --confirmations 1 and then 2, run in-process and concatenated.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for confirmations in ("1", "2"):
+                for seed in range(1000, 1040):
+                    argv = ["solve", DEMO, "--seed", str(seed),
+                            "--confirmations", confirmations, "--format", "machine"]
+                    assert cli.main(argv) == EXIT_OK
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "1c130d3cd122e0e96aaf1a73c9d46a44fa6847453697a29e873f3e49acaa69e0"
+
+
+class TestRepeatedMain:
+    """Several commands in one process share one parser."""
+
+    @staticmethod
+    def _solve(capsys, *args):
+        assert cli.main(["solve", DEMO, "--format", "machine", *args]) == EXIT_OK
+        return capsys.readouterr().out
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        cli.main(["estimate", DEMO])
+        cli.main(["table", DEMO])
+        capsys.readouterr()
+        assert built == [1]
+
+    def test_earlier_flags_do_not_leak(self, capsys):
+        seed0 = self._solve(capsys, "--seed", "0")
+        seed5 = self._solve(capsys, "--seed", "5")
+        assert seed5.startswith("seed=5 ") and seed5 != seed0
+        assert self._solve(capsys) == seed0
+
+    def test_usage_error_then_valid_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--qubit-cap", "30", DEMO])
+        assert exc.value.code == EXIT_INPUT
+        assert cli.main(["verify", DEMO]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("OK")
 
 # Run in a fresh interpreter: replaces the oracle compiler with one whose
 # mark stage leaks a candidate bit into the g register, then runs the CLI.

@@ -413,6 +413,16 @@ class TestMaximize:
         trace = maximize(KnapsackInstance(((5, 9),), 3), seed=2)
         assert (trace.final_candidate, trace.final_fitness) == ("0", 0)
 
+    @pytest.mark.parametrize("items, capacity", [(((3, 7),), 5), (((5, 9),), 3)])
+    def test_single_item_four_entry_frame(self, items, capacity):
+        instance = KnapsackInstance(items, capacity)
+        plan = plan_registers(instance)
+        assert kp._compute_frame(instance, plan).images.size == 4
+        assert verify_instance(instance).ok
+        best = classical_max(instance)
+        for seed in range(5):
+            assert maximize(instance, seed=seed).final_fitness == best.fitness
+
     def test_thresholds_strictly_increase_across_accepted_steps(self, demo_instance):
         for seed in (3, 11, 19):
             trace = maximize(demo_instance, seed=seed)

@@ -17,6 +17,7 @@ from qsmax.statevector import (
     IntegrityError,
     MAX_INDEX_QUBITS,
     _densify,
+    _index_step,
     apply_gate,
     apply_sequence,
     check_index_width,
@@ -297,8 +298,8 @@ class TestIndexMap:
             assert permute_indices(basis, seq).tolist() == expected
 
     def test_matches_whole_array_kernels(self):
-        # apply_to_basis runs the active-set kernels, which call permute_indices
-        # one gate at a time; the whole-array kernels are independent of it.
+        # apply_to_basis runs the active-set kernels, which move indices with
+        # their own numpy step; the whole-array kernels are independent of both.
         rng = np.random.default_rng(17)
         num_qubits = 5
         seq = random_sequence(rng, num_qubits, 60, kinds=permutation_kinds())
@@ -333,3 +334,72 @@ class TestIndexMap:
         check_index_width(MAX_INDEX_QUBITS)
         with pytest.raises(CapacityError, match="int64"):
             check_index_width(MAX_INDEX_QUBITS + 1)
+
+
+class TestPlaneKernel:
+    """The bit-plane kernel against the numpy one-gate step and the gate-level engine."""
+
+    @staticmethod
+    def _numpy_steps(indices, seq):
+        out = np.array(indices, dtype=np.int64)
+        for gate in seq:
+            out = _index_step(out, gate)
+        return out
+
+    def _check(self, num_qubits, seq, indices):
+        image = permute_indices(indices, seq)
+        assert image.dtype == np.int64 and image.shape == (len(indices),)
+        expected = [apply_to_basis(num_qubits, seq, int(b)) for b in indices]
+        assert image.tolist() == expected
+        assert self._numpy_steps(indices, seq).tolist() == expected
+
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
+    def test_all_basis_inputs(self, num_qubits):
+        rng = np.random.default_rng(600 + num_qubits)
+        basis = np.arange(1 << num_qubits, dtype=np.int64)
+        for _ in range(4):
+            seq = random_sequence(rng, num_qubits, 40, kinds=permutation_kinds())
+            self._check(num_qubits, seq, basis)
+
+    def test_empty_array(self):
+        seq = GateSequence([x(0), cnot(0, 1), peres(0, 1, 2)])
+        image = permute_indices(np.array([], dtype=np.int64), seq)
+        assert image.dtype == np.int64 and image.shape == (0,)
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 9])
+    def test_counts_that_pad_the_planes(self, count):
+        # Planes of 1, 3, 4 or 9 bits end inside a byte of the packed buffer.
+        rng = np.random.default_rng(700 + count)
+        for _ in range(4):
+            seq = random_sequence(rng, 6, 40, kinds=permutation_kinds())
+            self._check(6, seq, rng.integers(0, 64, size=count))
+
+    def test_untouched_high_bit_passes_through(self):
+        rng = np.random.default_rng(71)
+        seq = random_sequence(rng, 5, 40, kinds=permutation_kinds())
+        basis = np.arange(32, dtype=np.int64)
+        high = permute_indices(basis | (1 << 61), seq)
+        assert high.tolist() == (permute_indices(basis, seq) | (1 << 61)).tolist()
+
+    def test_wide_mcx(self):
+        seq = GateSequence([x(0), mcx([0, 1, 2, 3, 4], 5), mcx([6, 5, 4, 3, 2, 1], 0)])
+        self._check(7, seq, np.arange(128, dtype=np.int64))
+
+    def test_mixed_peres_directions(self):
+        rng = np.random.default_rng(72)
+        kinds = (GateKind.PERES, GateKind.PERES_INV)
+        for _ in range(4):
+            seq = random_sequence(rng, 5, 30, kinds=kinds)
+            self._check(5, seq, np.arange(32, dtype=np.int64))
+
+    def test_qubit_62_is_the_widest(self):
+        image = permute_indices(np.array([0, 1]), [x(62), cnot(0, 61)])
+        assert image.tolist() == [1 << 62, (1 << 62) | (1 << 61) | 1]
+        image = permute_indices(np.array([1 << 62, 2]), [cnot(62, 0), cnot(1, 62)])
+        assert image.tolist() == [(1 << 62) | 1, (1 << 62) | 2]
+        with pytest.raises(CapacityError, match="int64"):
+            permute_indices(np.array([0, 1]), [x(1), cnot(0, 63)])
+
+    def test_negative_index_is_past_the_width(self):
+        with pytest.raises(CapacityError, match="int64"):
+            permute_indices(np.array([3, -1]), [x(0)])
