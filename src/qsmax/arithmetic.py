@@ -13,10 +13,20 @@ uncomputes it, and the modular adder reuses the top bit of ``b`` as the
 carry-out. Every builder is a pure function returning a GateSequence and is
 verified against the classical integer semantics on all basis inputs in the
 test suite.
+
+The ``build_*`` functions are memoized (``functools.lru_cache``, at most
+``_BUILDER_CACHE_SIZE`` sequences each), so a block is built once per process
+and shared: the mark stage's signed comparator across every round and
+threshold, the adders across every instance with the same register layout.
+Sharing is safe because the arguments (ints and frozen RegisterRefs) are
+hashable values, the result is a GateSequence backed by a tuple of frozen,
+interned Gates, and no caller mutates it. A builder that raises is retried
+on the next call, since lru_cache stores no exceptions.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +40,9 @@ from .statevector import (
     toffoli,
     x,
 )
+
+_BUILDER_CACHE_SIZE = 256
+_memoize = functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +140,24 @@ def _check_same_width(a: RegisterRef, b: RegisterRef) -> None:
         )
 
 
+def _carry_prefix(a: RegisterRef, b: RegisterRef, high: int) -> list[Gate]:
+    """Opening of the ripple adder for width >= 2, up to the top carry.
+
+    XORs a_i into b_i for i >= 1 and a_{n-1} into ``high``, runs the CNOT
+    cascade down ``a``, then ripples the carries up ``a`` with Toffolis.
+    ``build_adder`` and ``_carry_chain`` differ only in how they finish.
+    """
+    n = a.width
+    gates = [cnot(a.bit(i), b.bit(i)) for i in range(1, n)]
+    gates.append(cnot(a.bit(n - 1), high))
+    for i in range(n - 1, 1, -1):
+        gates.append(cnot(a.bit(i - 1), a.bit(i)))
+    for i in range(n - 1):
+        gates.append(toffoli(a.bit(i), b.bit(i), a.bit(i + 1)))
+    return gates
+
+
+@_memoize
 def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> GateSequence:
     """In-place ripple addition: (A, B, 0) -> (A, (A+B) mod 2^n, carry).
 
@@ -139,14 +170,7 @@ def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> GateSequence:
     n = a.width
     if n == 1:
         return GateSequence([peres(a.bit(0), b.bit(0), high)])
-    gates: list[Gate] = []
-    for i in range(1, n):
-        gates.append(cnot(a.bit(i), b.bit(i)))
-    gates.append(cnot(a.bit(n - 1), high))
-    for i in range(n - 1, 1, -1):
-        gates.append(cnot(a.bit(i - 1), a.bit(i)))
-    for i in range(n - 1):
-        gates.append(toffoli(a.bit(i), b.bit(i), a.bit(i + 1)))
+    gates = _carry_prefix(a, b, high)
     gates.append(peres(a.bit(n - 1), b.bit(n - 1), high))
     for j in range(n - 2, 0, -1):
         gates.append(peres(a.bit(j), b.bit(j), a.bit(j + 1)))
@@ -158,6 +182,7 @@ def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> GateSequence:
     return GateSequence(gates)
 
 
+@_memoize
 def build_controlled_adder(
     ctrl: int, a: RegisterRef, b: RegisterRef, high: int
 ) -> GateSequence:
@@ -196,6 +221,7 @@ def build_controlled_adder(
     return GateSequence(gates)
 
 
+@_memoize
 def build_modular_adder(a: RegisterRef, b: RegisterRef) -> GateSequence:
     """In-place (A+B) mod 2^n into ``b``, no carry qubit.
 
@@ -211,6 +237,7 @@ def build_modular_adder(a: RegisterRef, b: RegisterRef) -> GateSequence:
     return build_adder(low_a, low_b, b.bit(n - 1)) + [cnot(a.bit(n - 1), b.bit(n - 1))]
 
 
+@_memoize
 def build_controlled_modular_adder(
     ctrl: int, a: RegisterRef, b: RegisterRef
 ) -> GateSequence:
@@ -226,6 +253,7 @@ def build_controlled_modular_adder(
     ]
 
 
+@_memoize
 def build_subtractor(a: RegisterRef, b: RegisterRef, high: int) -> GateSequence:
     """In-place (B-A) mod 2^n into ``b`` via complement-add-complement.
 
@@ -246,18 +274,12 @@ def _carry_chain(a: RegisterRef, b: RegisterRef, target: int) -> list[Gate]:
     n = a.width
     if n == 1:
         return [toffoli(a.bit(0), b.bit(0), target)]
-    gates: list[Gate] = []
-    for i in range(1, n):
-        gates.append(cnot(a.bit(i), b.bit(i)))
-    gates.append(cnot(a.bit(n - 1), target))
-    for i in range(n - 1, 1, -1):
-        gates.append(cnot(a.bit(i - 1), a.bit(i)))
-    for i in range(n - 1):
-        gates.append(toffoli(a.bit(i), b.bit(i), a.bit(i + 1)))
+    gates = _carry_prefix(a, b, target)
     gates.append(toffoli(a.bit(n - 1), b.bit(n - 1), target))
     return gates
 
 
+@_memoize
 def build_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> GateSequence:
     """Strict unsigned less-than: flag ^= [A < B]; ``a`` and ``b`` restored.
 
@@ -272,6 +294,7 @@ def build_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> GateSequence:
     return GateSequence(complement_a + chain + unchain + complement_a)
 
 
+@_memoize
 def build_signed_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> GateSequence:
     """Two's-complement less-than: flag ^= [A < B] for signed A, B.
 
@@ -284,6 +307,7 @@ def build_signed_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> GateSe
     return GateSequence(bias) + build_comparator(a, b, flag) + bias
 
 
+@_memoize
 def build_load_constant(value: int, reg: RegisterRef) -> GateSequence:
     """X gates writing ``value`` into a zeroed register; self-inverse."""
     if value < 0 or value >= (1 << reg.width):
@@ -293,6 +317,7 @@ def build_load_constant(value: int, reg: RegisterRef) -> GateSequence:
     return GateSequence(x(reg.bit(i)) for i in range(reg.width) if (value >> i) & 1)
 
 
+@_memoize
 def build_controlled_negate(ctrl: int, f: RegisterRef) -> GateSequence:
     """Two's-complement negation of ``f`` when ``ctrl`` is |1>.
 

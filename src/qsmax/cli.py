@@ -5,6 +5,9 @@ Instance file grammar (line oriented, ``#`` starts a comment):
     capacity <uint>          exactly once
     item <weight> <value>    one line per item, in item order
 
+``solve``, ``verify`` and ``table`` take ``--qubit-cap N`` (default 26): the
+most qubits an instance's register plan may use.
+
 Exit codes: 0 success; 1 parse, I/O or command-line usage error; 2 qubit
 capacity exceeded (the ``--qubit-cap`` limit, or the 62-qubit limit of int64
 basis indices); 3 quantum/classical verification mismatch or a failed
@@ -221,11 +224,11 @@ def cmd_verify(path: str, qubit_cap: int = DEFAULT_QUBIT_CAP, out=None) -> int:
     return EXIT_MISMATCH
 
 
-def cmd_table(path: str, out=None) -> int:
+def cmd_table(path: str, qubit_cap: int = DEFAULT_QUBIT_CAP, out=None) -> int:
     """Print every candidate's fitness/weight/validity, best row starred."""
     out = out or sys.stdout
     instance = parse_instance(path)
-    rows = enumerate_table(instance)
+    rows = enumerate_table(instance, qubit_cap=qubit_cap)
     best = classical_max(instance)
     print("candidate  fitness  weight  validity", file=out)
     for row in rows:
@@ -288,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="print all candidate evaluations")
     table.add_argument("instance")
+    table.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
 
     estimate = sub.add_parser("estimate", help="print gate and qubit counts")
     estimate.add_argument("instance")
@@ -317,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args.instance, qubit_cap=args.qubit_cap)
         if args.command == "table":
-            return cmd_table(args.instance)
+            return cmd_table(args.instance, qubit_cap=args.qubit_cap)
         if args.command == "estimate":
             return cmd_estimate(args.instance)
         raise AssertionError(f"unhandled command {args.command!r}")

@@ -27,11 +27,17 @@ runs bit-sliced: one Python int per qubit holds that qubit's bit of every
 index (a bit plane), so a gate costs one or two big-int operations however
 many indices there are. Basis indices are int64 throughout, so no state may
 exceed ``MAX_INDEX_QUBITS`` qubits.
+
+Gates are frozen values and a GateSequence is a tuple of them, so both can
+be shared freely: the permutation-gate factories intern their gates (see
+the factory section below) and the arithmetic builders cache whole
+sequences.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -124,13 +130,25 @@ class Gate:
 
     def inverse(self) -> "Gate":
         """Adjoint gate. Everything except PERES is self-inverse."""
-        if self.kind is GateKind.PERES:
-            return Gate(GateKind.PERES_INV, self.targets)
-        if self.kind is GateKind.PERES_INV:
-            return Gate(GateKind.PERES, self.targets)
+        kind = self.kind
+        if kind is _PERES:
+            return peres_inv(*self.targets)
+        if kind is _PERES_INV:
+            return peres(*self.targets)
         return self
 
 
+# Gate factories. The permutation-gate factories are interned: a Gate is
+# frozen, so one object per distinct gate can be shared by every sequence
+# that uses it, and its checks run once, on first construction. An invalid
+# gate raises on every call, since lru_cache stores no exceptions. Each
+# cache holds at most _GATE_CACHE_SIZE gates (a demo prepare has 93
+# distinct gates among its 290).
+_GATE_CACHE_SIZE = 2048
+_intern = functools.lru_cache(maxsize=_GATE_CACHE_SIZE)
+
+
+@_intern
 def x(target: int) -> Gate:
     return Gate(GateKind.X, (target,))
 
@@ -139,16 +157,23 @@ def h(target: int) -> Gate:
     return Gate(GateKind.H, (target,))
 
 
+@_intern
 def cnot(control: int, target: int) -> Gate:
     return Gate(GateKind.CNOT, (target,), (control,))
 
 
+@_intern
 def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return Gate(GateKind.TOFFOLI, (target,), (control_a, control_b))
 
 
 def mcx(controls: Sequence[int], target: int) -> Gate:
-    return Gate(GateKind.MCX, (target,), tuple(controls))
+    return _mcx(tuple(controls), target)
+
+
+@_intern
+def _mcx(controls: tuple[int, ...], target: int) -> Gate:
+    return Gate(GateKind.MCX, (target,), controls)
 
 
 def controlled_x(controls: Sequence[int], target: int) -> Gate:
@@ -163,10 +188,12 @@ def controlled_x(controls: Sequence[int], target: int) -> Gate:
     return mcx(controls, target)
 
 
+@_intern
 def peres(a: int, b: int, c: int) -> Gate:
     return Gate(GateKind.PERES, (a, b, c))
 
 
+@_intern
 def peres_inv(a: int, b: int, c: int) -> Gate:
     return Gate(GateKind.PERES_INV, (a, b, c))
 
@@ -208,7 +235,7 @@ class GateSequence:
         Built on the first call and returned as the same object afterwards.
         """
         if self._reverse is None:
-            self._reverse = GateSequence(g.inverse() for g in reversed(self.gates))
+            self._reverse = GateSequence(map(Gate.inverse, reversed(self.gates)))
         return self._reverse
 
     def qubits(self) -> frozenset[int]:

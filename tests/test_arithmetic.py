@@ -7,6 +7,7 @@ import pytest
 
 from conftest import apply_to_basis, operand_registers
 from qsmax import arithmetic as ar
+from qsmax import statevector as sv
 from qsmax.arithmetic import (
     RegisterRef,
     SignedEncoding,
@@ -323,3 +324,71 @@ class TestOperandConfinement:
         ]
         for sequence, allowed in cases:
             assert sequence.qubits() <= allowed
+
+
+def _builder_calls(rng: np.random.Generator) -> list[tuple]:
+    """One (builder, args) pair per memoized builder on a random layout."""
+    n = int(rng.integers(1, 6))
+    offset = int(rng.integers(0, 8))
+    a = RegisterRef("a", offset, n)
+    b = RegisterRef("b", offset + n, n)
+    high, ctrl = offset + 2 * n, offset + 2 * n + 1
+    value = int(rng.integers(0, 1 << n))
+    return [
+        (build_adder, (a, b, high)),
+        (build_controlled_adder, (ctrl, a, b, high)),
+        (build_modular_adder, (a, b)),
+        (build_controlled_modular_adder, (ctrl, a, b)),
+        (build_subtractor, (a, b, high)),
+        (build_comparator, (a, b, high)),
+        (build_signed_comparator, (a, b, high)),
+        (build_load_constant, (value, a)),
+        (build_controlled_negate, (ctrl, a)),
+    ]
+
+
+class TestMemoizedBuilders:
+    """The builders are cached; a cached block must equal a fresh build."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cached_result_equals_uncached_build(self, seed):
+        for builder, args in _builder_calls(np.random.default_rng(seed)):
+            cached = builder(*args)
+            assert isinstance(cached, GateSequence), builder.__name__
+            assert type(cached.gates) is tuple, builder.__name__
+            assert cached == builder.__wrapped__(*args), builder.__name__
+
+    def test_repeated_call_returns_the_same_object(self):
+        for builder, args in _builder_calls(np.random.default_rng(7)):
+            first = builder(*args)
+            # equal, separately constructed arguments hit the same entry
+            copies = tuple(
+                RegisterRef(arg.name, arg.offset, arg.width)
+                if isinstance(arg, RegisterRef)
+                else arg
+                for arg in args
+            )
+            assert builder(*copies) is first, builder.__name__
+
+    def test_every_cache_is_bounded(self):
+        cached = {
+            f"{module.__name__}.{name}": obj.cache_info().maxsize
+            for module in (ar, sv)
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info")
+        }
+        builders = _builder_calls(np.random.default_rng(0))
+        factories = ("x", "cnot", "toffoli", "_mcx", "peres", "peres_inv")
+        expected = {f"qsmax.arithmetic.{b.__name__}" for b, _ in builders}
+        expected |= {f"qsmax.statevector.{name}" for name in factories}
+        assert expected <= set(cached)
+        for name, maxsize in cached.items():
+            assert isinstance(maxsize, int) and maxsize > 0, name
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        a = RegisterRef("a", 0, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not fit"):
+                build_load_constant(8, a)
+            with pytest.raises(ValueError, match="overlap"):
+                build_adder(a, a, 5)

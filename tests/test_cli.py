@@ -21,7 +21,7 @@ from qsmax.cli import (
     RunConfig,
     parse_instance,
 )
-from qsmax.knapsack import VerifyReport, classical_evaluate
+from qsmax.knapsack import VerifyReport, all_candidates, classical_evaluate
 
 DEMO = str(DEMO_INSTANCE_FILE)
 
@@ -309,7 +309,7 @@ class TestRepeatedMain:
 
     def test_usage_error_then_valid_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["table", "--qubit-cap", "30", DEMO])
+            cli.main(["table", "--no-such-flag", DEMO])
         assert exc.value.code == EXIT_INPUT
         assert cli.main(["verify", DEMO]) == EXIT_OK
         assert capsys.readouterr().out.startswith("OK")
@@ -359,7 +359,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize(
         "args",
         [
-            ("table", "--qubit-cap", "30", "f"),  # table takes no --qubit-cap
+            ("table", "--no-such-flag", "f"),
             ("solve",),
             ("solve", DEMO, "--seed", "x"),
             ("frobnicate", DEMO),
@@ -378,6 +378,19 @@ class TestExitCodeContract:
         result = self._run("solve", DEMO, "--qubit-cap", "20")
         assert result.returncode == EXIT_CAPACITY
         assert "error:" in result.stderr
+
+    def test_table_takes_qubit_cap(self, tmp_path):
+        # 36 qubits: over the default cap of 26, under a raised cap of 40
+        path = write_instance(tmp_path, "capacity 1000\nitem 1000 1\nitem 1 1000\n")
+        assert self._run("table", path).returncode == EXIT_CAPACITY
+        result = self._run("table", path, "--qubit-cap", "40")
+        assert result.returncode == EXIT_OK
+        instance = parse_instance(path)
+        expected = [classical_evaluate(instance, c) for c in all_candidates(instance.n)]
+        rows = [line.split() for line in result.stdout.splitlines()[1:]]
+        assert [(r[0], int(r[1]), int(r[2]), r[3] == "valid") for r in rows] == [
+            (e.candidate, e.fitness, e.weight, e.valid) for e in expected
+        ]
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_cap_raised_past_int64_indices_is_capacity_error(self, tmp_path, command):

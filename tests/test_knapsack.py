@@ -367,6 +367,25 @@ class TestComputeOnce:
         assert evaluated[1:] == list(dict.fromkeys(measured))
 
 
+class TestBuiltOnce:
+    """Circuit blocks are cached; the compiled stages are not."""
+
+    def test_compile_prepare_returns_a_fresh_equal_sequence(self, demo_instance):
+        plan = plan_registers(demo_instance)
+        first = compile_prepare(demo_instance, plan)
+        second = compile_prepare(demo_instance, plan)
+        assert first == second and first is not second
+        # the gates themselves are interned, so both share every gate object
+        assert all(a is b for a, b in zip(first, second))
+
+    def test_signed_comparator_is_built_once_per_run(self, demo_instance):
+        kp.build_signed_comparator.cache_clear()
+        trace = maximize(demo_instance, seed=1, confirmation_count=2)
+        info = kp.build_signed_comparator.cache_info()
+        assert info.misses <= 1
+        assert info.hits + info.misses == trace.rounds > 1
+
+
 class TestWideRegisters:
     """Index maps need no dense state, so only the int64 width limits them."""
 

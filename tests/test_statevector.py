@@ -173,6 +173,23 @@ class TestSequences:
         assert seq.reverse() is seq.reverse()
         assert seq.reverse().reverse() == seq
 
+    def test_permutation_gates_are_interned(self):
+        assert toffoli(1, 2, 3) is toffoli(1, 2, 3)
+        assert x(4) is x(4) and cnot(0, 1) is cnot(0, 1)
+        assert mcx([0, 1, 2], 3) is mcx((0, 1, 2), 3)
+        assert peres(0, 1, 2) is peres(0, 1, 2)
+        assert peres(0, 1, 2).inverse() is peres_inv(0, 1, 2)
+        assert peres_inv(0, 1, 2).inverse() is peres(0, 1, 2)
+
+    def test_invalid_gate_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate"):
+                toffoli(1, 1, 2)
+            with pytest.raises(ValueError, match="duplicate"):
+                mcx([1, 1], 2)
+            with pytest.raises(ValueError, match="operand counts"):
+                Gate(GateKind.PERES, (0, 1))
+
     def test_four_hadamards_make_uniform(self):
         state = new_zero_state(4)
         apply_sequence(state, GateSequence(h(i) for i in range(4)))
