@@ -8,12 +8,16 @@ Instance file grammar (line oriented, ``#`` starts a comment):
 ``solve``, ``verify`` and ``table`` take ``--qubit-cap N`` (default 26): the
 most qubits an instance's register plan may use.
 
-Exit codes: 0 success; 1 parse, I/O or command-line usage error; 2 qubit
-capacity exceeded (the ``--qubit-cap`` limit, or the 62-qubit limit of int64
-basis indices); 3 quantum/classical verification mismatch or a failed
-integrity check (an oracle whose uncompute leaves an ancilla dirty). Errors
-are reported on stderr in a line containing ``error:``; a verification
-mismatch prints a ``MISMATCH:`` line on stdout instead.
+Exit codes: 0 success; 1 parse, I/O or command-line usage error (including
+a flag value out of range: ``--seed`` below 0, ``--max-rounds`` or
+``--confirmations`` below 1, an ``--initial-threshold`` the fitness register
+cannot hold); 2 qubit capacity exceeded (the ``--qubit-cap`` limit, or the
+62-qubit limit of int64 basis indices); 3 quantum/classical verification
+mismatch or a failed integrity check (an oracle whose uncompute leaves an
+ancilla dirty). Errors are reported on stderr in a line containing
+``error:``; a verification mismatch prints a ``MISMATCH:`` line on stdout
+instead. Any other exception is a bug and is not mapped to a code: it
+propagates out of ``main`` as a traceback.
 
 Candidate bitstrings are printed most-significant-item-first (item 1 is the
 leftmost character). Machine-format output is line-oriented ``key=value``
@@ -37,6 +41,7 @@ from .knapsack import (
     enumerate_table,
     estimate_resources,
     maximize,
+    plan_registers,
     verify_instance,
 )
 from .statevector import DEFAULT_QUBIT_CAP, CapacityError, IntegrityError
@@ -60,6 +65,10 @@ _GATE_KIND_ORDER = (
 
 class InstanceParseError(Exception):
     """Malformed instance file; the message names the offending line."""
+
+
+class UsageError(Exception):
+    """A flag value that parses but does not fit the instance."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -86,32 +95,34 @@ def parse_instance(path: str) -> KnapsackInstance:
     """Parse an instance file; errors carry the line number."""
     capacity: int | None = None
     items: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] == "capacity":
-                if capacity is not None:
-                    raise InstanceParseError(f"line {lineno}: duplicate capacity")
-                if len(fields) != 2:
-                    raise InstanceParseError(
-                        f"line {lineno}: expected 'capacity <uint>', got {line!r}"
-                    )
-                capacity = _parse_uint(fields, 1, lineno, "capacity")
-            elif fields[0] == "item":
-                if len(fields) != 3:
-                    raise InstanceParseError(
-                        f"line {lineno}: expected 'item <weight> <value>', got {line!r}"
-                    )
-                weight = _parse_uint(fields, 1, lineno, "item weight")
-                value = _parse_uint(fields, 2, lineno, "item value")
-                items.append((weight, value))
-            else:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as err:
+        raise InstanceParseError(str(err)) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if fields[0] == "capacity":
+            if capacity is not None:
+                raise InstanceParseError(f"line {lineno}: duplicate capacity")
+            if len(fields) != 2:
                 raise InstanceParseError(
-                    f"line {lineno}: unknown directive {fields[0]!r}"
+                    f"line {lineno}: expected 'capacity <uint>', got {line!r}"
                 )
+            capacity = _parse_uint(fields, 1, lineno, "capacity")
+        elif fields[0] == "item":
+            if len(fields) != 3:
+                raise InstanceParseError(
+                    f"line {lineno}: expected 'item <weight> <value>', got {line!r}"
+                )
+            weight = _parse_uint(fields, 1, lineno, "item weight")
+            value = _parse_uint(fields, 2, lineno, "item value")
+            items.append((weight, value))
+        else:
+            raise InstanceParseError(f"line {lineno}: unknown directive {fields[0]!r}")
     if capacity is None:
         raise InstanceParseError("missing capacity line")
     if not items:
@@ -195,6 +206,13 @@ def cmd_solve(path: str, config: RunConfig, out=None) -> int:
     """Run the maximization and emit the trace."""
     out = out or sys.stdout
     instance = parse_instance(path)
+    if config.initial_threshold is not None:
+        enc = plan_registers(instance, qubit_cap=config.qubit_cap).fitness_encoding
+        if not enc.min_value <= config.initial_threshold <= enc.max_value:
+            raise UsageError(
+                f"initial threshold {config.initial_threshold} not representable "
+                f"in {enc.width} signed bits"
+            )
     start = time.perf_counter()
     trace = maximize(
         instance,
@@ -256,6 +274,19 @@ def cmd_estimate(path: str, out=None) -> int:
     return EXIT_OK
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type``: an int of at least ``minimum``, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="qsmax",
@@ -268,8 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the maximization search")
     solve.add_argument("instance", help="instance file path")
-    solve.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    solve.add_argument("--max-rounds", type=int, default=100)
+    solve.add_argument(
+        "--seed", type=_int_at_least(0), default=0, help="run seed (default 0)"
+    )
+    solve.add_argument("--max-rounds", type=_int_at_least(1), default=100)
     solve.add_argument(
         "--initial-threshold",
         type=int,
@@ -278,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--confirmations",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="consecutive exhausted rounds required to stop (default 1)",
     )
@@ -331,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrityError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (InstanceParseError, OSError, ValueError) as err:
+    except (InstanceParseError, UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,6 +15,16 @@ it and pushes every candidate through it once per instance
 and each search round or verify threshold compiles and pushes only the
 marking stage (``grover.oracle_marks``).
 
+``table`` and ``verify`` handle all 2^n candidates as integer columns in
+table order. The circuit side is read off the images with shifts and masks
+(``_circuit_columns``); the brute-force side is built by subset doubling
+(``_classical_columns``), and ``classical_max`` is one ``argmax`` over it.
+``verify_instance`` compares the columns at once, and each threshold's
+marks against the classical predicate column. The per-string
+``classical_evaluate`` stays the independent reference: ``maximize``
+checks each measured candidate with it, and a verify mismatch report
+states its row.
+
 Register file (in qubit order): ``q`` candidate bits (item k is qubit k-1,
 so item 1 is the least significant), ``w`` accumulated weight, ``g`` shared
 scratch for loaded constants, ``f`` fitness in two's complement, ``v``
@@ -255,19 +265,45 @@ def classical_evaluate(instance: KnapsackInstance, candidate: str) -> CandidateE
     )
 
 
-def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
-    """Best valid candidate by brute force.
+def _classical_columns(
+    instance: KnapsackInstance,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight, fitness and validity of every candidate, in table order.
 
-    Ties break toward the smallest candidate in table order (the empty
-    selection is always valid, so a best candidate always exists).
+    Built by subset doubling: after items 1..k the columns hold the 2^k
+    selections of those items, and item k+1 appends its bit as the new least
+    significant table bit, so item 1 ends up the most significant one, as
+    in the table. O(2^n) additions, no 2^n x n bit matrix. int64 while both
+    sums fit in it; Python ints in object arrays otherwise.
     """
-    best: CandidateEvaluation | None = None
-    for candidate in all_candidates(instance.n):
-        ev = classical_evaluate(instance, candidate)
-        if ev.valid and (best is None or ev.fitness > best.fitness):
-            best = ev
-    assert best is not None
-    return best
+    total_weight = sum(instance.weights)
+    dtype = np.int64 if max(total_weight, sum(instance.values)) < 1 << 63 else object
+    weight = fitness = np.zeros(1, dtype=dtype)
+    for w, v in instance.items:
+        weight = np.add.outer(weight, np.array((0, w), dtype=dtype)).ravel()
+        fitness = np.add.outer(fitness, np.array((0, v), dtype=dtype)).ravel()
+    # No selection outweighs the total, so clamping keeps the comparison
+    # within the column's range.
+    return weight, fitness, weight <= min(instance.capacity, total_weight)
+
+
+def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
+    """Best valid candidate by brute force over whole columns.
+
+    Ties break toward the smallest candidate in table order: ``argmax``
+    returns the first maximum, and invalid candidates score -1 (the empty
+    selection is always valid with fitness 0, so a best candidate always
+    exists). Sums of 2^63 or more are added as Python ints, so they cannot
+    overflow.
+    """
+    weight, fitness, valid = _classical_columns(instance)
+    best = int(np.argmax(np.where(valid, fitness, -1)))
+    return CandidateEvaluation(
+        candidate=format(best, f"0{instance.n}b"),
+        weight=int(weight[best]),
+        fitness=int(fitness[best]),
+        valid=True,
+    )
 
 
 def compile_prepare(instance: KnapsackInstance, plan: RegisterPlan) -> GateSequence:
@@ -348,32 +384,21 @@ def _compute_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFr
     return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
 
 
-def _table_rows(
-    instance: KnapsackInstance, plan: RegisterPlan, frame: PreparedFrame
-) -> list[CandidateEvaluation]:
-    """Every candidate in table order, read off the frame's kickback-0 images.
+def _circuit_columns(
+    plan: RegisterPlan, frame: PreparedFrame, q_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight, fitness and validity read off the frame's kickback-0 images.
 
-    Reported fitness is pre-negation (the circuit stores the negated fitness
-    for invalid candidates).
+    ``q_values`` is ``candidate_indices(n)``, so the columns are in table
+    order. Fitness is sign-extended from f and reported pre-negation (the
+    circuit stores the negated fitness for invalid candidates).
     """
-    n = instance.n
-    candidates = all_candidates(n)
-    image = frame.images[candidate_indices(n)]
-    enc = plan.fitness_encoding
-    rows: list[CandidateEvaluation] = []
-    for candidate, basis in zip(candidates, image.tolist()):
-        weight = plan.w.value_of(basis)
-        stored_fitness = enc.decode(plan.f.value_of(basis))
-        invalid = (basis >> plan.v) & 1
-        rows.append(
-            CandidateEvaluation(
-                candidate=candidate,
-                weight=weight,
-                fitness=-stored_fitness if invalid else stored_fitness,
-                valid=not invalid,
-            )
-        )
-    return rows
+    image = frame.images[q_values]
+    weight = (image >> plan.w.offset) & ((1 << plan.w.width) - 1)
+    stored = (image >> plan.f.offset) & ((1 << plan.f.width) - 1)
+    stored -= (stored >> (plan.f.width - 1)) << plan.f.width
+    valid = ((image >> plan.v) & 1) == 0
+    return weight, np.where(valid, stored, -stored), valid
 
 
 def enumerate_table(
@@ -382,11 +407,19 @@ def enumerate_table(
     """Evaluate every candidate through the oracle's compute stage.
 
     All candidate basis states go through ``prepare`` once as one int64
-    index map; w, f and v are read off each image. Raises CapacityError
-    above ``qubit_cap`` or above 62 qubits.
+    index map; w, f and v are read off the images as whole columns. Raises
+    CapacityError above ``qubit_cap`` or above 62 qubits.
     """
     plan = plan_registers(instance, qubit_cap=qubit_cap)
-    return _table_rows(instance, plan, _compute_frame(instance, plan))
+    n = instance.n
+    frame = _compute_frame(instance, plan)
+    columns = _circuit_columns(plan, frame, candidate_indices(n))
+    return [
+        CandidateEvaluation(candidate, weight, fitness, valid)
+        for candidate, weight, fitness, valid in zip(
+            all_candidates(n), *(column.tolist() for column in columns)
+        )
+    ]
 
 
 def verify_instance(
@@ -398,37 +431,46 @@ def verify_instance(
 ) -> VerifyReport:
     """Quantum/classical agreement suite for one instance.
 
-    Checks the circuit-computed table against ``classical_evaluate`` for all
+    Checks the circuit-computed table against brute force for all
     candidates, then the oracle against the classical predicate (valid and
     fitness strictly above threshold) at ``num_thresholds`` sampled
     thresholds. The compute stage runs once; the table is read off its
     images, and each threshold pushes them through its marking stage only.
-    The oracle check is exact integer equality on both kickback branches,
-    equivalent to ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)``
-    (see ``oracle_marks``), so any ancilla left dirty or any wrong mark is a
+    Both sides are whole columns in table order (``_circuit_columns``,
+    ``_classical_columns``), compared at once; only the first disagreeing
+    candidate is evaluated per string, by ``classical_evaluate``, for the
+    report. The oracle check is exact integer equality on both kickback
+    branches, equivalent to
+    ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)`` (see
+    ``oracle_marks``), so any ancilla left dirty or any wrong mark is a
     mismatch.
     """
     plan = plan_registers(instance, qubit_cap=qubit_cap)
     n = instance.n
-    frame = _compute_frame(instance, plan)
-    classical_rows = [classical_evaluate(instance, c) for c in all_candidates(n)]
-
-    for quantum, classical in zip(_table_rows(instance, plan, frame), classical_rows):
-        if quantum != classical:
-            return VerifyReport(
-                ok=False,
-                candidates_checked=1 << n,
-                thresholds_checked=(),
-                mismatch=(
-                    f"candidate {classical.candidate}: circuit computed "
-                    f"(weight={quantum.weight}, fitness={quantum.fitness}, "
-                    f"valid={quantum.valid}), classical reference "
-                    f"(weight={classical.weight}, fitness={classical.fitness}, "
-                    f"valid={classical.valid})"
-                ),
-            )
-
     q_values = candidate_indices(n)
+    frame = _compute_frame(instance, plan)
+    circuit_weight, circuit_fitness, circuit_valid = _circuit_columns(plan, frame, q_values)
+    weight, fitness, valid = _classical_columns(instance)
+
+    disagree = np.flatnonzero(
+        (circuit_weight != weight) | (circuit_fitness != fitness) | (circuit_valid != valid)
+    )
+    if disagree.size:
+        first = int(disagree[0])
+        classical = classical_evaluate(instance, format(first, f"0{n}b"))
+        return VerifyReport(
+            ok=False,
+            candidates_checked=1 << n,
+            thresholds_checked=(),
+            mismatch=(
+                f"candidate {classical.candidate}: circuit computed "
+                f"(weight={circuit_weight[first]}, fitness={circuit_fitness[first]}, "
+                f"valid={circuit_valid[first]}), classical reference "
+                f"(weight={classical.weight}, fitness={classical.fitness}, "
+                f"valid={classical.valid})"
+            ),
+        )
+
     rng = np.random.default_rng(threshold_seed)
     max_threshold = sum(instance.values)
     thresholds = tuple(
@@ -445,19 +487,20 @@ def verify_instance(
                 thresholds_checked=thresholds,
                 mismatch=f"threshold {threshold}: {err}",
             )
-        for classical, marked in zip(classical_rows, marks[q_values].tolist()):
-            expected = classical.valid and classical.fitness > threshold
-            if marked != expected:
-                return VerifyReport(
-                    ok=False,
-                    candidates_checked=1 << n,
-                    thresholds_checked=thresholds,
-                    mismatch=(
-                        f"candidate {classical.candidate} at threshold {threshold}: "
-                        f"kickback phase disagrees with the classical predicate "
-                        f"(expected marked={expected})"
-                    ),
-                )
+        expected = valid & (fitness > threshold)
+        wrong = np.flatnonzero(marks[q_values] != expected)
+        if wrong.size:
+            first = int(wrong[0])
+            return VerifyReport(
+                ok=False,
+                candidates_checked=1 << n,
+                thresholds_checked=thresholds,
+                mismatch=(
+                    f"candidate {format(first, f'0{n}b')} at threshold {threshold}: "
+                    f"kickback phase disagrees with the classical predicate "
+                    f"(expected marked={bool(expected[first])})"
+                ),
+            )
     return VerifyReport(
         ok=True,
         candidates_checked=1 << n,

@@ -6,11 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qsmax import arithmetic as ar
 from qsmax import statevector as sv
 from qsmax.knapsack import KnapsackInstance, plan_registers
 from qsmax.statevector import CapacityError
+
+# Property tests draw the same examples on every run (no example database,
+# no wall-clock deadline), so Tier-1 stays deterministic on a loaded host.
+settings.register_profile(
+    "qsmax", derandomize=True, database=None, deadline=None, max_examples=60
+)
+settings.load_profile("qsmax")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_INSTANCE_FILE = REPO_ROOT / "instances" / "knapsack4.txt"

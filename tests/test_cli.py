@@ -196,6 +196,43 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         capsys.readouterr()
 
+    def test_initial_threshold_is_checked_before_the_search(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "maximize", lambda *a, **k: pytest.fail("search ran"))
+        code = cli.main(["solve", DEMO, "--initial-threshold", "-33"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: initial threshold -33 not representable in 6 signed bits\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--seed", "-1"), "argument --seed: must be >= 0, got -1"),
+            (("--max-rounds", "0"), "argument --max-rounds: must be >= 1, got 0"),
+            (("--confirmations", "0"), "argument --confirmations: must be >= 1, got 0"),
+            (("--confirmations", "x"), "argument --confirmations: invalid int value: 'x'"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", DEMO, *flags])
+        assert exc.value.code == EXIT_INPUT
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_undecodable_instance_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"capacity 5\n\xff\xfe\n")
+        assert cli.main(["table", str(path)]) == EXIT_INPUT
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_an_exit_code(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "verify_instance", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            cli.main(["verify", DEMO])
+
 
 class TestVerifyCommand:
     def test_demo_instance_ok(self, capsys):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     DEMO_BEST_CANDIDATE,
@@ -33,6 +35,7 @@ from qsmax.knapsack import (
     verify_instance,
 )
 from qsmax.statevector import (
+    MAX_INDEX_QUBITS,
     CapacityError,
     GateSequence,
     cnot,
@@ -307,7 +310,115 @@ class TestVerify:
         monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
         report = verify_instance(demo_instance)
         assert not report.ok
-        assert "kickback phase disagrees" in report.mismatch
+        assert report.thresholds_checked == (5, 15, 2, 4, 7)
+        # First threshold in draw order, first candidate in table order.
+        assert report.mismatch == (
+            "candidate 0001 at threshold 2: kickback phase disagrees with "
+            "the classical predicate (expected marked=True)"
+        )
+
+    @pytest.mark.parametrize(
+        "register, computed",
+        [
+            ("w", "weight=1, fitness=0, valid=True"),
+            ("f", "weight=0, fitness=1, valid=True"),
+            ("v", "weight=0, fitness=0, valid=False"),
+        ],
+    )
+    def test_wrong_table_is_a_mismatch(self, demo_instance, monkeypatch, register, computed):
+        prepare_clean = kp.compile_prepare
+
+        def prepare_with_stray_bit(instance, plan):
+            qubit = plan.v if register == "v" else getattr(plan, register).bit(0)
+            return prepare_clean(instance, plan) + [x(qubit)]
+
+        monkeypatch.setattr(kp, "compile_prepare", prepare_with_stray_bit)
+        report = verify_instance(demo_instance)
+        assert report.ok is False
+        assert report.thresholds_checked == ()
+        # The first candidate in table order is reported.
+        assert report.mismatch == (
+            f"candidate 0000: circuit computed ({computed}), "
+            "classical reference (weight=0, fitness=0, valid=True)"
+        )
+
+
+def reference_table(instance):
+    """Per-string brute force over every candidate, in table order."""
+    return [classical_evaluate(instance, c) for c in all_candidates(instance.n)]
+
+
+def reference_max(instance):
+    """First strictly better valid row of ``reference_table`` wins ties."""
+    best = None
+    for row in reference_table(instance):
+        if row.valid and (best is None or row.fitness > best.fitness):
+            best = row
+    return best
+
+
+@st.composite
+def edge_instances(draw, max_items=6, field=st.integers(0, 15), huge=1 << 20):
+    """Instances with zero weights or values, capacity 0 or past the total,
+    a single item, and at times one weight wide enough to widen w and g."""
+    n = draw(st.integers(1, max_items))
+    items = draw(st.lists(st.tuples(field, field), min_size=n, max_size=n))
+    if huge and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        items[k] = (draw(st.integers(huge // 2, huge)), items[k][1])
+    total = sum(w for w, _ in items)
+    capacity = draw(
+        st.sampled_from(("between", "zero", "total_or_more")).flatmap(
+            lambda kind: {
+                "zero": st.just(0),
+                "between": st.integers(0, total),
+                "total_or_more": st.integers(total, total + 3),
+            }[kind]
+        )
+    )
+    return KnapsackInstance(tuple(items), capacity)
+
+
+def column_rows(instance):
+    weight, fitness, valid = kp._classical_columns(instance)
+    return list(zip(weight.tolist(), fitness.tolist(), valid.tolist()))
+
+
+def assert_columns_match_reference(instance):
+    reference = reference_table(instance)
+    assert column_rows(instance) == [(r.weight, r.fitness, r.valid) for r in reference]
+    assert classical_max(instance) == reference_max(instance)
+
+
+class TestThreeWayAgreement:
+    """Brute-force columns, the per-string reference and the circuit agree."""
+
+    @given(edge_instances())
+    def test_columns_and_max_match_per_string_reference(self, instance):
+        assert_columns_match_reference(instance)
+
+    @given(edge_instances())
+    def test_circuit_table_and_verify_match_brute_force(self, instance):
+        assert plan_registers(instance, qubit_cap=None).total_qubits <= MAX_INDEX_QUBITS
+        table = enumerate_table(instance, qubit_cap=None)
+        assert table == reference_table(instance)
+        assert [(r.weight, r.fitness, r.valid) for r in table] == column_rows(instance)
+        report = verify_instance(instance, qubit_cap=None)
+        assert report.ok, report.mismatch
+
+    @given(edge_instances(max_items=5, field=st.integers(1 << 60, 1 << 70), huge=0))
+    def test_sums_past_int64_do_not_overflow(self, instance):
+        # Reference against reference only: no plan this wide fits int64 indices.
+        assert_columns_match_reference(instance)
+
+    def test_sums_past_int64_use_python_ints(self):
+        instance = KnapsackInstance(((1 << 62, 1 << 62), (1 << 62, 1 << 62)), 1 << 63)
+        weight, fitness, valid = kp._classical_columns(instance)
+        assert weight.dtype == object and fitness.dtype == object
+        assert weight.tolist() == [0, 1 << 62, 1 << 62, 1 << 63]
+        assert valid.tolist() == [True, True, True, True]
+        best = classical_max(instance)
+        assert (best.candidate, best.fitness) == ("11", 1 << 63)
 
 
 class TestComputeOnce:
