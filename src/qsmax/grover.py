@@ -17,16 +17,20 @@ permutation circuit, so its effect on basis states is an integer map. Once
 per instance, ``prepare_frame`` pushes the frame (every q value with the
 kickback at 0 and at 1) through the threshold-independent compute stage.
 Per round, ``oracle_marks`` pushes those images through ``mark`` only,
-reads the marked set off them and checks the uncompute exactly; a Grover
-iteration is then a sign flip on the marked set followed by
-``a - 2 mean(a)`` on the 2^n candidate amplitudes (``search_amplitudes``).
-``prepare_search_state`` and ``grover_iteration`` run the same iteration
-gate by gate on a StateVector and serve as the reference the tests compare
-against.
+reads the marked set off them and checks the uncompute exactly. A Grover
+iteration is a sign flip on the marked set followed by ``a - 2 mean(a)``,
+so after j iterations, with sin^2(theta) = M/N for M marked of N, every
+marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M) and every other
+one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed form). A measurement
+is one uniform draw and a bisection over the round's prefix counts of
+marked entries. ``prepare_search_state`` and ``grover_iteration`` run the
+iteration gate by gate on a StateVector and serve as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -46,7 +50,6 @@ from .statevector import (
     new_zero_state,
     norm_squared,
     permute_indices,
-    sample_basis,
     subspace_probability,
     x,
 )
@@ -254,8 +257,9 @@ def oracle_marks(oracle: OracleCircuit, frame: PreparedFrame | None = None) -> n
     """
     frame = _frame_for(oracle, frame)
     marked = permute_indices(frame.images, oracle.mark)
-    p0, p1 = np.split(frame.images, 2)
-    y0, y1 = np.split(marked, 2)
+    half = frame.images.size // 2
+    p0, p1 = frame.images[:half], frame.images[half:]
+    y0, y1 = marked[:half], marked[half:]
     flips = y0 != p0
     bad = np.flatnonzero(np.where(flips, (y0 != p1) | (y1 != p0), y1 != p1))
     if bad.size:
@@ -268,6 +272,17 @@ def oracle_marks(oracle: OracleCircuit, frame: PreparedFrame | None = None) -> n
     return flips
 
 
+def _amplitude_pair(n_marked: int, n_candidates: int, iterations: int) -> tuple[float, float]:
+    """Closed-form (marked, unmarked) amplitudes; 0.0 for an empty class."""
+    angle = (2 * iterations + 1) * math.asin(math.sqrt(n_marked / n_candidates))
+    sign = -1.0 if iterations & 1 else 1.0
+    n_unmarked = n_candidates - n_marked
+    return (
+        sign * math.sin(angle) / math.sqrt(n_marked) if n_marked else 0.0,
+        sign * math.cos(angle) / math.sqrt(n_unmarked) if n_unmarked else 0.0,
+    )
+
+
 def search_amplitudes(marks: np.ndarray, iterations: int) -> np.ndarray:
     """Candidate amplitudes after ``iterations`` Grover iterations.
 
@@ -276,13 +291,34 @@ def search_amplitudes(marks: np.ndarray, iterations: int) -> np.ndarray:
     holds it as a_x/sqrt(2) at kickback 0 and -a_x/sqrt(2) at kickback 1.
     Each iteration flips the sign of the marked amplitudes, then applies the
     emitted diffusion operator ``I - 2|s><s|``, which maps a to a - 2 mean(a).
+    The result is the closed form of the module docstring; with nothing
+    marked an iteration is a global -1, with everything marked the identity.
     """
-    amplitudes = np.full(marks.size, 1.0 / math.sqrt(marks.size))
-    signs = np.where(marks, -1.0, 1.0)
-    for _ in range(iterations):
-        amplitudes *= signs
-        amplitudes -= 2.0 * amplitudes.mean()
-    return amplitudes
+    a_marked, a_unmarked = _amplitude_pair(int(np.count_nonzero(marks)), marks.size, iterations)
+    return np.where(marks, a_marked, a_unmarked)
+
+
+def _measure(
+    sorted_basis: np.ndarray, marked_prefix: list[int], iterations: int, rng: np.random.Generator
+) -> int:
+    """Sample the frame's ``sorted_basis``, ``marked_prefix[i]`` marked among its first i+1.
+
+    Refuses, as ``sample_basis`` does, a total more than 1e-6 from 1 in
+    norm. Returns the first entry whose cumulative probability exceeds one
+    ``rng.random()`` times the total, as ``Generator.choice`` does.
+    """
+    size, n_marked = len(sorted_basis), marked_prefix[-1] // 2
+    a_marked, a_unmarked = _amplitude_pair(n_marked, size // 2, iterations)
+    p_marked, p_unmarked = a_marked * a_marked / 2.0, a_unmarked * a_unmarked / 2.0
+    total = 2 * n_marked * p_marked + (size - 2 * n_marked) * p_unmarked
+    if abs(math.sqrt(total) - 1.0) > 1e-6:
+        raise IntegrityError(f"state norm drifted to {math.sqrt(total)!r}; refusing to sample")
+    index = bisect.bisect_right(
+        range(size),
+        rng.random() * total,
+        key=lambda i: p_marked * marked_prefix[i] + p_unmarked * (i + 1 - marked_prefix[i]),
+    )
+    return int(sorted_basis[min(index, size - 1)])
 
 
 def boyer_search(
@@ -304,13 +340,16 @@ def boyer_search(
     The marked set comes from ``oracle_marks`` once per call, which raises
     IntegrityError unless the uncompute restores every ancilla exactly. Pass
     the instance's ``frame`` so that only ``mark`` runs here; without it
-    the compute stage runs too. Measurement samples the same distribution,
-    in the same sorted order of full-register indices and with the same
-    norm check, as ``measure_all`` on the gate-level state, so a seeded
+    the compute stage runs too. A step uses the closed-form amplitudes
+    (M = 0 and M = N included) and costs O(log N) whatever j is. It samples
+    the same distribution, in the same sorted order of full-register indices
+    and with the same norm check, as ``measure_all`` on the gate-level
+    state, with ``Generator.choice``'s one ``random()`` draw, so a seeded
     ``measure_rng`` draws the same outcomes.
     """
     frame = _frame_for(oracle, frame)
     marks = oracle_marks(oracle, frame)
+    marked_prefix = np.cumsum(np.concatenate((marks, marks))[frame.order]).tolist()
     q = oracle.q_register
     q_mask = (1 << q.width) - 1
     steps: list[BoyerStep] = []
@@ -318,12 +357,8 @@ def boyer_search(
     for _ in range(max_steps):
         m_now = schedule.m
         j = schedule.draw_iterations()
-        amplitudes = search_amplitudes(marks, j)
+        chosen = _measure(frame.sorted_basis, marked_prefix, j, measure_rng)
         iterations += j
-        half = amplitudes * amplitudes / 2.0  # |a_x|^2 / 2 on each kickback branch
-        chosen = sample_basis(
-            frame.sorted_basis, np.concatenate((half, half))[frame.order], measure_rng
-        )
         candidate = (chosen >> q.offset) & q_mask
         passed = bool(classical_check(candidate))
         steps.append(BoyerStep(m=m_now, j=j, candidate=candidate, passed=passed))

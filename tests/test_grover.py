@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import (
     random_gate,
     random_sequence,
 )
+from qsmax import grover
 from qsmax.arithmetic import RegisterRef
 from qsmax.grover import (
     BoyerResult,
@@ -48,6 +50,7 @@ from qsmax.statevector import (
     new_basis_state,
     norm_squared,
     permute_indices,
+    sample_basis,
     toffoli,
     x,
 )
@@ -140,6 +143,19 @@ def reference_boyer_search(oracle, classical_check, schedule, max_steps, measure
             return BoyerResult(candidate, tuple(steps), iterations)
         schedule.grow()
     return BoyerResult(None, tuple(steps), iterations)
+
+
+def iterated_amplitudes(marks: np.ndarray):
+    """``search_amplitudes`` after 0, 1, 2, ... iterations, one at a time.
+
+    Each iteration is a sign flip on the marked set, then a - 2 mean(a).
+    """
+    amplitudes = np.full(marks.size, 1.0 / math.sqrt(marks.size))
+    signs = np.where(marks, -1.0, 1.0)
+    while True:
+        yield amplitudes.copy()
+        amplitudes *= signs
+        amplitudes -= 2.0 * amplitudes.mean()
 
 
 def q_amplitudes(state, oracle) -> np.ndarray:
@@ -347,16 +363,76 @@ class TestFusedSearch:
             # everything else on the gate level is the kickback-1 mirror image
             assert abs(norm_squared(state) - float(np.sum(fused**2))) < 1e-12
 
+    def test_closed_form_matches_iteration_loop(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 13):
+            size = 1 << n
+            for m in sorted({0, 1, int(rng.integers(0, size + 1)), size - 1, size}):
+                marks = np.zeros(size, dtype=bool)
+                marks[rng.choice(size, m, replace=False)] = True
+                reference = iterated_amplitudes(marks)
+                for j in range(3 * math.ceil(math.sqrt(size)) + 1):
+                    np.testing.assert_allclose(
+                        search_amplitudes(marks, j), next(reference),
+                        rtol=0, atol=1e-12, err_msg=f"N={size} M={m} j={j}",
+                    )
+
+    def test_measurement_replays_sample_basis(self):
+        # The old measurement: the iterated amplitudes over the whole frame,
+        # sampled by Generator.choice. Both generators must give the same
+        # outcome and stay in step.
+        rng = np.random.default_rng(29)
+        draws = disagreements = 0
+        for trial in range(600):
+            n = int(rng.integers(1, 11))
+            size = 1 << n
+            layout = toy_oracle(n, set(), kickback_below_q=bool(trial % 2))
+            frame = prepare_frame(
+                layout.prepare, layout.q_register, layout.kickback_qubit, layout.num_qubits
+            )
+            m = int(rng.integers(0, size + 1))
+            marks = np.zeros(size, dtype=bool)
+            marks[rng.choice(size, m, replace=False)] = True
+            prefix = np.cumsum(np.concatenate((marks, marks))[frame.order]).tolist()
+            old_rng, new_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(5):
+                j = int(rng.integers(0, math.ceil(math.sqrt(size)) + 1))
+                half = next(itertools.islice(iterated_amplitudes(marks), j, None)) ** 2 / 2.0
+                probs = np.concatenate((half, half))[frame.order]
+                expected = sample_basis(frame.sorted_basis, probs, old_rng)
+                got = grover._measure(frame.sorted_basis, prefix, j, new_rng)
+                draws += 1
+                disagreements += got != expected
+            assert old_rng.random() == new_rng.random()
+        assert (draws, disagreements) == (3000, 0)
+
+    def test_norm_check_refuses_to_sample(self, monkeypatch):
+        closed_form = grover._amplitude_pair
+        monkeypatch.setattr(
+            grover,
+            "_amplitude_pair",
+            lambda *args: tuple(a * (1.0 + 1e-3) for a in closed_form(*args)),
+        )
+        schedule = BoyerSchedule(sqrt_n_cap=4.0, rng=np.random.default_rng(0))
+        with pytest.raises(IntegrityError, match="refusing to sample"):
+            boyer_search(toy_oracle(4, {3}), bool, schedule, 5, np.random.default_rng(1))
+
     @pytest.mark.parametrize(
-        "oracle",
+        "oracle, check_marks",
         [
-            pytest.param(demo_oracle(13), id="demo-t13"),
-            pytest.param(demo_oracle(17), id="demo-t17"),
-            pytest.param(toy_oracle(4, {2, 7, 12}, kickback_below_q=True), id="kickback-below-q"),
+            pytest.param(demo_oracle(13), True, id="demo-t13"),
+            pytest.param(demo_oracle(17), True, id="demo-t17"),
+            pytest.param(
+                toy_oracle(4, {2, 7, 12}, kickback_below_q=True), True, id="kickback-below-q"
+            ),
+            pytest.param(toy_oracle(4, set()), True, id="toy-M0"),
+            # a check accepting every marked candidate would stop at the first
+            # step, whose j is 0; rejecting all of them lets j grow
+            pytest.param(toy_oracle(4, set(range(16))), False, id="toy-M16"),
         ],
     )
-    def test_boyer_search_equals_gate_level_reference(self, oracle):
-        marked = set(np.flatnonzero(oracle_marks(oracle)).tolist())
+    def test_boyer_search_equals_gate_level_reference(self, oracle, check_marks):
+        marked = set(np.flatnonzero(oracle_marks(oracle)).tolist()) if check_marks else set()
         sqrt_n = math.sqrt(1 << oracle.q_register.width)
 
         def run(search, seed):
