@@ -1,11 +1,12 @@
 """Function maximization with iterative Grover search over reversible-arithmetic
 oracles, demonstrated on the 0/1 knapsack problem.
 
-The package splits into five modules: ``statevector`` (the simulation
-substrate), ``arithmetic`` (reversible integer circuits), ``grover``
-(amplitude amplification and the unknown-count schedule), ``knapsack``
-(problem model, oracle compiler, maximization driver, brute-force
-cross-checks), and ``cli`` (the command-line front end).
+The package splits into five modules: ``statevector`` (the gate IR and the
+int64 basis-index map circuits run on), ``arithmetic`` (reversible integer
+circuits), ``grover`` (oracle marks, closed-form amplitude amplification
+and the unknown-count schedule), ``knapsack`` (problem model, oracle
+compiler, maximization driver, brute-force cross-checks), and ``cli`` (the
+command-line front end).
 """
 
 from .arithmetic import (
@@ -28,9 +29,7 @@ from .grover import (
     OracleCircuit,
     boyer_search,
     build_diffusion,
-    grover_iteration,
     iteration_count,
-    prepare_search_state,
 )
 from .knapsack import (
     CandidateEvaluation,
@@ -50,26 +49,16 @@ from .knapsack import (
     verify_instance,
 )
 from .statevector import (
-    DEFAULT_QUBIT_CAP,
     CapacityError,
     Gate,
     GateKind,
     GateSequence,
     IntegrityError,
-    StateVector,
-    apply_gate,
-    apply_sequence,
-    from_amplitudes,
-    get_amplitude,
-    measure_all,
-    new_basis_state,
-    new_zero_state,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_QUBIT_CAP",
     "BoyerResult",
     "BoyerSchedule",
     "BoyerStep",
@@ -86,11 +75,8 @@ __all__ = [
     "ResourceEstimate",
     "SearchTrace",
     "SignedEncoding",
-    "StateVector",
     "TraceStep",
     "VerifyReport",
-    "apply_gate",
-    "apply_sequence",
     "boyer_search",
     "build_adder",
     "build_comparator",
@@ -107,15 +93,8 @@ __all__ = [
     "compile_oracle",
     "enumerate_table",
     "estimate_resources",
-    "from_amplitudes",
-    "get_amplitude",
-    "grover_iteration",
     "iteration_count",
     "maximize",
-    "measure_all",
-    "new_basis_state",
-    "new_zero_state",
     "plan_registers",
-    "prepare_search_state",
     "verify_instance",
 ]

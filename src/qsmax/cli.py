@@ -5,19 +5,17 @@ Instance file grammar (line oriented, ``#`` starts a comment):
     capacity <uint>          exactly once
     item <weight> <value>    one line per item, in item order
 
-``solve``, ``verify`` and ``table`` take ``--qubit-cap N`` (default 26): the
-most qubits an instance's register plan may use.
-
 Exit codes: 0 success; 1 parse, I/O or command-line usage error (including
 a flag value out of range: ``--seed`` below 0, ``--max-rounds`` or
 ``--confirmations`` below 1, an ``--initial-threshold`` the fitness register
-cannot hold); 2 qubit capacity exceeded (the ``--qubit-cap`` limit, or the
-62-qubit limit of int64 basis indices); 3 quantum/classical verification
-mismatch or a failed integrity check (an oracle whose uncompute leaves an
-ancilla dirty). Errors are reported on stderr in a line containing
-``error:``; a verification mismatch prints a ``MISMATCH:`` line on stdout
-instead. Any other exception is a bug and is not mapped to a code: it
-propagates out of ``main`` as a traceback.
+cannot hold); 2 qubit capacity exceeded (``solve``, ``verify`` or ``table``
+on a register plan wider than the 62 qubits int64 basis indices can
+address; ``estimate`` only counts gates and plans any width); 3
+quantum/classical verification mismatch or a failed integrity check (an
+oracle whose uncompute leaves an ancilla dirty). Errors are reported on
+stderr in a line containing ``error:``; a verification mismatch prints a
+``MISMATCH:`` line on stdout instead. Any other exception is a bug and is
+not mapped to a code: it propagates out of ``main`` as a traceback.
 
 Candidate bitstrings are printed most-significant-item-first (item 1 is the
 leftmost character). Machine-format output is line-oriented ``key=value``
@@ -44,7 +42,7 @@ from .knapsack import (
     plan_registers,
     verify_instance,
 )
-from .statevector import DEFAULT_QUBIT_CAP, CapacityError, IntegrityError
+from .statevector import CapacityError, IntegrityError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -88,7 +86,6 @@ class RunConfig:
     initial_threshold: int | None = None
     confirmation_count: int = 1
     output_format: str = "human"
-    qubit_cap: int = DEFAULT_QUBIT_CAP
 
 
 def parse_instance(path: str) -> KnapsackInstance:
@@ -207,7 +204,7 @@ def cmd_solve(path: str, config: RunConfig, out=None) -> int:
     out = out or sys.stdout
     instance = parse_instance(path)
     if config.initial_threshold is not None:
-        enc = plan_registers(instance, qubit_cap=config.qubit_cap).fitness_encoding
+        enc = plan_registers(instance).fitness_encoding
         if not enc.min_value <= config.initial_threshold <= enc.max_value:
             raise UsageError(
                 f"initial threshold {config.initial_threshold} not representable "
@@ -220,7 +217,6 @@ def cmd_solve(path: str, config: RunConfig, out=None) -> int:
         max_rounds=config.max_rounds,
         initial_threshold=config.initial_threshold,
         confirmation_count=config.confirmation_count,
-        qubit_cap=config.qubit_cap,
     )
     elapsed = time.perf_counter() - start
     if config.output_format == "machine":
@@ -230,11 +226,11 @@ def cmd_solve(path: str, config: RunConfig, out=None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(path: str, qubit_cap: int = DEFAULT_QUBIT_CAP, out=None) -> int:
+def cmd_verify(path: str, out=None) -> int:
     """Run the quantum/classical agreement suite on one instance."""
     out = out or sys.stdout
     instance = parse_instance(path)
-    report = verify_instance(instance, qubit_cap=qubit_cap)
+    report = verify_instance(instance)
     if report.ok:
         print(f"OK ({report.candidates_checked} candidates checked)", file=out)
         return EXIT_OK
@@ -242,11 +238,11 @@ def cmd_verify(path: str, qubit_cap: int = DEFAULT_QUBIT_CAP, out=None) -> int:
     return EXIT_MISMATCH
 
 
-def cmd_table(path: str, qubit_cap: int = DEFAULT_QUBIT_CAP, out=None) -> int:
+def cmd_table(path: str, out=None) -> int:
     """Print every candidate's fitness/weight/validity, best row starred."""
     out = out or sys.stdout
     instance = parse_instance(path)
-    rows = enumerate_table(instance, qubit_cap=qubit_cap)
+    rows = enumerate_table(instance)
     best = classical_max(instance)
     print("candidate  fitness  weight  validity", file=out)
     for row in rows:
@@ -291,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="qsmax",
         description=(
-            "Maximize 0/1 knapsack value with iterative Grover search "
-            "on a statevector simulator."
+            "Maximize 0/1 knapsack value with iterative Grover search, "
+            "simulated exactly from the oracle's integer map."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -316,15 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="consecutive exhausted rounds required to stop (default 1)",
     )
     solve.add_argument("--format", choices=("human", "machine"), default="human")
-    solve.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
 
     verify = sub.add_parser("verify", help="cross-check the oracle against brute force")
     verify.add_argument("instance")
-    verify.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
 
     table = sub.add_parser("table", help="print all candidate evaluations")
     table.add_argument("instance")
-    table.add_argument("--qubit-cap", type=int, default=DEFAULT_QUBIT_CAP)
 
     estimate = sub.add_parser("estimate", help="print gate and qubit counts")
     estimate.add_argument("instance")
@@ -348,13 +341,12 @@ def main(argv: list[str] | None = None) -> int:
                 initial_threshold=args.initial_threshold,
                 confirmation_count=args.confirmations,
                 output_format=args.format,
-                qubit_cap=args.qubit_cap,
             )
             return cmd_solve(args.instance, config)
         if args.command == "verify":
-            return cmd_verify(args.instance, qubit_cap=args.qubit_cap)
+            return cmd_verify(args.instance)
         if args.command == "table":
-            return cmd_table(args.instance, qubit_cap=args.qubit_cap)
+            return cmd_table(args.instance)
         if args.command == "estimate":
             return cmd_estimate(args.instance)
         raise AssertionError(f"unhandled command {args.command!r}")

@@ -23,9 +23,8 @@ so after j iterations, with sin^2(theta) = M/N for M marked of N, every
 marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M) and every other
 one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed form). A measurement
 is one uniform draw and a bisection over the round's prefix counts of
-marked entries. ``prepare_search_state`` and ``grover_iteration`` run the
-iteration gate by gate on a StateVector and serve as the reference the
-tests compare against.
+marked entries. Nothing here holds a state vector; the tests check this
+path against a gate-by-gate engine.
 """
 
 from __future__ import annotations
@@ -39,22 +38,13 @@ import numpy as np
 
 from .arithmetic import RegisterRef
 from .statevector import (
-    DEFAULT_QUBIT_CAP,
     GateSequence,
     IntegrityError,
-    StateVector,
-    apply_sequence,
     check_index_width,
     cphase_flip_zero,
     h,
-    new_zero_state,
-    norm_squared,
     permute_indices,
-    subspace_probability,
-    x,
 )
-
-ANCILLA_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,44 +142,6 @@ def iteration_count(n_items: int, n_solutions: int) -> int:
     return math.ceil(math.pi / 4.0 * math.sqrt(n_items / n_solutions))
 
 
-def prepare_search_state(
-    oracle: OracleCircuit, *, qubit_cap: int | None = DEFAULT_QUBIT_CAP
-) -> StateVector:
-    """Zero state with the kickback qubit in |-> and q in uniform superposition."""
-    state = new_zero_state(oracle.num_qubits, qubit_cap=qubit_cap)
-    apply_sequence(
-        state,
-        GateSequence(
-            [x(oracle.kickback_qubit), h(oracle.kickback_qubit)]
-            + [h(bit) for bit in oracle.q_register.bits]
-        ),
-    )
-    return state
-
-
-def grover_iteration(
-    state: StateVector, oracle: OracleCircuit, diffusion: GateSequence
-) -> StateVector:
-    """One oracle application (prepare, mark, unprepare) plus diffusion.
-
-    Verifies that the uncompute stage returned every ancilla to |0>; more
-    than 1e-12 probability mass on nonzero-ancilla states means a broken
-    uncompute and raises IntegrityError.
-    """
-    apply_sequence(state, oracle.prepare)
-    apply_sequence(state, oracle.mark)
-    apply_sequence(state, oracle.unprepare)
-    apply_sequence(state, diffusion)
-    ancillas = oracle.ancilla_qubits
-    if ancillas:
-        contamination = norm_squared(state) - subspace_probability(state, ancillas, 0)
-        if contamination > ANCILLA_TOLERANCE:
-            raise IntegrityError(
-                f"ancilla contamination {contamination:.3e} after uncompute"
-            )
-    return state
-
-
 @dataclass(frozen=True, slots=True)
 class PreparedFrame:
     """The oracle frame pushed through the compute stage, once per instance.
@@ -283,29 +235,14 @@ def _amplitude_pair(n_marked: int, n_candidates: int, iterations: int) -> tuple[
     )
 
 
-def search_amplitudes(marks: np.ndarray, iterations: int) -> np.ndarray:
-    """Candidate amplitudes after ``iterations`` Grover iterations.
-
-    Starts from the uniform superposition over ``marks.size`` candidates.
-    Entry x is the amplitude of |x>_q |0...0> |->; the gate-level state
-    holds it as a_x/sqrt(2) at kickback 0 and -a_x/sqrt(2) at kickback 1.
-    Each iteration flips the sign of the marked amplitudes, then applies the
-    emitted diffusion operator ``I - 2|s><s|``, which maps a to a - 2 mean(a).
-    The result is the closed form of the module docstring; with nothing
-    marked an iteration is a global -1, with everything marked the identity.
-    """
-    a_marked, a_unmarked = _amplitude_pair(int(np.count_nonzero(marks)), marks.size, iterations)
-    return np.where(marks, a_marked, a_unmarked)
-
-
 def _measure(
     sorted_basis: np.ndarray, marked_prefix: list[int], iterations: int, rng: np.random.Generator
 ) -> int:
     """Sample the frame's ``sorted_basis``, ``marked_prefix[i]`` marked among its first i+1.
 
-    Refuses, as ``sample_basis`` does, a total more than 1e-6 from 1 in
-    norm. Returns the first entry whose cumulative probability exceeds one
-    ``rng.random()`` times the total, as ``Generator.choice`` does.
+    Refuses a total more than 1e-6 from 1 in norm. Returns the first entry
+    whose cumulative probability exceeds one ``rng.random()`` times the
+    total, as ``Generator.choice`` does.
     """
     size, n_marked = len(sorted_basis), marked_prefix[-1] // 2
     a_marked, a_unmarked = _amplitude_pair(n_marked, size // 2, iterations)
@@ -342,10 +279,11 @@ def boyer_search(
     the instance's ``frame`` so that only ``mark`` runs here; without it
     the compute stage runs too. A step uses the closed-form amplitudes
     (M = 0 and M = N included) and costs O(log N) whatever j is. It samples
-    the same distribution, in the same sorted order of full-register indices
-    and with the same norm check, as ``measure_all`` on the gate-level
-    state, with ``Generator.choice``'s one ``random()`` draw, so a seeded
-    ``measure_rng`` draws the same outcomes.
+    the distribution the whole register would have after j gate-level
+    iterations, in sorted order of full-register indices, the way
+    ``Generator.choice`` samples it from one ``random()`` draw, so a seeded
+    ``measure_rng`` draws the outcomes a gate-by-gate simulation sampled
+    with ``choice`` would.
     """
     frame = _frame_for(oracle, frame)
     marks = oracle_marks(oracle, frame)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -63,13 +64,13 @@ from .grover import (
     oracle_marks,
     prepare_frame,
 )
-from .statevector import (
-    DEFAULT_QUBIT_CAP,
+from .statevector import (  # CapacityError is re-exported for callers of this module
     CapacityError,
     Gate,
     GateKind,
     GateSequence,
     IntegrityError,
+    check_index_width,
 )
 
 MAX_ITEMS = 12
@@ -77,15 +78,24 @@ MAX_ITEMS = 12
 
 @dataclass(frozen=True, slots=True)
 class KnapsackInstance:
-    """Item list (weight, value) plus a weight capacity, all unsigned ints."""
+    """Item list (weight, value) plus a weight capacity, all unsigned ints.
+
+    Every field must be an integer (anything with ``__index__``, so numpy
+    integers and bools pass and are stored as ``int``); a float, a string or
+    another non-integer raises ValueError rather than being truncated.
+    """
 
     items: tuple[tuple[int, int], ...]
     capacity: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "items", tuple((int(w), int(v)) for w, v in self.items)
-        )
+        try:
+            items = tuple((operator.index(w), operator.index(v)) for w, v in self.items)
+            capacity = operator.index(self.capacity)
+        except TypeError as err:
+            raise ValueError(f"weights, values and capacity must be integers: {err}") from None
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "capacity", capacity)
         if not 1 <= len(self.items) <= MAX_ITEMS:
             raise ValueError(
                 f"item count {len(self.items)} outside [1, {MAX_ITEMS}]"
@@ -216,14 +226,14 @@ def candidate_indices(n: int) -> np.ndarray:
     return out
 
 
-def plan_registers(
-    instance: KnapsackInstance, *, qubit_cap: int | None = DEFAULT_QUBIT_CAP
-) -> RegisterPlan:
+def plan_registers(instance: KnapsackInstance) -> RegisterPlan:
     """Size and place the q/w/g/f/v/r registers for an instance.
 
     Widths: w holds the sum of all weights; f holds the sum of all values in
     two's complement (so one extra sign bit); g is scratch wide enough for
-    either constant. Degenerate sums floor at width 1 (w) and 2 (f).
+    either constant. Degenerate sums floor at width 1 (w) and 2 (f). Any
+    width is planned; running a plan wider than ``MAX_INDEX_QUBITS`` raises
+    CapacityError before anything is compiled.
     """
     n = instance.n
     w_width = max(1, sum(instance.weights).bit_length())
@@ -242,13 +252,6 @@ def plan_registers(
     v = offset
     r = offset + 1
     total = offset + 2
-
-    if qubit_cap is not None and total > qubit_cap:
-        raise CapacityError(
-            f"instance needs {total} qubits "
-            f"(q={n}, w={w_width}, g={g_width}, f={f_width}, v=1, r=1) "
-            f"but the cap is {qubit_cap}"
-        )
     return RegisterPlan(q=q, w=w, g=g, f=f, v=v, r=r, total_qubits=total)
 
 
@@ -379,8 +382,9 @@ def compile_oracle(
 def _compute_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFrame:
     """Compile the compute stage and push every candidate through it once.
 
-    Raises CapacityError above 62 qubits.
+    Raises CapacityError above 62 qubits, before compiling anything.
     """
+    check_index_width(plan.total_qubits)
     return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
 
 
@@ -401,16 +405,14 @@ def _circuit_columns(
     return weight, np.where(valid, stored, -stored), valid
 
 
-def enumerate_table(
-    instance: KnapsackInstance, *, qubit_cap: int | None = DEFAULT_QUBIT_CAP
-) -> list[CandidateEvaluation]:
+def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
     """Evaluate every candidate through the oracle's compute stage.
 
     All candidate basis states go through ``prepare`` once as one int64
     index map; w, f and v are read off the images as whole columns. Raises
-    CapacityError above ``qubit_cap`` or above 62 qubits.
+    CapacityError above 62 qubits.
     """
-    plan = plan_registers(instance, qubit_cap=qubit_cap)
+    plan = plan_registers(instance)
     n = instance.n
     frame = _compute_frame(instance, plan)
     columns = _circuit_columns(plan, frame, candidate_indices(n))
@@ -425,7 +427,6 @@ def enumerate_table(
 def verify_instance(
     instance: KnapsackInstance,
     *,
-    qubit_cap: int | None = DEFAULT_QUBIT_CAP,
     num_thresholds: int = 5,
     threshold_seed: int = 2024,
 ) -> VerifyReport:
@@ -443,9 +444,9 @@ def verify_instance(
     branches, equivalent to
     ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)`` (see
     ``oracle_marks``), so any ancilla left dirty or any wrong mark is a
-    mismatch.
+    mismatch. Raises CapacityError above 62 qubits.
     """
-    plan = plan_registers(instance, qubit_cap=qubit_cap)
+    plan = plan_registers(instance)
     n = instance.n
     q_values = candidate_indices(n)
     frame = _compute_frame(instance, plan)
@@ -516,7 +517,6 @@ def maximize(
     max_rounds: int = 100,
     initial_threshold: int | None = None,
     confirmation_count: int = 1,
-    qubit_cap: int | None = DEFAULT_QUBIT_CAP,
     max_steps_per_round: int | None = None,
     growth: float = 6 / 5,
 ) -> SearchTrace:
@@ -529,13 +529,13 @@ def maximize(
     once. ``confirmation_count`` consecutive exhausted rounds (default 1)
     end the run. The seed fully determines the run: it spawns independent
     streams for the initial threshold draw, the schedule's j draws, and
-    measurement sampling.
+    measurement sampling. Raises CapacityError above 62 qubits.
     """
     if confirmation_count < 1:
         raise ValueError("confirmation_count must be >= 1")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    plan = plan_registers(instance, qubit_cap=qubit_cap)
+    plan = plan_registers(instance)
     n = instance.n
     big_n = 1 << n
     enc = plan.fitness_encoding
@@ -647,10 +647,11 @@ def _toffoli_equivalents(kind: GateKind, gate_qubits: int, controls: int) -> int
 def estimate_resources(instance: KnapsackInstance) -> ResourceEstimate:
     """Count gates in one full oracle (threshold 0) plus diffusion.
 
-    Purely symbolic: no simulation, no qubit cap. Constant loads depend on
-    the loaded value's popcount, so the X count is reported for threshold 0.
+    Purely symbolic: nothing is pushed through the circuit, so no width
+    limit applies. Constant loads depend on the loaded value's popcount, so
+    the X count is reported for threshold 0.
     """
-    plan = plan_registers(instance, qubit_cap=None)
+    plan = plan_registers(instance)
     oracle = compile_oracle(instance, plan, 0)
     diffusion = build_diffusion(plan.q)
     counts: Counter[str] = Counter()

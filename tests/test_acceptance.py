@@ -28,7 +28,7 @@ from qsmax.arithmetic import (
     build_modular_adder,
     build_subtractor,
 )
-from qsmax.grover import build_diffusion, iteration_count, prepare_search_state
+from qsmax.grover import build_diffusion, iteration_count
 from qsmax.knapsack import (
     KnapsackInstance,
     all_candidates,
@@ -41,7 +41,7 @@ from qsmax.knapsack import (
     plan_registers,
     verify_instance,
 )
-from qsmax.statevector import apply_sequence, get_amplitude, norm_squared
+from reference_engine import apply_sequence, get_amplitude, norm_squared, prepare_search_state
 
 DEMO = KnapsackInstance(((7, 4), (4, 10), (2, 5), (3, 3)), 10)
 

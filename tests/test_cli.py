@@ -176,10 +176,6 @@ class TestExitCodes:
         assert cli.main(["solve", path]) == EXIT_CAPACITY
         assert "qubits" in capsys.readouterr().err
 
-    def test_qubit_cap_flag_tightens_limit(self, capsys):
-        assert cli.main(["solve", DEMO, "--qubit-cap", "20"]) == EXIT_CAPACITY
-        capsys.readouterr()
-
     def test_verify_mismatch_maps_to_exit_3(self, monkeypatch, capsys):
         fake = VerifyReport(
             ok=False,
@@ -400,6 +396,7 @@ class TestExitCodeContract:
             ("solve",),
             ("solve", DEMO, "--seed", "x"),
             ("frobnicate", DEMO),
+            ("solve", DEMO, "--qubit-cap", "40"),  # width is not an option
         ],
     )
     def test_usage_error_is_input_error(self, args):
@@ -411,16 +408,11 @@ class TestExitCodeContract:
     def test_help_exits_zero(self):
         assert self._run("--help").returncode == EXIT_OK
 
-    def test_qubit_cap_exceeded(self):
-        result = self._run("solve", DEMO, "--qubit-cap", "20")
-        assert result.returncode == EXIT_CAPACITY
-        assert "error:" in result.stderr
-
     def test_table_takes_qubit_cap(self, tmp_path):
-        # 36 qubits: over the default cap of 26, under a raised cap of 40
+        # 36 qubits but a four-entry frame: the width costs only gates
         path = write_instance(tmp_path, "capacity 1000\nitem 1000 1\nitem 1 1000\n")
-        assert self._run("table", path).returncode == EXIT_CAPACITY
-        result = self._run("table", path, "--qubit-cap", "40")
+        assert self._run("verify", path).returncode == EXIT_OK
+        result = self._run("table", path)
         assert result.returncode == EXIT_OK
         instance = parse_instance(path)
         expected = [classical_evaluate(instance, c) for c in all_candidates(instance.n)]
@@ -431,10 +423,10 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_cap_raised_past_int64_indices_is_capacity_error(self, tmp_path, command):
-        # 102 qubits: the raised cap lets the instance through, int64 indices do not
+        # 102 qubits: past the only width limit, that of int64 basis indices
         body = "capacity 1\nitem 1073741824 1073741824\nitem 1073741824 1073741824\n"
         path = write_instance(tmp_path, body)
-        result = self._run(command, path, "--qubit-cap", "200")
+        result = self._run(command, path)
         assert result.returncode == EXIT_CAPACITY
         assert "int64" in result.stderr
 

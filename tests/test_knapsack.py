@@ -17,7 +17,7 @@ from conftest import (
 from qsmax import grover
 from qsmax import knapsack as kp
 from qsmax import statevector as sv
-from qsmax.grover import OracleCircuit, prepare_search_state
+from qsmax.grover import OracleCircuit, build_diffusion
 from qsmax.knapsack import (
     KnapsackInstance,
     all_candidates,
@@ -39,13 +39,17 @@ from qsmax.statevector import (
     CapacityError,
     GateSequence,
     cnot,
+    h,
+    x,
+)
+from reference_engine import (
     apply_sequence,
     get_amplitude,
-    h,
+    grover_iteration,
     measure_all,
     new_basis_state,
     norm_squared,
-    x,
+    prepare_search_state,
 )
 
 # Circuit-stored fitness values for the demo instance (scaled by 1/10 from
@@ -80,6 +84,25 @@ class TestInstance:
             KnapsackInstance(((1, -1),), 5)
         with pytest.raises(ValueError):
             KnapsackInstance(((1, 1),), -1)
+
+    @pytest.mark.parametrize(
+        "items, capacity",
+        [
+            pytest.param(((1.7, 1),), 1, id="float-weight"),
+            pytest.param(((1, 1), (2, 2), (3, 3)), 2.5, id="float-capacity"),
+            pytest.param(((1, "2"),), 1, id="str-value"),
+            pytest.param(((1, 1),), np.float64(3.0), id="numpy-float-capacity"),
+        ],
+    )
+    def test_non_integer_fields_are_rejected(self, items, capacity):
+        with pytest.raises(ValueError, match="must be integers"):
+            KnapsackInstance(items, capacity)
+
+    def test_numpy_ints_and_bools_are_coerced(self):
+        instance = KnapsackInstance(((np.int64(3), True), (np.uint8(2), False)), np.int32(4))
+        assert instance.items == ((3, 1), (2, 0)) and instance.capacity == 4
+        assert all(type(f) is int for item in instance.items for f in item)
+        assert type(instance.capacity) is int
 
     def test_candidate_string_round_trip(self):
         for n in (1, 3, 5):
@@ -126,11 +149,11 @@ class TestRegisterPlan:
         assert plan.f.width == 2
 
     def test_capacity_error_names_total(self):
+        # Any width is planned; running past the int64 index limit is refused.
         heavy = KnapsackInstance(tuple((5000, 5000) for _ in range(12)), 10)
-        with pytest.raises(CapacityError, match=r"\d+ qubits"):
-            plan_registers(heavy)
-        plan = plan_registers(heavy, qubit_cap=None)
-        assert plan.total_qubits > 26
+        assert plan_registers(heavy).total_qubits == 64
+        with pytest.raises(CapacityError, match="64 qubits"):
+            enumerate_table(heavy)
 
     def test_deterministic(self, demo_instance):
         assert plan_registers(demo_instance) == plan_registers(demo_instance)
@@ -399,11 +422,11 @@ class TestThreeWayAgreement:
 
     @given(edge_instances())
     def test_circuit_table_and_verify_match_brute_force(self, instance):
-        assert plan_registers(instance, qubit_cap=None).total_qubits <= MAX_INDEX_QUBITS
-        table = enumerate_table(instance, qubit_cap=None)
+        assert plan_registers(instance).total_qubits <= MAX_INDEX_QUBITS
+        table = enumerate_table(instance)
         assert table == reference_table(instance)
         assert [(r.weight, r.fitness, r.valid) for r in table] == column_rows(instance)
-        report = verify_instance(instance, qubit_cap=None)
+        report = verify_instance(instance)
         assert report.ok, report.mismatch
 
     @given(edge_instances(max_items=5, field=st.integers(1 << 60, 1 << 70), huge=0))
@@ -419,6 +442,54 @@ class TestThreeWayAgreement:
         assert valid.tolist() == [True, True, True, True]
         best = classical_max(instance)
         assert (best.candidate, best.fitness) == ("11", 1 << 63)
+
+
+@st.composite
+def small_plans(draw, max_qubits=20):
+    """An edge instance whose register plan has at most ``max_qubits`` qubits,
+    and a threshold anywhere in its fitness register's range."""
+    instance = draw(
+        edge_instances(max_items=4, field=st.integers(0, 7), huge=0).filter(
+            lambda i: plan_registers(i).total_qubits <= max_qubits
+        )
+    )
+    enc = plan_registers(instance).fitness_encoding
+    return instance, draw(st.integers(enc.min_value, enc.max_value))
+
+
+class TestGateLevelReference:
+    """The fused oracle path against the gate-by-gate reference engine."""
+
+    @given(small_plans())
+    def test_oracle_signs_and_ancillas_match_oracle_marks(self, case):
+        instance, threshold = case
+        plan = plan_registers(instance)
+        frame = kp._compute_frame(instance, plan)
+        oracle = compile_oracle(instance, plan, threshold, prepare=frame.prepare)
+        marks = grover.oracle_marks(oracle, frame)
+
+        state = prepare_search_state(oracle)
+        for stage in (oracle.prepare, oracle.mark, oracle.unprepare):
+            apply_sequence(state, stage)
+        size = 1 << instance.n
+        # Every ancilla is back at 0: only q and kickback bits are set, on
+        # exactly the 2N frame states.
+        frame_bits = sum(1 << q for q in plan.q.bits) | (1 << plan.r)
+        assert state.indices.size == 2 * size
+        assert not np.any(state.indices & ~frame_bits)
+        # The kickback stays |->, and the sign of each q value is its mark.
+        kickback_0 = np.array([get_amplitude(state, i << plan.q.offset) for i in range(size)])
+        kickback_1 = np.array(
+            [get_amplitude(state, (i << plan.q.offset) | (1 << plan.r)) for i in range(size)]
+        )
+        np.testing.assert_allclose(np.abs(kickback_0), 1 / math.sqrt(2 * size), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kickback_1, -kickback_0, rtol=0, atol=1e-12)
+        assert (kickback_0.real < 0).tolist() == marks.tolist()
+        # ... and both agree with brute force. The circuit compares the stored
+        # fitness, negated where invalid, so below 0 invalid candidates count.
+        _, fitness, valid = kp._classical_columns(instance)
+        stored = np.where(valid, fitness, -fitness)
+        assert marks[candidate_indices(instance.n)].tolist() == (stored > threshold).tolist()
 
 
 class TestComputeOnce:
@@ -500,29 +571,32 @@ class TestBuiltOnce:
 class TestWideRegisters:
     """Index maps need no dense state, so only the int64 width limits them."""
 
-    # 36 qubits: refused under the default cap, cheap under a raised one
+    # 36 qubits but a four-entry frame: the width costs only gates
     WIDE = KnapsackInstance(((1000, 1), (1, 1000)), 1000)
     # 102 qubits: past the 62-qubit limit of int64 basis indices
     TOO_WIDE = KnapsackInstance(((2**30, 2**30), (2**30, 2**30)), 1)
 
     def test_wide_instance_solves_and_verifies_above_the_default_cap(self):
-        assert plan_registers(self.WIDE, qubit_cap=None).total_qubits == 36
-        with pytest.raises(CapacityError):
-            enumerate_table(self.WIDE)
-        quantum = enumerate_table(self.WIDE, qubit_cap=40)
+        assert plan_registers(self.WIDE).total_qubits == 36
+        quantum = enumerate_table(self.WIDE)
         assert quantum == [classical_evaluate(self.WIDE, c) for c in all_candidates(2)]
-        assert verify_instance(self.WIDE, qubit_cap=40).ok
-        trace = maximize(self.WIDE, seed=3, qubit_cap=40)
+        assert verify_instance(self.WIDE).ok
+        trace = maximize(self.WIDE, seed=3)
         assert (trace.final_candidate, trace.final_fitness) == ("01", 1000)
 
     def test_past_int64_width_raises_capacity_error(self):
-        assert plan_registers(self.TOO_WIDE, qubit_cap=None).total_qubits == 102
+        assert plan_registers(self.TOO_WIDE).total_qubits == 102
         with pytest.raises(CapacityError, match="int64"):
-            enumerate_table(self.TOO_WIDE, qubit_cap=None)
+            enumerate_table(self.TOO_WIDE)
         with pytest.raises(CapacityError, match="int64"):
-            verify_instance(self.TOO_WIDE, qubit_cap=None)
+            verify_instance(self.TOO_WIDE)
         with pytest.raises(CapacityError, match="int64"):
-            maximize(self.TOO_WIDE, seed=0, qubit_cap=None)
+            maximize(self.TOO_WIDE, seed=0)
+
+    def test_past_int64_width_is_refused_before_compiling(self, monkeypatch):
+        monkeypatch.setattr(kp, "compile_prepare", lambda *a: pytest.fail("compiled"))
+        with pytest.raises(CapacityError, match="102 qubits"):
+            enumerate_table(self.TOO_WIDE)
 
 
 class TestMaximize:
@@ -600,8 +674,6 @@ class TestGroverIntegration:
     """The compiled oracle driven through full Grover iterations."""
 
     def _one_iteration_state(self, instance, threshold):
-        from qsmax.grover import build_diffusion, grover_iteration
-
         plan = plan_registers(instance)
         oracle = compile_oracle(instance, plan, threshold)
         state = prepare_search_state(oracle)

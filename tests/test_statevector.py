@@ -1,4 +1,9 @@
-"""Simulator core: construction, gate semantics, measurement, engine properties."""
+"""Gate IR, the basis-index map, and the sparse reference engine.
+
+The reference engine (``reference_engine``) runs circuits gate by gate for
+the other tests; here it is itself checked against unitaries built
+independently from 2x2 matrices and projectors.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,6 @@ import numpy as np
 import pytest
 
 from conftest import apply_to_basis, permutation_kinds, random_sequence
-from qsmax import statevector as sv
 from qsmax.statevector import (
     CapacityError,
     Gate,
@@ -16,48 +20,94 @@ from qsmax.statevector import (
     GateSequence,
     IntegrityError,
     MAX_INDEX_QUBITS,
-    _densify,
-    _index_step,
-    apply_gate,
-    apply_sequence,
     check_index_width,
     cnot,
     cphase_flip_zero,
-    from_amplitudes,
-    get_amplitude,
     h,
     mcx,
-    measure_all,
-    new_basis_state,
-    new_zero_state,
     peres,
     peres_inv,
     permute_indices,
     toffoli,
     x,
 )
+from reference_engine import (
+    amplitude_vector,
+    apply_gate,
+    apply_sequence,
+    from_amplitudes,
+    get_amplitude,
+    index_step,
+    measure_all,
+    new_basis_state,
+    new_zero_state,
+    norm_squared,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+_I2 = np.eye(2)
+_X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * INV_SQRT2
+_P0 = np.diag([1.0, 0.0])  # |0><0|
+_P1 = np.diag([0.0, 1.0])  # |1><1|
+
+
+def _kron(num_qubits: int, factors: dict[int, np.ndarray]) -> np.ndarray:
+    """Tensor product of one 2x2 factor per qubit (identity where none given).
+
+    Qubit k is bit k of the basis index, so qubit 0 is the rightmost factor.
+    """
+    out = np.ones((1, 1))
+    for qubit in reversed(range(num_qubits)):
+        out = np.kron(out, factors.get(qubit, _I2))
+    return out
+
+
+def _controlled_x(num_qubits: int, controls, target: int) -> np.ndarray:
+    """I + (|1><1| on every control) (x) (X - I) on the target."""
+    factors = {c: _P1 for c in controls}
+    factors[target] = _X2 - _I2
+    return np.eye(1 << num_qubits) + _kron(num_qubits, factors)
+
+
+def gate_unitary(num_qubits: int, gate: Gate) -> np.ndarray:
+    kind = gate.kind
+    if kind is GateKind.X:
+        return _kron(num_qubits, {gate.targets[0]: _X2})
+    if kind is GateKind.H:
+        return _kron(num_qubits, {gate.targets[0]: _H2})
+    if kind in (GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX):
+        return _controlled_x(num_qubits, gate.controls, gate.targets[0])
+    if kind in (GateKind.PERES, GateKind.PERES_INV):
+        a, b, c = gate.targets
+        toffoli_abc = _controlled_x(num_qubits, (a, b), c)
+        cnot_ab = _controlled_x(num_qubits, (a,), b)
+        # PERES is the Toffoli, then the CNOT; PERES_INV the reverse.
+        return cnot_ab @ toffoli_abc if kind is GateKind.PERES else toffoli_abc @ cnot_ab
+    if kind is GateKind.CPHASE_FLIP_ZERO:
+        zero = _kron(num_qubits, {q: _P0 for q in gate.targets})
+        return np.eye(1 << num_qubits) - 2.0 * zero
+    raise AssertionError(f"unhandled gate kind {kind}")
+
+
+def kron_unitary(num_qubits: int, gates) -> np.ndarray:
+    """The whole circuit as one 2^n x 2^n matrix, built without any engine."""
+    unitary = np.eye(1 << num_qubits, dtype=np.complex128)
+    for gate in gates:
+        unitary = gate_unitary(num_qubits, gate) @ unitary
+    return unitary
 
 
 class TestConstruction:
     def test_single_qubit_zero_state(self):
         state = new_zero_state(1)
-        np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0])
+        np.testing.assert_array_equal(amplitude_vector(state), [1.0, 0.0])
 
     def test_three_qubit_zero_state(self):
-        state = new_zero_state(3)
-        assert state.amplitudes[0] == 1.0
-        assert not state.amplitudes[1:].any()
-
-    def test_default_cap_rejects_27_qubits(self):
-        with pytest.raises(CapacityError, match="26"):
-            new_zero_state(27)
-
-    def test_cap_is_configurable(self):
-        with pytest.raises(CapacityError, match="cap of 5"):
-            new_zero_state(6, qubit_cap=5)
-        assert new_zero_state(6, qubit_cap=6).num_qubits == 6
+        amplitudes = amplitude_vector(new_zero_state(3))
+        assert amplitudes[0] == 1.0
+        assert not amplitudes[1:].any()
 
     def test_zero_qubits_rejected(self):
         with pytest.raises(ValueError):
@@ -81,7 +131,7 @@ class TestConstruction:
 class TestGateSemantics:
     def test_hadamard_on_zero(self):
         state = apply_gate(new_zero_state(1), h(0))
-        np.testing.assert_allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2])
+        np.testing.assert_allclose(amplitude_vector(state), [INV_SQRT2, INV_SQRT2])
 
     def test_x_flips(self):
         state = apply_gate(new_zero_state(2), x(1))
@@ -100,8 +150,8 @@ class TestGateSemantics:
 
     def test_mcx_requires_all_controls(self):
         gate = mcx([0, 1, 2], 3)
-        assert apply_gate(new_basis_state(4, 0b0111), gate).amplitudes[0b1111] == 1.0
-        assert apply_gate(new_basis_state(4, 0b0011), gate).amplitudes[0b0011] == 1.0
+        assert get_amplitude(apply_gate(new_basis_state(4, 0b0111), gate), 0b1111) == 1.0
+        assert get_amplitude(apply_gate(new_basis_state(4, 0b0011), gate), 0b0011) == 1.0
 
     @staticmethod
     def _peres_expected(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -125,7 +175,7 @@ class TestGateSemantics:
             rhs = new_basis_state(3, bits)
             apply_gate(rhs, toffoli(2, 1, 0))
             apply_gate(rhs, cnot(2, 1))
-            np.testing.assert_array_equal(lhs.amplitudes, rhs.amplitudes)
+            np.testing.assert_array_equal(amplitude_vector(lhs), amplitude_vector(rhs))
 
     def test_peres_inverse_roundtrip(self):
         for bits in range(8):
@@ -139,7 +189,7 @@ class TestGateSemantics:
         apply_gate(state, h(0))
         apply_gate(state, h(1))
         apply_gate(state, cphase_flip_zero([0, 1]))
-        np.testing.assert_allclose(state.amplitudes, [-0.5, 0.5, 0.5, 0.5])
+        np.testing.assert_allclose(amplitude_vector(state), [-0.5, 0.5, 0.5, 0.5])
 
     def test_gate_validation(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -159,9 +209,9 @@ class TestGateSemantics:
 class TestSequences:
     def test_empty_sequence_is_identity(self):
         state = apply_gate(new_zero_state(2), h(0))
-        before = state.amplitudes.copy()
+        before = amplitude_vector(state)
         apply_sequence(state, GateSequence())
-        np.testing.assert_array_equal(state.amplitudes, before)
+        np.testing.assert_array_equal(amplitude_vector(state), before)
 
     def test_reverse_swaps_peres_direction(self):
         seq = GateSequence([x(0), peres(0, 1, 2), h(1)])
@@ -193,7 +243,7 @@ class TestSequences:
     def test_four_hadamards_make_uniform(self):
         state = new_zero_state(4)
         apply_sequence(state, GateSequence(h(i) for i in range(4)))
-        np.testing.assert_allclose(state.amplitudes, np.full(16, 0.25), atol=1e-12)
+        np.testing.assert_allclose(amplitude_vector(state), np.full(16, 0.25), atol=1e-12)
 
     def test_error_carries_gate_position(self):
         seq = GateSequence([x(0), x(5)])
@@ -226,7 +276,7 @@ class TestMeasurement:
 
     def test_norm_drift_raises_integrity_error(self):
         state = new_zero_state(2)
-        state.amplitudes[0] = 2.0  # corrupt past the 1e-6 gate
+        state.values[0] = 2.0  # corrupt past the 1e-6 gate
         with pytest.raises(IntegrityError):
             measure_all(state, np.random.default_rng(0))
 
@@ -253,7 +303,7 @@ class TestEngineProperties:
         for _ in range(8):
             state = new_zero_state(num_qubits)
             apply_sequence(state, random_sequence(rng, num_qubits, 200))
-            assert abs(sv.norm_squared(state) - 1.0) < 1e-10
+            assert abs(norm_squared(state) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("num_qubits", [2, 5, 10])
     def test_sequence_then_reverse_is_identity(self, num_qubits):
@@ -263,10 +313,10 @@ class TestEngineProperties:
             state = new_zero_state(num_qubits)
             # start from a random superposition so the check is not trivial
             apply_sequence(state, random_sequence(rng, num_qubits, 20))
-            before = state.amplitudes.copy()
+            before = amplitude_vector(state)
             apply_sequence(state, seq)
             apply_sequence(state, seq.reverse())
-            np.testing.assert_allclose(state.amplitudes, before, atol=1e-10)
+            np.testing.assert_allclose(amplitude_vector(state), before, atol=1e-10)
 
     @pytest.mark.parametrize("num_qubits", [3, 6, 9])
     def test_permutation_gates_preserve_amplitude_multiset(self, num_qubits):
@@ -274,32 +324,58 @@ class TestEngineProperties:
         for _ in range(8):
             state = new_zero_state(num_qubits)
             apply_sequence(state, random_sequence(rng, num_qubits, 15))
-            before = np.sort(np.abs(state.amplitudes))
+            before = np.sort(np.abs(amplitude_vector(state)))
             seq = random_sequence(rng, num_qubits, 120, kinds=permutation_kinds())
             apply_sequence(state, seq)
-            after = np.sort(np.abs(state.amplitudes))
+            after = np.sort(np.abs(amplitude_vector(state)))
             np.testing.assert_allclose(after, before, atol=1e-12)
 
-    @pytest.mark.parametrize("num_qubits", [2, 4, 7])
-    def test_active_set_path_matches_dense_path(self, num_qubits):
+    @pytest.mark.parametrize("num_qubits", [2, 4, 6])
+    def test_matches_kronecker_unitary(self, num_qubits):
+        # Random circuits over all 8 gate kinds, from |0...0> and from random
+        # full-support states, against the Kronecker-product unitary.
         rng = np.random.default_rng(300 + num_qubits)
-        for _ in range(10):
-            seq = random_sequence(rng, num_qubits, 150)
-            sparse_state = new_zero_state(num_qubits)
-            dense_state = _densify(new_zero_state(num_qubits))
-            apply_sequence(sparse_state, seq)
-            apply_sequence(dense_state, seq)
+        kinds = set()
+        for trial in range(10):
+            seq = random_sequence(rng, num_qubits, 60)
+            kinds.update(gate.kind for gate in seq)
+            if trial % 2:
+                raw = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+                start = raw / np.linalg.norm(raw)
+            else:
+                start = np.eye(1 << num_qubits)[0]
+            state = apply_sequence(from_amplitudes(start), seq)
             np.testing.assert_allclose(
-                sparse_state.amplitudes, dense_state.amplitudes, atol=1e-12
+                amplitude_vector(state), kron_unitary(num_qubits, seq) @ start, atol=1e-10
             )
+        if num_qubits >= 3:
+            assert kinds == set(GateKind)
+
+    def test_kronecker_unitaries_of_single_gates(self):
+        # The independent builder itself, on hand-checked cases (qubit 0 is bit 0).
+        np.testing.assert_array_equal(gate_unitary(2, x(0)), np.eye(4)[[1, 0, 3, 2]])
+        np.testing.assert_array_equal(gate_unitary(2, cnot(0, 1)), np.eye(4)[[0, 3, 2, 1]])
+        np.testing.assert_array_equal(
+            gate_unitary(2, cphase_flip_zero([0, 1])), np.diag([-1.0, 1.0, 1.0, 1.0])
+        )
+        for bits in range(8):
+            a, b, c = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
+            image = a | ((a ^ b) << 1) | (((a & b) ^ c) << 2)
+            assert gate_unitary(3, peres(0, 1, 2))[image, bits] == 1.0
+            assert gate_unitary(3, peres_inv(0, 1, 2))[bits, image] == 1.0
 
     def test_active_set_entries_outside_support_are_exact_zero(self):
+        # The stored indices are sorted, distinct and in range, and hold every
+        # nonzero amplitude: everything else reads exactly 0.
         rng = np.random.default_rng(9)
         state = new_zero_state(6)
         apply_sequence(state, random_sequence(rng, 6, 60))
-        if state._active is not None:
-            outside = np.delete(np.arange(state.dimension), state._active)
-            assert not state.amplitudes[outside].any()
+        assert state.indices.dtype == np.int64
+        assert np.all(np.diff(state.indices) > 0)
+        assert 0 <= state.indices[0] and state.indices[-1] < 64
+        assert np.all(state.values != 0)
+        outside = np.setdiff1d(np.arange(64), state.indices)
+        assert all(get_amplitude(state, int(b)) == 0 for b in outside)
 
 
 class TestIndexMap:
@@ -314,17 +390,16 @@ class TestIndexMap:
             expected = [apply_to_basis(num_qubits, seq, int(b)) for b in basis]
             assert permute_indices(basis, seq).tolist() == expected
 
-    def test_matches_whole_array_kernels(self):
-        # apply_to_basis runs the active-set kernels, which move indices with
-        # their own numpy step; the whole-array kernels are independent of both.
+    def test_matches_kronecker_permutation_matrix(self):
+        # apply_to_basis moves indices with the reference engine's numpy step;
+        # the Kronecker-product unitary is independent of both index kernels.
         rng = np.random.default_rng(17)
         num_qubits = 5
         seq = random_sequence(rng, num_qubits, 60, kinds=permutation_kinds())
         image = permute_indices(np.arange(1 << num_qubits), seq)
-        for b in range(1 << num_qubits):
-            state = _densify(new_basis_state(num_qubits, b))
-            apply_sequence(state, seq)
-            assert get_amplitude(state, int(image[b])) == 1.0
+        expected = np.zeros((1 << num_qubits, 1 << num_qubits))
+        expected[image, np.arange(1 << num_qubits)] = 1.0
+        np.testing.assert_array_equal(kron_unitary(num_qubits, seq), expected)
 
     @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6])
     def test_reverse_inverts_the_map_on_all_basis_inputs(self, num_qubits):
@@ -360,7 +435,7 @@ class TestPlaneKernel:
     def _numpy_steps(indices, seq):
         out = np.array(indices, dtype=np.int64)
         for gate in seq:
-            out = _index_step(out, gate)
+            out = index_step(out, gate)
         return out
 
     def _check(self, num_qubits, seq, indices):
