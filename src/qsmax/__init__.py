@@ -2,8 +2,8 @@
 oracles, demonstrated on the 0/1 knapsack problem.
 
 The package splits into five modules: ``statevector`` (the gate IR and the
-int64 basis-index map circuits run on), ``arithmetic`` (reversible integer
-circuits), ``grover`` (oracle marks, closed-form amplitude amplification
+bit-plane basis-state map circuits run on), ``arithmetic`` (reversible
+integer circuits), ``grover`` (oracle marks, closed-form amplitude amplification
 and the unknown-count schedule), ``knapsack`` (problem model, oracle
 compiler, maximization driver, brute-force cross-checks), and ``cli`` (the
 command-line front end).
@@ -33,6 +33,7 @@ from .grover import (
 )
 from .knapsack import (
     CandidateEvaluation,
+    CapacityError,
     KnapsackInstance,
     RegisterPlan,
     ResourceEstimate,
@@ -49,7 +50,6 @@ from .knapsack import (
     verify_instance,
 )
 from .statevector import (
-    CapacityError,
     Gate,
     GateKind,
     GateSequence,

@@ -8,9 +8,8 @@ Instance file grammar (line oriented, ``#`` starts a comment):
 Exit codes: 0 success; 1 parse, I/O or command-line usage error (including
 a flag value out of range: ``--seed`` below 0, ``--max-rounds`` or
 ``--confirmations`` below 1, an ``--initial-threshold`` the fitness register
-cannot hold); 2 qubit capacity exceeded (``solve``, ``verify`` or ``table``
-on a register plan wider than the 62 qubits int64 basis indices can
-address; ``estimate`` only counts gates and plans any width); 3
+cannot hold); 2 instance too big to run (more than 12 items: the oracle
+frame holds 2^(n+1) basis states; register width never refuses one); 3
 quantum/classical verification mismatch or a failed integrity check (an
 oracle whose uncompute leaves an ancilla dirty). Errors are reported on
 stderr in a line containing ``error:``; a verification mismatch prints a
@@ -33,6 +32,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .knapsack import (
+    CapacityError,
     KnapsackInstance,
     SearchTrace,
     classical_max,
@@ -42,7 +42,7 @@ from .knapsack import (
     plan_registers,
     verify_instance,
 )
-from .statevector import CapacityError, IntegrityError
+from .statevector import IntegrityError
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -14,10 +14,11 @@ draw the iteration count j uniformly below m, and cap m at sqrt(N).
 
 The search needs only the oracle's phase pattern. Every oracle stage is a
 permutation circuit, so its effect on basis states is an integer map. Once
-per instance, ``prepare_frame`` pushes the frame (every q value with the
-kickback at 0 and at 1) through the threshold-independent compute stage.
-Per round, ``oracle_marks`` pushes those images through ``mark`` only,
-reads the marked set off them and checks the uncompute exactly. A Grover
+per instance, ``prepare_frame`` writes the frame (every q value with the
+kickback at 0 and at 1) as bit planes and pushes them through the
+threshold-independent compute stage. Per round, ``oracle_marks`` pushes
+those images through ``mark`` only, reads the marked set off them and
+checks the uncompute exactly, by big-int XOR/OR over the planes. A Grover
 iteration is a sign flip on the marked set followed by ``a - 2 mean(a)``,
 so after j iterations, with sin^2(theta) = M/N for M marked of N, every
 marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M) and every other
@@ -40,10 +41,9 @@ from .arithmetic import RegisterRef
 from .statevector import (
     GateSequence,
     IntegrityError,
-    check_index_width,
     cphase_flip_zero,
     h,
-    permute_indices,
+    permute_planes,
 )
 
 
@@ -146,36 +146,52 @@ def iteration_count(n_items: int, n_solutions: int) -> int:
 class PreparedFrame:
     """The oracle frame pushed through the compute stage, once per instance.
 
-    The frame is every q value with the kickback qubit at 0, then every q
-    value with it at 1, all other qubits 0. ``images`` holds ``prepare``'s
-    image of each, in that order (P0 then P1). ``order`` sorts the frame's
-    full-register indices into ``sorted_basis``, the order in which
-    measurement samples. The images belong to this ``prepare`` object.
+    The frame is 2N basis states for N candidates: entry i < N is q value i
+    with the kickback qubit at 0, entry N + i is q value i with it at 1, and
+    every other qubit is 0. ``planes`` holds ``prepare``'s image of the
+    frame as bit planes (see ``statevector.permute_planes``), one 2N-bit int
+    per qubit: P0 in the low N bits, P1 in the high N. The planes belong to
+    this ``prepare`` object.
     """
 
     prepare: GateSequence
-    images: np.ndarray
-    sorted_basis: np.ndarray
-    order: np.ndarray
+    planes: tuple[int, ...]
+    candidates: int
+
+    def column(self, register: RegisterRef) -> np.ndarray:
+        """Unsigned value of ``register`` in P0, in q-value order.
+
+        int64 for a register of up to 62 bits; Python ints in an object
+        array from 63 bits on, so any width reads exactly.
+        """
+        n, width, low = self.candidates, register.width, (1 << self.candidates) - 1
+        text = "".join(f"{self.planes[k] & low:0{n}b}" for k in register.bits)
+        # Row t: bit t of every entry's value, as the digits "0" and "1".
+        digits = np.frombuffer(text.encode(), np.uint8).reshape(width, n)[:, ::-1]
+        if width < 63:
+            return ((digits - ord("0")).astype(np.int64) << np.arange(width)[:, None]).sum(axis=0)
+        return np.array([int(row.tobytes(), 2) for row in digits[::-1].T], dtype=object)
 
 
 def prepare_frame(
     prepare: GateSequence, q_register: RegisterRef, kickback_qubit: int, num_qubits: int
 ) -> PreparedFrame:
-    """Push the frame through ``prepare`` as one int64 index map.
+    """Write the frame's bit planes in closed form and push them through ``prepare``.
 
-    Raises CapacityError above ``MAX_INDEX_QUBITS`` qubits.
+    q bit b of entry i is bit b of i: blocks of 2^b zeros then 2^b ones, so
+    its plane is the all-ones plane divided by 2^(2^(b+1)) - 1, which
+    repeats a 1 every 2^(b+1) bits, times one block. The kickback plane is
+    the high N bits; every other plane is 0.
     """
-    check_index_width(num_qubits)
-    register = np.arange(1 << q_register.width, dtype=np.int64) << q_register.offset
-    basis = np.concatenate((register, register | (1 << kickback_qubit)))
-    order = np.argsort(basis)
-    return PreparedFrame(
-        prepare=prepare,
-        images=permute_indices(basis, prepare),
-        sorted_basis=basis[order],
-        order=order,
-    )
+    candidates = 1 << q_register.width
+    ones = (1 << 2 * candidates) - 1
+    planes = [0] * num_qubits
+    for b, qubit in enumerate(q_register.bits):
+        block = 1 << b
+        planes[qubit] = ones // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block)
+    planes[kickback_qubit] = ones >> candidates << candidates
+    images = permute_planes(planes, prepare, 2 * candidates)
+    return PreparedFrame(prepare, tuple(images), candidates)
 
 
 def _frame_for(oracle: OracleCircuit, frame: PreparedFrame | None) -> PreparedFrame:
@@ -200,28 +216,35 @@ def oracle_marks(oracle: OracleCircuit, frame: PreparedFrame | None = None) -> n
     ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on both kickback
     branches with the same b. ``OracleCircuit`` requires ``unprepare`` to be
     ``prepare.reverse()`` gate for gate, and a reversed permutation circuit
-    inverts the original on basis indices, so unprepare sends P back to the
-    frame and the contract is equivalent to: where b = (Y0 != P0), Y0 == P1
-    and Y1 == P0; elsewhere Y1 == P1. Any other image raises IntegrityError
+    inverts the original on basis states, so unprepare sends P back to the
+    frame and the contract is equivalent to: where b = (Y0 != P0), Y equals
+    P with its two branches swapped; elsewhere Y == P. Both sides are read
+    as big-int XOR/OR over the planes. Any other image raises IntegrityError
     naming the first offending candidate and the basis states its two
-    branches end in after ``unprepare``. Raises CapacityError above
-    ``MAX_INDEX_QUBITS`` qubits.
+    branches end in after ``unprepare``.
     """
     frame = _frame_for(oracle, frame)
-    marked = permute_indices(frame.images, oracle.mark)
-    half = frame.images.size // 2
-    p0, p1 = frame.images[:half], frame.images[half:]
-    y0, y1 = marked[:half], marked[half:]
-    flips = y0 != p0
-    bad = np.flatnonzero(np.where(flips, (y0 != p1) | (y1 != p0), y1 != p1))
-    if bad.size:
-        candidate = int(bad[0])
-        image = permute_indices(marked[[candidate, candidate + p0.size]], oracle.unprepare)
+    n = frame.candidates
+    low = (1 << n) - 1
+    marked = permute_planes(frame.planes, oracle.mark, 2 * n)
+    changed = swapped = 0  # bit i: entry i's image differs from P, from swapped P
+    for p, y in zip(frame.planes, marked):
+        changed |= p ^ y
+        swapped |= ((p >> n) | ((p & low) << n)) ^ y
+    flips = changed & low
+    both = flips | (flips << n)
+    bad = (swapped & both) | (changed & ~both)
+    bad = (bad | (bad >> n)) & low
+    if bad:
+        candidate = (bad & -bad).bit_length() - 1
+        pair = [((y >> candidate) & 1) | (((y >> (n + candidate)) & 1) << 1) for y in marked]
+        image = permute_planes(pair, oracle.unprepare, 2)
+        states = [sum(((p >> e) & 1) << k for k, p in enumerate(image)) for e in (0, 1)]
         raise IntegrityError(
             f"ancilla contamination after uncompute: q value {candidate} maps "
-            f"to basis states {int(image[0])} and {int(image[1])}"
+            f"to basis states {states[0]} and {states[1]}"
         )
-    return flips
+    return np.frombuffer(f"{flips:0{n}b}".encode(), np.uint8)[::-1] == ord("1")
 
 
 def _amplitude_pair(n_marked: int, n_candidates: int, iterations: int) -> tuple[float, float]:
@@ -235,16 +258,14 @@ def _amplitude_pair(n_marked: int, n_candidates: int, iterations: int) -> tuple[
     )
 
 
-def _measure(
-    sorted_basis: np.ndarray, marked_prefix: list[int], iterations: int, rng: np.random.Generator
-) -> int:
-    """Sample the frame's ``sorted_basis``, ``marked_prefix[i]`` marked among its first i+1.
+def _measure(marked_prefix: list[int], iterations: int, rng: np.random.Generator) -> int:
+    """Sample a position in the frame's sorted order, ``marked_prefix[i]`` marked up to i.
 
-    Refuses a total more than 1e-6 from 1 in norm. Returns the first entry
-    whose cumulative probability exceeds one ``rng.random()`` times the
-    total, as ``Generator.choice`` does.
+    Refuses a total more than 1e-6 from 1 in norm. Returns the first
+    position whose cumulative probability exceeds one ``rng.random()``
+    times the total, as ``Generator.choice`` does.
     """
-    size, n_marked = len(sorted_basis), marked_prefix[-1] // 2
+    size, n_marked = len(marked_prefix), marked_prefix[-1] // 2
     a_marked, a_unmarked = _amplitude_pair(n_marked, size // 2, iterations)
     p_marked, p_unmarked = a_marked * a_marked / 2.0, a_unmarked * a_unmarked / 2.0
     total = 2 * n_marked * p_marked + (size - 2 * n_marked) * p_unmarked
@@ -255,7 +276,7 @@ def _measure(
         rng.random() * total,
         key=lambda i: p_marked * marked_prefix[i] + p_unmarked * (i + 1 - marked_prefix[i]),
     )
-    return int(sorted_basis[min(index, size - 1)])
+    return min(index, size - 1)
 
 
 def boyer_search(
@@ -283,21 +304,24 @@ def boyer_search(
     iterations, in sorted order of full-register indices, the way
     ``Generator.choice`` samples it from one ``random()`` draw, so a seeded
     ``measure_rng`` draws the outcomes a gate-by-gate simulation sampled
-    with ``choice`` would.
+    with ``choice`` would. That order is structural: the kickback-0 branch
+    then the kickback-1 branch when the kickback sits above q, and each q
+    value's two branches side by side when it sits below.
     """
     frame = _frame_for(oracle, frame)
     marks = oracle_marks(oracle, frame)
-    marked_prefix = np.cumsum(np.concatenate((marks, marks))[frame.order]).tolist()
     q = oracle.q_register
+    interleaved = oracle.kickback_qubit < q.offset
+    marked_prefix = np.cumsum(np.repeat(marks, 2) if interleaved else np.tile(marks, 2)).tolist()
     q_mask = (1 << q.width) - 1
     steps: list[BoyerStep] = []
     iterations = 0
     for _ in range(max_steps):
         m_now = schedule.m
         j = schedule.draw_iterations()
-        chosen = _measure(frame.sorted_basis, marked_prefix, j, measure_rng)
+        position = _measure(marked_prefix, j, measure_rng)
         iterations += j
-        candidate = (chosen >> q.offset) & q_mask
+        candidate = position >> 1 if interleaved else position & q_mask
         passed = bool(classical_check(candidate))
         steps.append(BoyerStep(m=m_now, j=j, candidate=candidate, passed=passed))
         if passed:

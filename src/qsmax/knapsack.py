@@ -6,17 +6,19 @@ resource estimation.
 
 The oracle is made of permutation gates only, so the candidate table, the
 verification suite and the search never simulate the full register: they
-push basis indices through the compiled stages as int64 index maps
-(``statevector.permute_indices``) and read registers and kickback flips off
-the images exactly. The compute stage does not depend on the threshold, so
-each of ``enumerate_table``, ``verify_instance`` and ``maximize`` compiles
-it and pushes every candidate through it once per instance
-(``grover.prepare_frame``); the table reads w, f and v off those images,
-and each search round or verify threshold compiles and pushes only the
-marking stage (``grover.oracle_marks``).
+push the candidate basis states through the compiled stages as bit planes
+(``statevector.permute_planes``) and read registers and kickback flips off
+the images exactly, at any register width. The compute stage does not
+depend on the threshold, so each of ``enumerate_table``,
+``verify_instance`` and ``maximize`` compiles it and pushes every candidate
+through it once per instance (``grover.prepare_frame``); the table reads w,
+f and v off those images (``PreparedFrame.column``), and each search round
+or verify threshold compiles and pushes only the marking stage
+(``grover.oracle_marks``). Only the item count is bounded (``MAX_ITEMS``):
+the frame holds 2^(n+1) basis states.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
-table order. The circuit side is read off the images with shifts and masks
+table order. The circuit side is read off the images register by register
 (``_circuit_columns``); the brute-force side is built by subset doubling
 (``_classical_columns``), and ``classical_max`` is one ``argmax`` over it.
 ``verify_instance`` compares the columns at once, and each threshold's
@@ -40,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -64,16 +67,14 @@ from .grover import (
     oracle_marks,
     prepare_frame,
 )
-from .statevector import (  # CapacityError is re-exported for callers of this module
-    CapacityError,
-    Gate,
-    GateKind,
-    GateSequence,
-    IntegrityError,
-    check_index_width,
-)
+from .statevector import Gate, GateKind, GateSequence, IntegrityError
 
+# The oracle frame holds 2^(n+1) basis states, 8,192 at this bound.
 MAX_ITEMS = 12
+
+
+class CapacityError(Exception):
+    """An instance too big to run: more than ``MAX_ITEMS`` items."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +83,8 @@ class KnapsackInstance:
 
     Every field must be an integer (anything with ``__index__``, so numpy
     integers and bools pass and are stored as ``int``); a float, a string or
-    another non-integer raises ValueError rather than being truncated.
+    another non-integer raises ValueError rather than being truncated. More
+    than ``MAX_ITEMS`` items raise CapacityError; fields may be any size.
     """
 
     items: tuple[tuple[int, int], ...]
@@ -96,9 +98,12 @@ class KnapsackInstance:
             raise ValueError(f"weights, values and capacity must be integers: {err}") from None
         object.__setattr__(self, "items", items)
         object.__setattr__(self, "capacity", capacity)
-        if not 1 <= len(self.items) <= MAX_ITEMS:
-            raise ValueError(
-                f"item count {len(self.items)} outside [1, {MAX_ITEMS}]"
+        if not self.items:
+            raise ValueError("item count must be at least 1")
+        if len(self.items) > MAX_ITEMS:
+            raise CapacityError(
+                f"item count {len(self.items)} exceeds {MAX_ITEMS}: the oracle frame "
+                f"would hold 2^{len(self.items) + 1} basis states"
             )
         if any(w < 0 or v < 0 for w, v in self.items):
             raise ValueError("weights and values must be >= 0")
@@ -232,8 +237,7 @@ def plan_registers(instance: KnapsackInstance) -> RegisterPlan:
     Widths: w holds the sum of all weights; f holds the sum of all values in
     two's complement (so one extra sign bit); g is scratch wide enough for
     either constant. Degenerate sums floor at width 1 (w) and 2 (f). Any
-    width is planned; running a plan wider than ``MAX_INDEX_QUBITS`` raises
-    CapacityError before anything is compiled.
+    width is planned and runs.
     """
     n = instance.n
     w_width = max(1, sum(instance.weights).bit_length())
@@ -380,11 +384,7 @@ def compile_oracle(
 
 
 def _compute_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFrame:
-    """Compile the compute stage and push every candidate through it once.
-
-    Raises CapacityError above 62 qubits, before compiling anything.
-    """
-    check_index_width(plan.total_qubits)
+    """Compile the compute stage and push every candidate through it once."""
     return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
 
 
@@ -394,23 +394,24 @@ def _circuit_columns(
     """Weight, fitness and validity read off the frame's kickback-0 images.
 
     ``q_values`` is ``candidate_indices(n)``, so the columns are in table
-    order. Fitness is sign-extended from f and reported pre-negation (the
+    order; like ``PreparedFrame.column`` they hold Python ints from 63 bits
+    on. Fitness is sign-extended from f and reported pre-negation (the
     circuit stores the negated fitness for invalid candidates).
     """
-    image = frame.images[q_values]
-    weight = (image >> plan.w.offset) & ((1 << plan.w.width) - 1)
-    stored = (image >> plan.f.offset) & ((1 << plan.f.width) - 1)
+    weight, stored, flag = (
+        frame.column(register)[q_values]
+        for register in (plan.w, plan.f, RegisterRef("v", plan.v, 1))
+    )
     stored -= (stored >> (plan.f.width - 1)) << plan.f.width
-    valid = ((image >> plan.v) & 1) == 0
+    valid = flag == 0
     return weight, np.where(valid, stored, -stored), valid
 
 
 def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
     """Evaluate every candidate through the oracle's compute stage.
 
-    All candidate basis states go through ``prepare`` once as one int64
-    index map; w, f and v are read off the images as whole columns. Raises
-    CapacityError above 62 qubits.
+    All candidate basis states go through ``prepare`` once as bit planes;
+    w, f and v are read off the images as whole columns.
     """
     plan = plan_registers(instance)
     n = instance.n
@@ -422,6 +423,15 @@ def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
             all_candidates(n), *(column.tolist() for column in columns)
         )
     ]
+
+
+def _draw_thresholds(rng: np.random.Generator, top: int, count: int) -> tuple[int, ...]:
+    """``count`` uniform draws from [0, top]: one ``rng.integers`` call while
+    ``top + 1`` fits int64, else ``random.Random.randint``, seeded from ``rng``."""
+    if top < 1 << 63:
+        return tuple(int(t) for t in rng.integers(0, top + 1, size=count))
+    draw = random.Random(int(rng.integers(1 << 63))).randint
+    return tuple(draw(0, top) for _ in range(count))
 
 
 def verify_instance(
@@ -444,7 +454,7 @@ def verify_instance(
     branches, equivalent to
     ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)`` (see
     ``oracle_marks``), so any ancilla left dirty or any wrong mark is a
-    mismatch. Raises CapacityError above 62 qubits.
+    mismatch. The thresholds are drawn uniformly from [0, sum of values].
     """
     plan = plan_registers(instance)
     n = instance.n
@@ -472,10 +482,8 @@ def verify_instance(
             ),
         )
 
-    rng = np.random.default_rng(threshold_seed)
-    max_threshold = sum(instance.values)
-    thresholds = tuple(
-        int(t) for t in rng.integers(0, max_threshold + 1, size=num_thresholds)
+    thresholds = _draw_thresholds(
+        np.random.default_rng(threshold_seed), sum(instance.values), num_thresholds
     )
     for threshold in thresholds:
         oracle = compile_oracle(instance, plan, threshold, prepare=frame.prepare)
@@ -529,7 +537,7 @@ def maximize(
     once. ``confirmation_count`` consecutive exhausted rounds (default 1)
     end the run. The seed fully determines the run: it spawns independent
     streams for the initial threshold draw, the schedule's j draws, and
-    measurement sampling. Raises CapacityError above 62 qubits.
+    measurement sampling.
     """
     if confirmation_count < 1:
         raise ValueError("confirmation_count must be >= 1")

@@ -1,4 +1,4 @@
-"""Reversible/unitary gate circuits and their action on basis indices.
+"""Reversible/unitary gate circuits and their action on basis states.
 
 Conventions used throughout the package:
 
@@ -9,15 +9,14 @@ Conventions used throughout the package:
 Gate set: X, H, CNOT, TOFFOLI, MCX (multi-controlled X), PERES and its
 adjoint, and a phase flip on the all-zero subspace of a qubit list (the
 phase core of the inversion-about-average operator). All of them except H
-and the phase flip permute basis states; ``permute_indices`` runs a circuit
-of those as an integer map on int64 basis indices, with no amplitudes. It
-runs bit-sliced: one Python int per qubit holds that qubit's bit of every
-index (a bit plane), so a gate costs one or two big-int operations however
-many indices there are. Basis indices are int64 throughout, so no register
-may exceed ``MAX_INDEX_QUBITS`` qubits; that is the only width limit, since
-nothing in the package allocates ``2**qubits`` amplitudes. The search works
-from the oracle's marks in closed form (``grover``); the gate-by-gate state
-vector engine it is checked against lives with the tests.
+and the phase flip permute basis states; ``permute_planes`` runs a circuit
+of those as an integer map on a set of basis states, with no amplitudes.
+The states are held bit-sliced: one Python int per qubit holds that qubit's
+bit of every state (a bit plane), so a gate costs one or two big-int
+operations however many states there are. A register may be any width,
+since nothing in the package allocates ``2**qubits`` amplitudes. The search
+works from the oracle's marks in closed form (``grover``); the gate-by-gate
+state vector engine it is checked against lives with the tests.
 
 Gates are frozen values and a GateSequence is a tuple of them, so both can
 be shared freely: the permutation-gate factories intern their gates (see
@@ -31,15 +30,6 @@ import enum
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
-
-# Widest register whose basis indices and bit masks fit int64 arithmetic.
-MAX_INDEX_QUBITS = 62
-
-
-class CapacityError(Exception):
-    """A register is wider than int64 basis indices can address."""
 
 
 class IntegrityError(Exception):
@@ -225,71 +215,44 @@ class GateSequence:
         return frozenset(q for g in self.gates for q in g.qubits)
 
 
-def check_index_width(num_qubits: int) -> None:
-    """Raise CapacityError if int64 basis indices cannot address ``num_qubits``."""
-    if num_qubits > MAX_INDEX_QUBITS:
-        raise CapacityError(
-            f"{num_qubits} qubits exceeds the {MAX_INDEX_QUBITS}-qubit limit "
-            f"of int64 basis indices"
-        )
+def permute_planes(planes: Sequence[int], gates: Iterable[Gate], size: int) -> list[int]:
+    """Images of ``size`` basis states under permutation gates applied in order.
 
-
-def permute_indices(indices: np.ndarray, gates: Iterable[Gate]) -> np.ndarray:
-    """Images of int64 basis indices under permutation gates applied in order.
-
-    X, CNOT, TOFFOLI, MCX, PERES and PERES_INV send every basis state to one
-    basis state, so a circuit of them is an integer map on basis indices.
-    The indices are transposed once into bit planes (one Python int per
-    qubit; its bit i is that qubit's bit of ``indices[i]``). Each gate XORs
-    its target plane with all ones (X) or with the AND of its control planes
-    (PERES: a Toffoli then a CNOT, PERES_INV the reverse), and the planes are
-    transposed back once. Returns a new int64 array. Raises ValueError on H
-    or CPHASE_FLIP_ZERO, which do not permute the basis, and CapacityError
-    when a gate qubit or an index bit is above ``MAX_INDEX_QUBITS`` (the
-    next bit is int64's sign).
+    The states are given as bit planes: ``planes[k]`` is one Python int whose
+    bit i is qubit k's bit of state i, one plane per qubit. X, CNOT,
+    TOFFOLI, MCX, PERES and PERES_INV send every basis state to one basis
+    state, so each gate XORs its target plane with all ``size`` ones (X) or
+    with the AND of its control planes (PERES: a Toffoli then a CNOT,
+    PERES_INV the reverse): one or two big-int operations per gate, whatever
+    ``size`` is. Returns a new list; planes no gate touches are the input's
+    own ints. Raises ValueError on H or CPHASE_FLIP_ZERO, which do not
+    permute the basis, and IndexError on a qubit past the last plane.
     """
-    out = np.ascontiguousarray(indices, dtype="<i8")
-    n = out.size
-    # Bit k of indices[i] becomes bit k*n + i of ``big``: plane k is the n-bit
-    # slice at k*n. Plane 63, the int64 sign bit, must stay empty.
-    bits = np.unpackbits(out.view(np.uint8), bitorder="little").reshape(n, 64)
-    big = int.from_bytes(np.packbits(bits.T.ravel(), bitorder="little").tobytes(), "little")
-    ones = (1 << n) - 1
-    p = [(big >> (k * n)) & ones for k in range(MAX_INDEX_QUBITS + 1)]
-    if big >> ((MAX_INDEX_QUBITS + 1) * n):
-        check_index_width(MAX_INDEX_QUBITS + 1)
-    try:
-        for gate in gates:
-            kind = gate.kind
-            if kind is _TOFFOLI:
-                c0, c1 = gate.controls
-                p[gate.targets[0]] ^= p[c0] & p[c1]
-            elif kind is _CNOT:
-                p[gate.targets[0]] ^= p[gate.controls[0]]
-            elif kind is _X:
-                p[gate.targets[0]] ^= ones
-            elif kind is _MCX:
-                controls = gate.controls
-                fire = p[controls[0]]
-                for c in controls[1:]:
-                    fire &= p[c]
-                p[gate.targets[0]] ^= fire
-            elif kind is _PERES:
-                a, b, c = gate.targets
-                p[c] ^= p[a] & p[b]
-                p[b] ^= p[a]
-            elif kind is _PERES_INV:
-                a, b, c = gate.targets
-                p[b] ^= p[a]
-                p[c] ^= p[a] & p[b]
-            else:
-                raise ValueError(f"{kind.value} does not permute basis states")
-    except IndexError:  # a qubit past the last plane
-        check_index_width(max(gate.qubits))
-        raise
-    big = 0
-    for plane in reversed(p):
-        big = (big << n) | plane
-    bits = np.unpackbits(np.frombuffer(big.to_bytes(8 * n, "little"), np.uint8), bitorder="little")
-    image = np.packbits(bits.reshape(64, n).T.ravel(), bitorder="little").view("<i8")
-    return image.reshape(out.shape)
+    p = list(planes)
+    ones = (1 << size) - 1
+    for gate in gates:
+        kind = gate.kind
+        if kind is _TOFFOLI:
+            c0, c1 = gate.controls
+            p[gate.targets[0]] ^= p[c0] & p[c1]
+        elif kind is _CNOT:
+            p[gate.targets[0]] ^= p[gate.controls[0]]
+        elif kind is _X:
+            p[gate.targets[0]] ^= ones
+        elif kind is _MCX:
+            controls = gate.controls
+            fire = p[controls[0]]
+            for c in controls[1:]:
+                fire &= p[c]
+            p[gate.targets[0]] ^= fire
+        elif kind is _PERES:
+            a, b, c = gate.targets
+            p[c] ^= p[a] & p[b]
+            p[b] ^= p[a]
+        elif kind is _PERES_INV:
+            a, b, c = gate.targets
+            p[b] ^= p[a]
+            p[c] ^= p[a] & p[b]
+        else:
+            raise ValueError(f"{kind.value} does not permute basis states")
+    return p

@@ -44,6 +44,18 @@ def apply_to_basis(num_qubits: int, sequence: sv.GateSequence, basis: int) -> in
     return out
 
 
+def push_states(states, gates, num_qubits: int) -> list[int]:
+    """Basis states (ints of any width) through ``permute_planes`` and back.
+
+    The states are transposed into one bit plane per qubit, and the images
+    back, bit by bit in plain Python, independently of the kernel.
+    """
+    states = [int(s) for s in states]
+    planes = [sum(((s >> k) & 1) << i for i, s in enumerate(states)) for k in range(num_qubits)]
+    image = sv.permute_planes(planes, gates, len(states))
+    return [sum(((p >> i) & 1) << k for k, p in enumerate(image)) for i in range(len(states))]
+
+
 def operand_registers(n: int) -> tuple[ar.RegisterRef, ar.RegisterRef, int, int]:
     """Two n-bit registers plus a high/flag qubit and a control qubit."""
     a = ar.RegisterRef("a", 0, n)

@@ -7,7 +7,7 @@ so a state costs memory in proportion to its support rather than to
 ``2**num_qubits``: the oracle circuits keep a search state at 2N entries for
 N candidates, whatever the register width. Permutation gates move the
 indices with ``index_step``, numpy algebra on the index array that is
-independent of the bit-plane kernel ``qsmax.statevector.permute_indices``.
+independent of the bit-plane kernel ``qsmax.statevector.permute_planes``.
 ``sample_basis`` is the ``Generator.choice`` sampler whose draws the fused
 measurement replays.
 
@@ -29,12 +29,14 @@ from qsmax.statevector import (
     GateKind,
     GateSequence,
     IntegrityError,
-    check_index_width,
     h,
     x,
 )
 
 ANCILLA_TOLERANCE = 1e-12
+
+# Widest register whose basis indices and bit masks fit int64 arithmetic.
+MAX_INDEX_QUBITS = 62
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -52,7 +54,11 @@ def new_basis_state(num_qubits: int, basis: int) -> SparseState:
     """Computational basis state |basis>."""
     if num_qubits < 1:
         raise ValueError(f"need at least 1 qubit, got {num_qubits}")
-    check_index_width(num_qubits)
+    if num_qubits > MAX_INDEX_QUBITS:
+        raise ValueError(
+            f"{num_qubits} qubits exceeds the {MAX_INDEX_QUBITS}-qubit limit "
+            f"of int64 basis indices"
+        )
     if not 0 <= basis < (1 << num_qubits):
         raise ValueError(f"basis index {basis} out of range for {num_qubits} qubits")
     return SparseState(num_qubits, np.array([basis], dtype=np.int64), np.ones(1, dtype=np.complex128))
@@ -97,7 +103,7 @@ def _lookup(state: SparseState, indices: np.ndarray) -> np.ndarray:
 def index_step(indices: np.ndarray, gate: Gate) -> np.ndarray:
     """Images of basis indices under one permutation gate, as numpy algebra.
 
-    The reference for ``permute_indices``, which runs on bit planes instead.
+    The reference for ``permute_planes``, which runs on bit planes instead.
     """
     out = np.array(indices, dtype=np.int64)
     kind = gate.kind

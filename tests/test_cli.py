@@ -21,15 +21,43 @@ from qsmax.cli import (
     RunConfig,
     parse_instance,
 )
-from qsmax.knapsack import VerifyReport, all_candidates, classical_evaluate
+from qsmax.knapsack import (
+    CapacityError,
+    VerifyReport,
+    all_candidates,
+    classical_evaluate,
+    classical_max,
+)
 
 DEMO = str(DEMO_INSTANCE_FILE)
+# Four items with fields near 2^70: a 224-qubit register plan.
+WIDE = str(DEMO_INSTANCE_FILE.parent / "knapsack_wide.txt")
+# 102 qubits: past the widest register int64 basis indices could address.
+PAST_INT64_BODY = "capacity 1\nitem 1073741824 1073741824\nitem 1073741824 1073741824\n"
+THIRTEEN_ITEMS_BODY = "capacity 5\n" + "item 1 1\n" * 13
 
 
 def write_instance(tmp_path, text, name="case.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def assert_table_is_brute_force(stdout, path):
+    """``table`` rows equal the per-string reference, in table order."""
+    instance = parse_instance(path)
+    expected = [classical_evaluate(instance, c) for c in all_candidates(instance.n)]
+    rows = [line.split() for line in stdout.splitlines()[1:]]
+    assert [(r[0], int(r[1]), int(r[2]), r[3] == "valid") for r in rows] == [
+        (e.candidate, e.fitness, e.weight, e.valid) for e in expected
+    ]
+
+
+def assert_solve_finds_brute_force_max(stdout, path):
+    """A machine-format ``solve`` trace ends at the brute-force optimum."""
+    best = classical_max(parse_instance(path))
+    last = dict(field.split("=") for field in stdout.splitlines()[-1].split())
+    assert (last["final_candidate"], int(last["final_fitness"])) == (best.candidate, best.fitness)
 
 
 class TestParseInstance:
@@ -89,9 +117,8 @@ class TestParseInstance:
             parse_instance(write_instance(tmp_path, "capacity 5\n"))
 
     def test_too_many_items(self, tmp_path):
-        body = "capacity 5\n" + "item 1 1\n" * 13
-        with pytest.raises(InstanceParseError, match="item count"):
-            parse_instance(write_instance(tmp_path, body))
+        with pytest.raises(CapacityError, match="item count 13"):
+            parse_instance(write_instance(tmp_path, THIRTEEN_ITEMS_BODY))
 
 
 class TestSolveCommand:
@@ -171,10 +198,21 @@ class TestExitCodes:
         assert "line 2" in capsys.readouterr().err
 
     def test_capacity_error(self, tmp_path, capsys):
+        path = write_instance(tmp_path, THIRTEEN_ITEMS_BODY)
+        for command in ("solve", "verify", "table", "estimate"):
+            assert cli.main([command, path]) == EXIT_CAPACITY
+            assert "error: item count 13 exceeds 12" in capsys.readouterr().err
+
+    def test_64_qubit_plan_exits_zero(self, tmp_path, capsys):
+        # Twelve items, 64 qubits: register width alone never refuses a plan.
         body = "capacity 10\n" + "".join("item 5000 5000\n" for _ in range(12))
         path = write_instance(tmp_path, body)
-        assert cli.main(["solve", path]) == EXIT_CAPACITY
-        assert "qubits" in capsys.readouterr().err
+        assert cli.main(["solve", path, "--format", "machine"]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("seed=0 qubits=64 ")
+        assert_solve_finds_brute_force_max(stdout, path)
+        assert cli.main(["table", path]) == EXIT_OK
+        assert_table_is_brute_force(capsys.readouterr().out, path)
 
     def test_verify_mismatch_maps_to_exit_3(self, monkeypatch, capsys):
         fake = VerifyReport(
@@ -414,21 +452,25 @@ class TestExitCodeContract:
         assert self._run("verify", path).returncode == EXIT_OK
         result = self._run("table", path)
         assert result.returncode == EXIT_OK
-        instance = parse_instance(path)
-        expected = [classical_evaluate(instance, c) for c in all_candidates(instance.n)]
-        rows = [line.split() for line in result.stdout.splitlines()[1:]]
-        assert [(r[0], int(r[1]), int(r[2]), r[3] == "valid") for r in rows] == [
-            (e.candidate, e.fitness, e.weight, e.valid) for e in expected
-        ]
+        assert_table_is_brute_force(result.stdout, path)
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_cap_raised_past_int64_indices_is_capacity_error(self, tmp_path, command):
-        # 102 qubits: past the only width limit, that of int64 basis indices
-        body = "capacity 1\nitem 1073741824 1073741824\nitem 1073741824 1073741824\n"
-        path = write_instance(tmp_path, body)
-        result = self._run(command, path)
+    def test_plan_past_int64_width_exits_zero(self, tmp_path, command):
+        path = write_instance(tmp_path, PAST_INT64_BODY)
+        if command == "solve":
+            result = self._run(command, path, "--format", "machine")
+            assert_solve_finds_brute_force_max(result.stdout, path)
+        else:
+            result = self._run(command, path)
+            assert result.stdout == "OK (4 candidates checked)\n"
+        assert result.returncode == EXIT_OK, result.stderr
+
+    def test_too_many_items_is_capacity_error(self, tmp_path):
+        result = self._run("solve", write_instance(tmp_path, THIRTEEN_ITEMS_BODY))
         assert result.returncode == EXIT_CAPACITY
-        assert "int64" in result.stderr
+        assert result.stderr == (
+            "error: item count 13 exceeds 12: the oracle frame would hold 2^14 basis states\n"
+        )
 
     def test_verify_mismatch(self):
         result = self._run("verify", DEMO, main=_DIRTY_ORACLE_MAIN)
@@ -471,3 +513,17 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert "OK (16 candidates checked)" in result.stdout
+
+
+class TestWideInstanceFile:
+    """The checked-in 224-qubit instance runs like any other."""
+
+    def test_solve_verify_and_table_agree_with_brute_force(self, capsys):
+        assert cli.main(["solve", WIDE, "--format", "machine"]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("seed=0 qubits=224 ")
+        assert_solve_finds_brute_force_max(stdout, WIDE)
+        assert cli.main(["verify", WIDE]) == EXIT_OK
+        assert capsys.readouterr().out == "OK (16 candidates checked)\n"
+        assert cli.main(["table", WIDE]) == EXIT_OK
+        assert_table_is_brute_force(capsys.readouterr().out, WIDE)

@@ -12,6 +12,7 @@ from conftest import (
     DEMO_CAPACITY,
     DEMO_ITEMS,
     permutation_kinds,
+    push_states,
     random_gate,
     random_sequence,
 )
@@ -40,7 +41,6 @@ from qsmax.statevector import (
     cnot,
     h,
     mcx,
-    permute_indices,
     toffoli,
     x,
 )
@@ -114,8 +114,8 @@ def whole_oracle_marks(oracle: OracleCircuit):
     kick = 1 << oracle.kickback_qubit
     register = np.arange(1 << q.width, dtype=np.int64) << q.offset
     whole = oracle.prepare + oracle.mark + oracle.unprepare
-    image0 = permute_indices(register, whole)
-    image1 = permute_indices(register | kick, whole)
+    image0 = np.array(push_states(register, whole, oracle.num_qubits))
+    image1 = np.array(push_states(register | kick, whole, oracle.num_qubits))
     flips0, flips1 = image0 ^ register, image1 ^ register ^ kick
     bad = np.flatnonzero((flips0 != flips1) | ((flips0 & ~kick) != 0))
     if bad.size:
@@ -392,28 +392,35 @@ class TestFusedSearch:
 
     def test_measurement_replays_sample_basis(self):
         # The old measurement: the iterated amplitudes over the whole frame,
-        # sampled by Generator.choice. Both generators must give the same
-        # outcome and stay in step.
+        # sampled by Generator.choice in sorted order of full-register
+        # indices. Both generators must give the same outcome and stay in
+        # step, and the sorted order must be the structural one boyer_search
+        # uses: branches concatenated, or interleaved with the kickback below q.
         rng = np.random.default_rng(29)
         draws = disagreements = 0
         for trial in range(600):
             n = int(rng.integers(1, 11))
             size = 1 << n
-            layout = toy_oracle(n, set(), kickback_below_q=bool(trial % 2))
-            frame = prepare_frame(
-                layout.prepare, layout.q_register, layout.kickback_qubit, layout.num_qubits
-            )
+            below = bool(trial % 2)
+            layout = toy_oracle(n, set(), kickback_below_q=below)
+            register = np.arange(size, dtype=np.int64) << layout.q_register.offset
+            basis = np.concatenate((register, register | (1 << layout.kickback_qubit)))
+            order = np.argsort(basis)
+            sorted_basis = basis[order]
             m = int(rng.integers(0, size + 1))
             marks = np.zeros(size, dtype=bool)
             marks[rng.choice(size, m, replace=False)] = True
-            prefix = np.cumsum(np.concatenate((marks, marks))[frame.order]).tolist()
+            frame_marks = np.concatenate((marks, marks))[order]
+            structural = np.repeat(marks, 2) if below else np.tile(marks, 2)
+            assert frame_marks.tolist() == structural.tolist()
+            prefix = np.cumsum(frame_marks).tolist()
             old_rng, new_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             for _ in range(5):
                 j = int(rng.integers(0, math.ceil(math.sqrt(size)) + 1))
                 half = next(itertools.islice(iterated_amplitudes(marks), j, None)) ** 2 / 2.0
-                probs = np.concatenate((half, half))[frame.order]
-                expected = sample_basis(frame.sorted_basis, probs, old_rng)
-                got = grover._measure(frame.sorted_basis, prefix, j, new_rng)
+                probs = np.concatenate((half, half))[order]
+                expected = sample_basis(sorted_basis, probs, old_rng)
+                got = int(sorted_basis[grover._measure(prefix, j, new_rng)])
                 draws += 1
                 disagreements += got != expected
             assert old_rng.random() == new_rng.random()

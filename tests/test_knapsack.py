@@ -19,6 +19,8 @@ from qsmax import knapsack as kp
 from qsmax import statevector as sv
 from qsmax.grover import OracleCircuit, build_diffusion
 from qsmax.knapsack import (
+    MAX_ITEMS,
+    CapacityError,
     KnapsackInstance,
     all_candidates,
     candidate_indices,
@@ -35,8 +37,6 @@ from qsmax.knapsack import (
     verify_instance,
 )
 from qsmax.statevector import (
-    MAX_INDEX_QUBITS,
-    CapacityError,
     GateSequence,
     cnot,
     h,
@@ -78,8 +78,9 @@ class TestInstance:
     def test_validation(self):
         with pytest.raises(ValueError):
             KnapsackInstance((), 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError, match="item count 13"):
             KnapsackInstance(tuple((1, 1) for _ in range(13)), 5)
+        assert KnapsackInstance(tuple((1, 1) for _ in range(MAX_ITEMS)), 5).n == 12
         with pytest.raises(ValueError):
             KnapsackInstance(((1, -1),), 5)
         with pytest.raises(ValueError):
@@ -149,11 +150,13 @@ class TestRegisterPlan:
         assert plan.f.width == 2
 
     def test_capacity_error_names_total(self):
-        # Any width is planned; running past the int64 index limit is refused.
+        # Width is never refused: a 64-qubit plan runs like any other. Only
+        # the item count is, and the error names it.
         heavy = KnapsackInstance(tuple((5000, 5000) for _ in range(12)), 10)
         assert plan_registers(heavy).total_qubits == 64
-        with pytest.raises(CapacityError, match="64 qubits"):
-            enumerate_table(heavy)
+        assert enumerate_table(heavy) == reference_table(heavy)
+        with pytest.raises(CapacityError, match="item count 13 exceeds 12"):
+            KnapsackInstance(heavy.items + ((1, 1),), 10)
 
     def test_deterministic(self, demo_instance):
         assert plan_registers(demo_instance) == plan_registers(demo_instance)
@@ -333,7 +336,7 @@ class TestVerify:
         monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
         report = verify_instance(demo_instance)
         assert not report.ok
-        assert report.thresholds_checked == (5, 15, 2, 4, 7)
+        assert report.thresholds_checked == (5, 15, 2, 4, 7)  # one rng.integers call below 2^63
         # First threshold in draw order, first candidate in table order.
         assert report.mismatch == (
             "candidate 0001 at threshold 2: kickback phase disagrees with "
@@ -380,15 +383,26 @@ def reference_max(instance):
     return best
 
 
+def _huge(draw, bit_lengths):
+    """A field of one of ``bit_lengths`` bits."""
+    bits = draw(st.sampled_from(bit_lengths))
+    return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+
 @st.composite
-def edge_instances(draw, max_items=6, field=st.integers(0, 15), huge=1 << 20):
+def edge_instances(draw, max_items=6, field=st.integers(0, 15), huge=(20, 40, 63, 64, 71)):
     """Instances with zero weights or values, capacity 0 or past the total,
-    a single item, and at times one weight wide enough to widen w and g."""
+    a single item, and at times one weight and one value of ``huge`` bit
+    lengths, wide enough to widen w, f and g. From 64 bits the field is past
+    2^63: object columns and plans of over 62 qubits."""
     n = draw(st.integers(1, max_items))
     items = draw(st.lists(st.tuples(field, field), min_size=n, max_size=n))
     if huge and draw(st.booleans()):
         k = draw(st.integers(0, n - 1))
-        items[k] = (draw(st.integers(huge // 2, huge)), items[k][1])
+        items[k] = (_huge(draw, huge), items[k][1])
+    if huge and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        items[k] = (items[k][0], _huge(draw, huge))
     total = sum(w for w, _ in items)
     capacity = draw(
         st.sampled_from(("between", "zero", "total_or_more")).flatmap(
@@ -413,6 +427,15 @@ def assert_columns_match_reference(instance):
     assert classical_max(instance) == reference_max(instance)
 
 
+def assert_circuit_matches_reference(instance):
+    table = enumerate_table(instance)
+    assert table == reference_table(instance)
+    assert [(r.weight, r.fitness, r.valid) for r in table] == column_rows(instance)
+    report = verify_instance(instance)
+    assert report.ok, report.mismatch
+    assert all(0 <= t <= sum(instance.values) for t in report.thresholds_checked)
+
+
 class TestThreeWayAgreement:
     """Brute-force columns, the per-string reference and the circuit agree."""
 
@@ -422,17 +445,12 @@ class TestThreeWayAgreement:
 
     @given(edge_instances())
     def test_circuit_table_and_verify_match_brute_force(self, instance):
-        assert plan_registers(instance).total_qubits <= MAX_INDEX_QUBITS
-        table = enumerate_table(instance)
-        assert table == reference_table(instance)
-        assert [(r.weight, r.fitness, r.valid) for r in table] == column_rows(instance)
-        report = verify_instance(instance)
-        assert report.ok, report.mismatch
+        assert_circuit_matches_reference(instance)
 
-    @given(edge_instances(max_items=5, field=st.integers(1 << 60, 1 << 70), huge=0))
+    @given(edge_instances(max_items=5, field=st.integers(1 << 60, 1 << 70), huge=()))
     def test_sums_past_int64_do_not_overflow(self, instance):
-        # Reference against reference only: no plan this wide fits int64 indices.
         assert_columns_match_reference(instance)
+        assert_circuit_matches_reference(instance)
 
     def test_sums_past_int64_use_python_ints(self):
         instance = KnapsackInstance(((1 << 62, 1 << 62), (1 << 62, 1 << 62)), 1 << 63)
@@ -449,7 +467,7 @@ def small_plans(draw, max_qubits=20):
     """An edge instance whose register plan has at most ``max_qubits`` qubits,
     and a threshold anywhere in its fitness register's range."""
     instance = draw(
-        edge_instances(max_items=4, field=st.integers(0, 7), huge=0).filter(
+        edge_instances(max_items=4, field=st.integers(0, 7), huge=()).filter(
             lambda i: plan_registers(i).total_qubits <= max_qubits
         )
     )
@@ -497,21 +515,21 @@ class TestComputeOnce:
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """Gates of every ``permute_indices`` call and every compiled oracle."""
+        """Gates of every ``permute_planes`` call and every compiled oracle."""
         pushed, compiled = [], []
-        push, compile_clean = sv.permute_indices, kp.compile_oracle
+        push, compile_clean = sv.permute_planes, kp.compile_oracle
 
-        def counting_push(indices, gates):
+        def counting_push(planes, gates, size):
             pushed.append(tuple(gates))
-            return push(indices, gates)
+            return push(planes, gates, size)
 
         def recording_compile(*args, **kwargs):
             compiled.append(compile_clean(*args, **kwargs))
             return compiled[-1]
 
         for module in (grover, kp, sv):
-            if hasattr(module, "permute_indices"):
-                monkeypatch.setattr(module, "permute_indices", counting_push)
+            if hasattr(module, "permute_planes"):
+                monkeypatch.setattr(module, "permute_planes", counting_push)
         monkeypatch.setattr(kp, "compile_oracle", recording_compile)
         return pushed, compiled
 
@@ -569,11 +587,11 @@ class TestBuiltOnce:
 
 
 class TestWideRegisters:
-    """Index maps need no dense state, so only the int64 width limits them."""
+    """Bit planes need no dense state, so no register width limits them."""
 
     # 36 qubits but a four-entry frame: the width costs only gates
     WIDE = KnapsackInstance(((1000, 1), (1, 1000)), 1000)
-    # 102 qubits: past the 62-qubit limit of int64 basis indices
+    # 102 qubits: past the widest register int64 basis indices could address
     TOO_WIDE = KnapsackInstance(((2**30, 2**30), (2**30, 2**30)), 1)
 
     def test_wide_instance_solves_and_verifies_above_the_default_cap(self):
@@ -584,19 +602,33 @@ class TestWideRegisters:
         trace = maximize(self.WIDE, seed=3)
         assert (trace.final_candidate, trace.final_fitness) == ("01", 1000)
 
-    def test_past_int64_width_raises_capacity_error(self):
+    def test_past_int64_width_agrees_with_brute_force(self):
         assert plan_registers(self.TOO_WIDE).total_qubits == 102
-        with pytest.raises(CapacityError, match="int64"):
-            enumerate_table(self.TOO_WIDE)
-        with pytest.raises(CapacityError, match="int64"):
-            verify_instance(self.TOO_WIDE)
-        with pytest.raises(CapacityError, match="int64"):
-            maximize(self.TOO_WIDE, seed=0)
+        assert enumerate_table(self.TOO_WIDE) == reference_table(self.TOO_WIDE)
+        assert verify_instance(self.TOO_WIDE).ok
+        best = classical_max(self.TOO_WIDE)
+        for seed in range(3):
+            trace = maximize(self.TOO_WIDE, seed=seed)
+            assert (trace.final_fitness, trace.total_qubits) == (best.fitness, 102)
 
-    def test_past_int64_width_is_refused_before_compiling(self, monkeypatch):
-        monkeypatch.setattr(kp, "compile_prepare", lambda *a: pytest.fail("compiled"))
-        with pytest.raises(CapacityError, match="102 qubits"):
-            enumerate_table(self.TOO_WIDE)
+    def test_twelve_items_of_220_qubits(self):
+        # Every field past 2^63, sums near 2^68: a 220-qubit plan.
+        items = tuple(((1 << 64) + k, (1 << 64) + 3 * k) for k in range(12))
+        instance = KnapsackInstance(items, sum(w for w, _ in items) // 2)
+        assert plan_registers(instance).total_qubits == 220
+        assert verify_instance(instance).ok
+        best = classical_max(instance)
+        assert maximize(instance, seed=1).final_fitness == best.fitness
+
+    def test_thresholds_past_int64_are_drawn(self):
+        # Value sums of about 2^80: numpy's int64 bound would refuse the draw.
+        instance = KnapsackInstance(((1, 1 << 80), (2, (1 << 80) + 7), (3, 5)), 3)
+        report = verify_instance(instance)
+        assert report.ok, report.mismatch
+        assert len(report.thresholds_checked) == 5
+        assert all(0 <= t <= sum(instance.values) for t in report.thresholds_checked)
+        assert max(report.thresholds_checked) >= 1 << 63
+        assert verify_instance(instance) == report
 
 
 class TestMaximize:
@@ -621,7 +653,8 @@ class TestMaximize:
     def test_single_item_four_entry_frame(self, items, capacity):
         instance = KnapsackInstance(items, capacity)
         plan = plan_registers(instance)
-        assert kp._compute_frame(instance, plan).images.size == 4
+        frame = kp._compute_frame(instance, plan)
+        assert frame.candidates == 2 and all(plane < 1 << 4 for plane in frame.planes)
         assert verify_instance(instance).ok
         best = classical_max(instance)
         for seed in range(5):

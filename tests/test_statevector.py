@@ -1,4 +1,4 @@
-"""Gate IR, the basis-index map, and the sparse reference engine.
+"""Gate IR, the bit-plane basis-state map, and the sparse reference engine.
 
 The reference engine (``reference_engine``) runs circuits gate by gate for
 the other tests; here it is itself checked against unitaries built
@@ -12,26 +12,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import apply_to_basis, permutation_kinds, random_sequence
+from conftest import apply_to_basis, permutation_kinds, push_states, random_sequence
 from qsmax.statevector import (
-    CapacityError,
     Gate,
     GateKind,
     GateSequence,
     IntegrityError,
-    MAX_INDEX_QUBITS,
-    check_index_width,
     cnot,
     cphase_flip_zero,
     h,
     mcx,
     peres,
     peres_inv,
-    permute_indices,
+    permute_planes,
     toffoli,
     x,
 )
 from reference_engine import (
+    MAX_INDEX_QUBITS,
     amplitude_vector,
     apply_gate,
     apply_sequence,
@@ -379,24 +377,24 @@ class TestEngineProperties:
 
 
 class TestIndexMap:
-    """``permute_indices`` against the gate-by-gate engine on basis states."""
+    """``permute_planes`` against the gate-by-gate engine on basis states."""
 
     @pytest.mark.parametrize("num_qubits", [3, 5, 7])
     def test_matches_gate_level_on_all_basis_inputs(self, num_qubits):
         rng = np.random.default_rng(400 + num_qubits)
-        basis = np.arange(1 << num_qubits, dtype=np.int64)
+        basis = range(1 << num_qubits)
         for _ in range(6):
             seq = random_sequence(rng, num_qubits, 40, kinds=permutation_kinds())
-            expected = [apply_to_basis(num_qubits, seq, int(b)) for b in basis]
-            assert permute_indices(basis, seq).tolist() == expected
+            expected = [apply_to_basis(num_qubits, seq, b) for b in basis]
+            assert push_states(basis, seq, num_qubits) == expected
 
     def test_matches_kronecker_permutation_matrix(self):
         # apply_to_basis moves indices with the reference engine's numpy step;
-        # the Kronecker-product unitary is independent of both index kernels.
+        # the Kronecker-product unitary is independent of both kernels.
         rng = np.random.default_rng(17)
         num_qubits = 5
         seq = random_sequence(rng, num_qubits, 60, kinds=permutation_kinds())
-        image = permute_indices(np.arange(1 << num_qubits), seq)
+        image = push_states(range(1 << num_qubits), seq, num_qubits)
         expected = np.zeros((1 << num_qubits, 1 << num_qubits))
         expected[image, np.arange(1 << num_qubits)] = 1.0
         np.testing.assert_array_equal(kron_unitary(num_qubits, seq), expected)
@@ -404,28 +402,30 @@ class TestIndexMap:
     @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6])
     def test_reverse_inverts_the_map_on_all_basis_inputs(self, num_qubits):
         # The premise of oracle_marks' check: unprepare = prepare.reverse()
-        # sends prepare's image of every basis index back to that index.
+        # sends prepare's image of every basis state back to that state.
         rng = np.random.default_rng(500 + num_qubits)
-        basis = np.arange(1 << num_qubits, dtype=np.int64)
+        basis = list(range(1 << num_qubits))
         for _ in range(8):
             seq = random_sequence(rng, num_qubits, 40, kinds=permutation_kinds())
-            image = permute_indices(basis, seq)
-            assert permute_indices(image, seq.reverse()).tolist() == basis.tolist()
+            image = push_states(basis, seq, num_qubits)
+            assert push_states(image, seq.reverse(), num_qubits) == basis
 
     def test_input_is_not_modified(self):
-        basis = np.arange(8, dtype=np.int64)
-        permute_indices(basis, [x(0), cnot(0, 1), peres(0, 1, 2)])
-        assert basis.tolist() == list(range(8))
+        planes = [0b10101010, 0b11001100, 0b11110000]
+        image = permute_planes(planes, [x(0), cnot(0, 1), peres(0, 1, 2)], 8)
+        assert planes == [0b10101010, 0b11001100, 0b11110000]
+        assert image != planes
 
     @pytest.mark.parametrize("gate", [h(0), cphase_flip_zero([0, 1])])
     def test_rejects_non_permutation_gates(self, gate):
         with pytest.raises(ValueError, match="does not permute"):
-            permute_indices(np.arange(4), [x(1), gate])
+            permute_planes([0b1010, 0b1100], [x(1), gate], 4)
 
     def test_int64_width_guard(self):
-        check_index_width(MAX_INDEX_QUBITS)
-        with pytest.raises(CapacityError, match="int64"):
-            check_index_width(MAX_INDEX_QUBITS + 1)
+        # The reference engine holds int64 indices; the plane kernel has no such limit.
+        new_basis_state(MAX_INDEX_QUBITS, 0)
+        with pytest.raises(ValueError, match="int64"):
+            new_basis_state(MAX_INDEX_QUBITS + 1, 0)
 
 
 class TestPlaneKernel:
@@ -439,10 +439,9 @@ class TestPlaneKernel:
         return out
 
     def _check(self, num_qubits, seq, indices):
-        image = permute_indices(indices, seq)
-        assert image.dtype == np.int64 and image.shape == (len(indices),)
+        image = push_states(indices, seq, num_qubits)
         expected = [apply_to_basis(num_qubits, seq, int(b)) for b in indices]
-        assert image.tolist() == expected
+        assert image == expected
         assert self._numpy_steps(indices, seq).tolist() == expected
 
     @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6, 7])
@@ -455,23 +454,24 @@ class TestPlaneKernel:
 
     def test_empty_array(self):
         seq = GateSequence([x(0), cnot(0, 1), peres(0, 1, 2)])
-        image = permute_indices(np.array([], dtype=np.int64), seq)
-        assert image.dtype == np.int64 and image.shape == (0,)
+        assert permute_planes([0, 0, 0], seq, 0) == [0, 0, 0]
 
     @pytest.mark.parametrize("count", [1, 3, 4, 9])
     def test_counts_that_pad_the_planes(self, count):
-        # Planes of 1, 3, 4 or 9 bits end inside a byte of the packed buffer.
+        # X flips exactly ``count`` bits: no plane grows past the last state.
         rng = np.random.default_rng(700 + count)
         for _ in range(4):
             seq = random_sequence(rng, 6, 40, kinds=permutation_kinds())
             self._check(6, seq, rng.integers(0, 64, size=count))
+            planes = permute_planes([0] * 6, seq, count)
+            assert all(0 <= plane < 1 << count for plane in planes)
 
     def test_untouched_high_bit_passes_through(self):
         rng = np.random.default_rng(71)
         seq = random_sequence(rng, 5, 40, kinds=permutation_kinds())
-        basis = np.arange(32, dtype=np.int64)
-        high = permute_indices(basis | (1 << 61), seq)
-        assert high.tolist() == (permute_indices(basis, seq) | (1 << 61)).tolist()
+        basis = range(32)
+        high = push_states([b | (1 << 130) for b in basis], seq, 131)
+        assert high == [b | (1 << 130) for b in push_states(basis, seq, 5)]
 
     def test_wide_mcx(self):
         seq = GateSequence([x(0), mcx([0, 1, 2, 3, 4], 5), mcx([6, 5, 4, 3, 2, 1], 0)])
@@ -484,14 +484,20 @@ class TestPlaneKernel:
             seq = random_sequence(rng, 5, 30, kinds=kinds)
             self._check(5, seq, np.arange(32, dtype=np.int64))
 
-    def test_qubit_62_is_the_widest(self):
-        image = permute_indices(np.array([0, 1]), [x(62), cnot(0, 61)])
-        assert image.tolist() == [1 << 62, (1 << 62) | (1 << 61) | 1]
-        image = permute_indices(np.array([1 << 62, 2]), [cnot(62, 0), cnot(1, 62)])
-        assert image.tolist() == [(1 << 62) | 1, (1 << 62) | 2]
-        with pytest.raises(CapacityError, match="int64"):
-            permute_indices(np.array([0, 1]), [x(1), cnot(0, 63)])
+    def test_qubits_past_int64_width(self):
+        # The same circuits with every operand shifted by 64, on states shifted
+        # by 64: qubits 64..70 act as qubits 0..6 did.
+        rng = np.random.default_rng(800)
+        for num_qubits in (3, 5, 7) * 4:
+            basis = range(1 << num_qubits)
+            seq = random_sequence(rng, num_qubits, 40, kinds=permutation_kinds())
+            shifted = GateSequence(
+                Gate(g.kind, tuple(t + 64 for t in g.targets), tuple(c + 64 for c in g.controls))
+                for g in seq
+            )
+            expected = [apply_to_basis(num_qubits, seq, b) << 64 for b in basis]
+            assert push_states([b << 64 for b in basis], shifted, num_qubits + 64) == expected
 
-    def test_negative_index_is_past_the_width(self):
-        with pytest.raises(CapacityError, match="int64"):
-            permute_indices(np.array([3, -1]), [x(0)])
+    def test_qubit_past_the_last_plane(self):
+        with pytest.raises(IndexError):
+            permute_planes([0b01, 0b10], [x(1), cnot(0, 2)], 2)
