@@ -42,6 +42,7 @@ from .knapsack import (
     VerifyReport,
     classical_evaluate,
     classical_max,
+    compile_frame,
     compile_oracle,
     enumerate_table,
     estimate_resources,
@@ -90,6 +91,7 @@ __all__ = [
     "build_subtractor",
     "classical_evaluate",
     "classical_max",
+    "compile_frame",
     "compile_oracle",
     "enumerate_table",
     "estimate_resources",

@@ -5,6 +5,8 @@ Instance file grammar (line oriented, ``#`` starts a comment):
     capacity <uint>          exactly once
     item <weight> <value>    one line per item, in item order
 
+Every field is a ``<uint>``: one or more ASCII decimal digits.
+
 Exit codes: 0 success; 1 parse, I/O or command-line usage error (including
 a flag value out of range: ``--seed`` below 0, ``--max-rounds`` or
 ``--confirmations`` below 1, an ``--initial-threshold`` the fitness register
@@ -42,23 +44,12 @@ from .knapsack import (
     plan_registers,
     verify_instance,
 )
-from .statevector import IntegrityError
+from .statevector import GateKind, IntegrityError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAPACITY = 2
 EXIT_MISMATCH = 3
-
-_GATE_KIND_ORDER = (
-    "X",
-    "H",
-    "CNOT",
-    "TOFFOLI",
-    "PERES",
-    "PERES_INV",
-    "MCX",
-    "CPHASE_FLIP_ZERO",
-)
 
 
 class InstanceParseError(Exception):
@@ -131,18 +122,13 @@ def parse_instance(path: str) -> KnapsackInstance:
 
 
 def _parse_uint(fields: list[str], position: int, lineno: int, what: str) -> int:
-    if position >= len(fields):
-        raise InstanceParseError(f"line {lineno}: missing {what}")
-    try:
-        value = int(fields[position])
-    except ValueError:
+    text = fields[position]
+    # ASCII digits only: int() would also take "1_0", "+5", "-0" and non-ASCII digits.
+    if not (text.isascii() and text.isdigit()):
         raise InstanceParseError(
-            f"line {lineno}: {what} must be an unsigned integer, "
-            f"got {fields[position]!r}"
-        ) from None
-    if value < 0:
-        raise InstanceParseError(f"line {lineno}: {what} must be >= 0")
-    return value
+            f"line {lineno}: {what} must be an unsigned integer, got {text!r}"
+        )
+    return int(text)
 
 
 def _emit_machine(trace: SearchTrace, config: RunConfig, out) -> None:
@@ -262,9 +248,9 @@ def cmd_estimate(path: str, out=None) -> int:
     estimate = estimate_resources(instance)
     print(f"qubits: {estimate.qubits}", file=out)
     print("gate_counts:", file=out)
-    for kind in _GATE_KIND_ORDER:
-        if kind in estimate.gate_counts:
-            print(f"  {kind}: {estimate.gate_counts[kind]}", file=out)
+    for kind in GateKind:
+        if kind.value in estimate.gate_counts:
+            print(f"  {kind.value}: {estimate.gate_counts[kind.value]}", file=out)
     print(f"toffoli_equivalent: {estimate.toffoli_equivalent}", file=out)
     print(f"grover_iterations_m1: {estimate.grover_iterations_expected}", file=out)
     return EXIT_OK

@@ -16,15 +16,16 @@ The search needs only the oracle's phase pattern. Every oracle stage is a
 permutation circuit, so its effect on basis states is an integer map. Once
 per instance, ``prepare_frame`` writes the frame (every q value with the
 kickback at 0 and at 1) as bit planes and pushes them through the
-threshold-independent compute stage. Per round, ``oracle_marks`` pushes
-those images through ``mark`` only, reads the marked set off them and
-checks the uncompute exactly, by big-int XOR/OR over the planes. A Grover
-iteration is a sign flip on the marked set followed by ``a - 2 mean(a)``,
-so after j iterations, with sin^2(theta) = M/N for M marked of N, every
-marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M) and every other
-one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed form). A measurement
-is one uniform draw and a bisection over the round's prefix counts of
-marked entries. Nothing here holds a state vector; the tests check this
+threshold-independent compute stage. A round's ``OracleCircuit`` is that
+frame plus the round's ``mark``, and ``oracle_marks`` pushes the frame's
+images through ``mark`` only, reads the marked set off them and checks the
+uncompute (``prepare.reverse()``) exactly, by big-int XOR/OR over the
+planes. A Grover iteration is a sign flip on the marked set followed by
+``a - 2 mean(a)``, so after j iterations, with sin^2(theta) = M/N for M
+marked of N, every marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M)
+and every other one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed
+form). A measurement is one uniform draw and a bisection over the round's
+prefix counts of marked entries. Nothing here holds a state vector; the tests check this
 path against a gate-by-gate engine.
 """
 
@@ -47,58 +48,24 @@ from .statevector import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class OracleCircuit:
-    """Phase oracle split into compute / mark / uncompute stages.
-
-    Applying prepare, mark, unprepare to |i>_q (ancillas |0>, kickback |->)
-    yields (-1)^o(i) |i>_q with ancillas restored: the phase-kickback
-    contract. ``unprepare`` must be the exact reverse of ``prepare``.
-    """
-
-    prepare: GateSequence
-    mark: GateSequence
-    unprepare: GateSequence
-    q_register: RegisterRef
-    kickback_qubit: int
-    num_qubits: int
-
-    def __post_init__(self) -> None:
-        if self.unprepare.gates != self.prepare.reverse().gates:
-            raise ValueError("unprepare is not the reverse of prepare")
-        if not 0 <= self.kickback_qubit < self.num_qubits:
-            raise ValueError("kickback qubit out of range")
-
-    @property
-    def ancilla_qubits(self) -> tuple[int, ...]:
-        """Every qubit that is neither a candidate bit nor the kickback."""
-        q_bits = set(self.q_register.bits)
-        return tuple(
-            q
-            for q in range(self.num_qubits)
-            if q not in q_bits and q != self.kickback_qubit
-        )
-
-
 @dataclass(slots=True)
 class BoyerSchedule:
     """Mutable cutoff state for one unknown-count search.
 
-    ``m`` starts at 1 and grows by ``lam`` (6/5 unless configured otherwise)
-    after each failed measurement, never exceeding ``sqrt_n_cap``.
+    ``m`` starts at 1 and grows by 6/5 after each failed measurement, never
+    exceeding ``sqrt_n_cap``.
     """
 
     sqrt_n_cap: float
     rng: np.random.Generator
     m: float = 1.0
-    lam: float = 6 / 5
 
     def draw_iterations(self) -> int:
         """Random integer j in [0, ceil(m))."""
         return int(self.rng.integers(0, math.ceil(self.m)))
 
     def grow(self) -> None:
-        self.m = min(self.lam * self.m, self.sqrt_n_cap)
+        self.m = min(6 / 5 * self.m, self.sqrt_n_cap)
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,13 +117,21 @@ class PreparedFrame:
     with the kickback qubit at 0, entry N + i is q value i with it at 1, and
     every other qubit is 0. ``planes`` holds ``prepare``'s image of the
     frame as bit planes (see ``statevector.permute_planes``), one 2N-bit int
-    per qubit: P0 in the low N bits, P1 in the high N. The planes belong to
-    this ``prepare`` object.
+    per qubit: P0 in the low N bits, P1 in the high N.
     """
 
     prepare: GateSequence
+    q_register: RegisterRef
+    kickback_qubit: int
     planes: tuple[int, ...]
-    candidates: int
+
+    @property
+    def candidates(self) -> int:
+        return 1 << self.q_register.width
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.planes)
 
     def column(self, register: RegisterRef) -> np.ndarray:
         """Unsigned value of ``register`` in P0, in q-value order.
@@ -183,6 +158,8 @@ def prepare_frame(
     repeats a 1 every 2^(b+1) bits, times one block. The kickback plane is
     the high N bits; every other plane is 0.
     """
+    if not 0 <= kickback_qubit < num_qubits:
+        raise ValueError("kickback qubit out of range")
     candidates = 1 << q_register.width
     ones = (1 << 2 * candidates) - 1
     planes = [0] * num_qubits
@@ -191,39 +168,39 @@ def prepare_frame(
         planes[qubit] = ones // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block)
     planes[kickback_qubit] = ones >> candidates << candidates
     images = permute_planes(planes, prepare, 2 * candidates)
-    return PreparedFrame(prepare, tuple(images), candidates)
+    return PreparedFrame(prepare, q_register, kickback_qubit, tuple(images))
 
 
-def _frame_for(oracle: OracleCircuit, frame: PreparedFrame | None) -> PreparedFrame:
-    """``frame`` if it was computed from the oracle's ``prepare``, a new one if None."""
-    if frame is None:
-        return prepare_frame(
-            oracle.prepare, oracle.q_register, oracle.kickback_qubit, oracle.num_qubits
-        )
-    if frame.prepare is not oracle.prepare:
-        raise ValueError("frame was computed from another prepare object")
-    return frame
+@dataclass(frozen=True, slots=True)
+class OracleCircuit:
+    """Phase oracle: the instance's compiled compute stage plus one round's mark.
+
+    Applying ``frame.prepare``, ``mark`` and ``frame.prepare.reverse()`` to
+    |i>_q (ancillas |0>, kickback |->) yields (-1)^o(i) |i>_q with ancillas
+    restored: the phase-kickback contract. The uncompute is the reverse of
+    prepare by construction, so it is never stored.
+    """
+
+    frame: PreparedFrame
+    mark: GateSequence
 
 
-def oracle_marks(oracle: OracleCircuit, frame: PreparedFrame | None = None) -> np.ndarray:
+def oracle_marks(oracle: OracleCircuit) -> np.ndarray:
     """Boolean mask over q-register values: True where the oracle flips the phase.
 
-    ``frame`` holds prepare's images P = (P0, P1) of every candidate with
-    the kickback at 0 and at 1, computed once per instance by
-    ``prepare_frame`` from this oracle's ``prepare`` object (ValueError
-    otherwise); without it they are computed here. Only ``mark`` runs per
-    call: Y = mark(P). The phase-kickback contract is
-    ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on both kickback
-    branches with the same b. ``OracleCircuit`` requires ``unprepare`` to be
-    ``prepare.reverse()`` gate for gate, and a reversed permutation circuit
-    inverts the original on basis states, so unprepare sends P back to the
-    frame and the contract is equivalent to: where b = (Y0 != P0), Y equals
-    P with its two branches swapped; elsewhere Y == P. Both sides are read
-    as big-int XOR/OR over the planes. Any other image raises IntegrityError
-    naming the first offending candidate and the basis states its two
-    branches end in after ``unprepare``.
+    The oracle's frame holds prepare's images P = (P0, P1) of every
+    candidate with the kickback at 0 and at 1, computed once per instance;
+    only ``mark`` runs per call: Y = mark(P). The phase-kickback contract
+    is ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on both kickback
+    branches with the same b. The uncompute is ``prepare.reverse()``, and a
+    reversed permutation circuit inverts the original on basis states, so
+    it sends P back to the frame and the contract is equivalent to: where
+    b = (Y0 != P0), Y equals P with its two branches swapped; elsewhere
+    Y == P. Both sides are read as big-int XOR/OR over the planes. Any other
+    image raises IntegrityError naming the first offending candidate and the
+    basis states its two branches end in after the uncompute.
     """
-    frame = _frame_for(oracle, frame)
+    frame = oracle.frame
     n = frame.candidates
     low = (1 << n) - 1
     marked = permute_planes(frame.planes, oracle.mark, 2 * n)
@@ -238,7 +215,7 @@ def oracle_marks(oracle: OracleCircuit, frame: PreparedFrame | None = None) -> n
     if bad:
         candidate = (bad & -bad).bit_length() - 1
         pair = [((y >> candidate) & 1) | (((y >> (n + candidate)) & 1) << 1) for y in marked]
-        image = permute_planes(pair, oracle.unprepare, 2)
+        image = permute_planes(pair, frame.prepare.reverse(), 2)
         states = [sum(((p >> e) & 1) << k for k, p in enumerate(image)) for e in (0, 1)]
         raise IntegrityError(
             f"ancilla contamination after uncompute: q value {candidate} maps "
@@ -285,8 +262,6 @@ def boyer_search(
     schedule: BoyerSchedule,
     max_steps: int,
     measure_rng: np.random.Generator,
-    *,
-    frame: PreparedFrame | None = None,
 ) -> BoyerResult:
     """Search for a candidate passing ``classical_check`` with M unknown.
 
@@ -295,23 +270,21 @@ def boyer_search(
     value to ``classical_check``. Exhaustion after ``max_steps``
     measurements is a normal return, not an error.
 
-    The marked set comes from ``oracle_marks`` once per call, which raises
-    IntegrityError unless the uncompute restores every ancilla exactly. Pass
-    the instance's ``frame`` so that only ``mark`` runs here; without it
-    the compute stage runs too. A step uses the closed-form amplitudes
-    (M = 0 and M = N included) and costs O(log N) whatever j is. It samples
-    the distribution the whole register would have after j gate-level
-    iterations, in sorted order of full-register indices, the way
-    ``Generator.choice`` samples it from one ``random()`` draw, so a seeded
-    ``measure_rng`` draws the outcomes a gate-by-gate simulation sampled
-    with ``choice`` would. That order is structural: the kickback-0 branch
+    The marked set comes from ``oracle_marks`` once per call, which pushes
+    the frame through ``mark`` only and raises IntegrityError unless the
+    uncompute restores every ancilla exactly. A step uses the closed-form
+    amplitudes (M = 0 and M = N included) and costs O(log N) whatever j is.
+    It samples the distribution the whole register would have after j
+    gate-level iterations, in sorted order of full-register indices, the
+    way ``Generator.choice`` samples it from one ``random()`` draw, so a
+    seeded ``measure_rng`` draws the outcomes a gate-by-gate simulation
+    sampled with ``choice`` would. That order is structural: the kickback-0 branch
     then the kickback-1 branch when the kickback sits above q, and each q
     value's two branches side by side when it sits below.
     """
-    frame = _frame_for(oracle, frame)
-    marks = oracle_marks(oracle, frame)
-    q = oracle.q_register
-    interleaved = oracle.kickback_qubit < q.offset
+    marks = oracle_marks(oracle)
+    q = oracle.frame.q_register
+    interleaved = oracle.frame.kickback_qubit < q.offset
     marked_prefix = np.cumsum(np.repeat(marks, 2) if interleaved else np.tile(marks, 2)).tolist()
     q_mask = (1 << q.width) - 1
     steps: list[BoyerStep] = []

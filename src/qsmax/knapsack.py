@@ -10,12 +10,13 @@ push the candidate basis states through the compiled stages as bit planes
 (``statevector.permute_planes``) and read registers and kickback flips off
 the images exactly, at any register width. The compute stage does not
 depend on the threshold, so each of ``enumerate_table``,
-``verify_instance`` and ``maximize`` compiles it and pushes every candidate
-through it once per instance (``grover.prepare_frame``); the table reads w,
-f and v off those images (``PreparedFrame.column``), and each search round
-or verify threshold compiles and pushes only the marking stage
-(``grover.oracle_marks``). Only the item count is bounded (``MAX_ITEMS``):
-the frame holds 2^(n+1) basis states.
+``verify_instance``, ``maximize`` and ``estimate_resources`` compiles it
+and pushes every candidate through it once per instance
+(``compile_frame``); the table reads w, f and v off those images
+(``PreparedFrame.column``). Each search round or verify threshold compiles
+only its marking stage (``compile_oracle``: the frame plus a mark) and
+pushes the images through it (``grover.oracle_marks``). Only the item
+count is bounded (``MAX_ITEMS``): the frame holds 2^(n+1) basis states.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
 table order. The circuit side is read off the images register by register
@@ -344,19 +345,17 @@ def compile_prepare(instance: KnapsackInstance, plan: RegisterPlan) -> GateSeque
     return GateSequence(gates)
 
 
-def compile_oracle(
-    instance: KnapsackInstance,
-    plan: RegisterPlan,
-    threshold: int,
-    *,
-    prepare: GateSequence | None = None,
-) -> OracleCircuit:
+def compile_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFrame:
+    """Compile the compute stage and push every candidate through it once."""
+    return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
+
+
+def compile_oracle(plan: RegisterPlan, frame: PreparedFrame, threshold: int) -> OracleCircuit:
     """Compile the phase oracle marking valid candidates with fitness > threshold.
 
-    prepare: ``compile_prepare``, or the given ``prepare`` compiled earlier
-    for the same instance and plan. mark: load the threshold into g and flip
-    the kickback qubit where threshold < f under signed comparison.
-    unprepare: exact reverse of prepare.
+    ``frame`` is the instance's compiled compute stage (``compile_frame``).
+    mark: load the threshold into g and flip the kickback qubit where
+    threshold < f under signed comparison.
     """
     enc = plan.fitness_encoding
     if not enc.min_value <= threshold <= enc.max_value:
@@ -364,8 +363,6 @@ def compile_oracle(
             f"threshold {threshold} not representable in {plan.f.width}-bit "
             f"two's complement [{enc.min_value}, {enc.max_value}]"
         )
-    if prepare is None:
-        prepare = compile_prepare(instance, plan)
     g_f = plan.g.slice(plan.f.width)
     load_threshold = build_load_constant(enc.encode(threshold), g_f)
     mark = (
@@ -373,19 +370,7 @@ def compile_oracle(
         + build_signed_comparator(g_f, plan.f, plan.r)  # r ^= threshold < fitness
         + load_threshold
     )
-    return OracleCircuit(
-        prepare=prepare,
-        mark=mark,
-        unprepare=prepare.reverse(),
-        q_register=plan.q,
-        kickback_qubit=plan.r,
-        num_qubits=plan.total_qubits,
-    )
-
-
-def _compute_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFrame:
-    """Compile the compute stage and push every candidate through it once."""
-    return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
+    return OracleCircuit(frame, mark)
 
 
 def _circuit_columns(
@@ -415,7 +400,7 @@ def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
     """
     plan = plan_registers(instance)
     n = instance.n
-    frame = _compute_frame(instance, plan)
+    frame = compile_frame(instance, plan)
     columns = _circuit_columns(plan, frame, candidate_indices(n))
     return [
         CandidateEvaluation(candidate, weight, fitness, valid)
@@ -435,18 +420,15 @@ def _draw_thresholds(rng: np.random.Generator, top: int, count: int) -> tuple[in
 
 
 def verify_instance(
-    instance: KnapsackInstance,
-    *,
-    num_thresholds: int = 5,
-    threshold_seed: int = 2024,
+    instance: KnapsackInstance, *, threshold_seed: int = 2024
 ) -> VerifyReport:
     """Quantum/classical agreement suite for one instance.
 
     Checks the circuit-computed table against brute force for all
     candidates, then the oracle against the classical predicate (valid and
-    fitness strictly above threshold) at ``num_thresholds`` sampled
-    thresholds. The compute stage runs once; the table is read off its
-    images, and each threshold pushes them through its marking stage only.
+    fitness strictly above threshold) at 5 sampled thresholds. The compute
+    stage runs once; the table is read off its images, and each threshold
+    pushes them through its marking stage only.
     Both sides are whole columns in table order (``_circuit_columns``,
     ``_classical_columns``), compared at once; only the first disagreeing
     candidate is evaluated per string, by ``classical_evaluate``, for the
@@ -459,7 +441,7 @@ def verify_instance(
     plan = plan_registers(instance)
     n = instance.n
     q_values = candidate_indices(n)
-    frame = _compute_frame(instance, plan)
+    frame = compile_frame(instance, plan)
     circuit_weight, circuit_fitness, circuit_valid = _circuit_columns(plan, frame, q_values)
     weight, fitness, valid = _classical_columns(instance)
 
@@ -483,12 +465,12 @@ def verify_instance(
         )
 
     thresholds = _draw_thresholds(
-        np.random.default_rng(threshold_seed), sum(instance.values), num_thresholds
+        np.random.default_rng(threshold_seed), sum(instance.values), 5
     )
     for threshold in thresholds:
-        oracle = compile_oracle(instance, plan, threshold, prepare=frame.prepare)
+        oracle = compile_oracle(plan, frame, threshold)
         try:
-            marks = oracle_marks(oracle, frame)
+            marks = oracle_marks(oracle)
         except IntegrityError as err:
             return VerifyReport(
                 ok=False,
@@ -525,17 +507,16 @@ def maximize(
     max_rounds: int = 100,
     initial_threshold: int | None = None,
     confirmation_count: int = 1,
-    max_steps_per_round: int | None = None,
-    growth: float = 6 / 5,
 ) -> SearchTrace:
     """Find the maximum-fitness valid candidate by threshold-raising search.
 
     The compute stage is compiled and pushed through once; each round
     compiles only the marking stage at the current threshold and runs the
-    unknown-count search; a found candidate raises the threshold to its
-    fitness. Each distinct measured candidate is evaluated classically
-    once. ``confirmation_count`` consecutive exhausted rounds (default 1)
-    end the run. The seed fully determines the run: it spawns independent
+    unknown-count search, for at most 3 * ceil(sqrt(N)) measurements; a
+    found candidate raises the threshold to its fitness. Each distinct
+    measured candidate is evaluated classically once.
+    ``confirmation_count`` consecutive exhausted rounds (default 1) end the
+    run. The seed fully determines the run: it spawns independent
     streams for the initial threshold draw, the schedule's j draws, and
     measurement sampling.
     """
@@ -572,10 +553,8 @@ def maximize(
             threshold, initial_candidate = 0, zero_candidate
         best_candidate = initial_candidate
 
-    if max_steps_per_round is None:
-        max_steps_per_round = 3 * math.ceil(math.sqrt(big_n))
-
-    frame = _compute_frame(instance, plan)
+    max_steps = 3 * math.ceil(math.sqrt(big_n))
+    frame = compile_frame(instance, plan)
 
     @functools.cache
     def evaluate(candidate_index: int) -> CandidateEvaluation:
@@ -588,19 +567,15 @@ def maximize(
     consecutive_exhausted = 0
     while rounds < max_rounds and consecutive_exhausted < confirmation_count:
         rounds += 1
-        oracle = compile_oracle(instance, plan, threshold, prepare=frame.prepare)
+        oracle = compile_oracle(plan, frame, threshold)
         current = threshold
 
         def check(candidate_index: int, t: int = current) -> bool:
             ev = evaluate(candidate_index)
             return ev.valid and ev.fitness > t
 
-        schedule = BoyerSchedule(
-            sqrt_n_cap=math.sqrt(big_n), rng=schedule_rng, lam=growth
-        )
-        result = boyer_search(
-            oracle, check, schedule, max_steps_per_round, measure_rng, frame=frame
-        )
+        schedule = BoyerSchedule(sqrt_n_cap=math.sqrt(big_n), rng=schedule_rng)
+        result = boyer_search(oracle, check, schedule, max_steps, measure_rng)
         for step in result.steps:
             cumulative_j += step.j
             ev = evaluate(step.candidate)
@@ -655,16 +630,18 @@ def _toffoli_equivalents(kind: GateKind, gate_qubits: int, controls: int) -> int
 def estimate_resources(instance: KnapsackInstance) -> ResourceEstimate:
     """Count gates in one full oracle (threshold 0) plus diffusion.
 
-    Purely symbolic: nothing is pushed through the circuit, so no width
-    limit applies. Constant loads depend on the loaded value's popcount, so
-    the X count is reported for threshold 0.
+    The oracle is compiled as the search compiles it (``compile_frame``,
+    then ``compile_oracle``), and its uncompute is ``prepare.reverse()``.
+    Constant loads depend on the loaded value's popcount, so the X count is
+    reported for threshold 0.
     """
     plan = plan_registers(instance)
-    oracle = compile_oracle(instance, plan, 0)
+    frame = compile_frame(instance, plan)
+    mark = compile_oracle(plan, frame, 0).mark
     diffusion = build_diffusion(plan.q)
     counts: Counter[str] = Counter()
     toffoli_equivalent = 0
-    for sequence in (oracle.prepare, oracle.mark, oracle.unprepare, diffusion):
+    for sequence in (frame.prepare, mark, frame.prepare.reverse(), diffusion):
         for gate in sequence:
             counts[gate.kind.value] += 1
             toffoli_equivalent += _toffoli_equivalents(

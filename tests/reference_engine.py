@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qsmax.grover import OracleCircuit
+from qsmax.grover import OracleCircuit, PreparedFrame
 from qsmax.statevector import (
     Gate,
     GateKind,
@@ -229,14 +229,23 @@ def sample_basis(indices: np.ndarray, probs: np.ndarray, rng: np.random.Generato
 # Grover iteration, gate by gate
 
 
+def ancilla_qubits(frame: PreparedFrame) -> tuple[int, ...]:
+    """Every qubit that is neither a candidate bit nor the kickback."""
+    q_bits = set(frame.q_register.bits)
+    return tuple(
+        q for q in range(frame.num_qubits) if q not in q_bits and q != frame.kickback_qubit
+    )
+
+
 def prepare_search_state(oracle: OracleCircuit) -> SparseState:
     """Zero state with the kickback qubit in |-> and q in uniform superposition."""
-    state = new_zero_state(oracle.num_qubits)
+    frame = oracle.frame
+    state = new_zero_state(frame.num_qubits)
     return apply_sequence(
         state,
         GateSequence(
-            [x(oracle.kickback_qubit), h(oracle.kickback_qubit)]
-            + [h(bit) for bit in oracle.q_register.bits]
+            [x(frame.kickback_qubit), h(frame.kickback_qubit)]
+            + [h(bit) for bit in frame.q_register.bits]
         ),
     )
 
@@ -244,16 +253,16 @@ def prepare_search_state(oracle: OracleCircuit) -> SparseState:
 def grover_iteration(
     state: SparseState, oracle: OracleCircuit, diffusion: GateSequence
 ) -> SparseState:
-    """One oracle application (prepare, mark, unprepare) plus diffusion.
+    """One oracle application (prepare, mark, prepare reversed) plus diffusion.
 
     More than 1e-12 probability on states with an ancilla left at 1 means a
     broken uncompute and raises IntegrityError.
     """
-    apply_sequence(state, oracle.prepare)
+    apply_sequence(state, oracle.frame.prepare)
     apply_sequence(state, oracle.mark)
-    apply_sequence(state, oracle.unprepare)
+    apply_sequence(state, oracle.frame.prepare.reverse())
     apply_sequence(state, diffusion)
-    ancillas = oracle.ancilla_qubits
+    ancillas = ancilla_qubits(oracle.frame)
     if ancillas:
         contamination = norm_squared(state) - subspace_probability(state, ancillas, 0)
         if contamination > ANCILLA_TOLERANCE:

@@ -34,6 +34,7 @@ from qsmax.knapsack import (
     all_candidates,
     candidate_to_index,
     classical_max,
+    compile_frame,
     compile_oracle,
     enumerate_table,
     estimate_resources,
@@ -100,11 +101,11 @@ def test_criterion_2_worked_amplitude_example():
     """Threshold 13: marked phase -1 at 1/4; diffusion to 5/8 vs 1/8; p=0.390625; < 5 s."""
     start = time.perf_counter()
     plan = plan_registers(DEMO)
-    oracle = compile_oracle(DEMO, plan, 13)
+    oracle = compile_oracle(plan, compile_frame(DEMO, plan), 13)
     state = prepare_search_state(oracle)
-    apply_sequence(state, oracle.prepare)
+    apply_sequence(state, oracle.frame.prepare)
     apply_sequence(state, oracle.mark)
-    apply_sequence(state, oracle.unprepare)
+    apply_sequence(state, oracle.frame.prepare.reverse())
 
     marked = ("0110", "0111")
     sqrt2 = math.sqrt(2.0)
@@ -229,11 +230,11 @@ def test_criterion_4_arithmetic_exhaustiveness():
 def test_criterion_5_uncompute_hygiene():
     """Post-oracle probability mass outside the q (x) |0..0> (x) |-> frame < 1e-12."""
     plan = plan_registers(DEMO)
-    oracle = compile_oracle(DEMO, plan, 13)
+    oracle = compile_oracle(plan, compile_frame(DEMO, plan), 13)
     state = prepare_search_state(oracle)
-    apply_sequence(state, oracle.prepare)
+    apply_sequence(state, oracle.frame.prepare)
     apply_sequence(state, oracle.mark)
-    apply_sequence(state, oracle.unprepare)
+    apply_sequence(state, oracle.frame.prepare.reverse())
     frame_mass = 0.0
     for candidate in all_candidates(4):
         base = candidate_to_index(candidate, 4) << plan.q.offset

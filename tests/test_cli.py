@@ -35,6 +35,9 @@ WIDE = str(DEMO_INSTANCE_FILE.parent / "knapsack_wide.txt")
 # 102 qubits: past the widest register int64 basis indices could address.
 PAST_INT64_BODY = "capacity 1\nitem 1073741824 1073741824\nitem 1073741824 1073741824\n"
 THIRTEEN_ITEMS_BODY = "capacity 5\n" + "item 1 1\n" * 13
+# Tokens int() accepts that the <uint> grammar does not: a digit separator,
+# a sign, a signed zero and an Arabic-Indic three.
+NOT_UINT_TOKENS = ("1_0", "+5", "-0", "\u0663")
 
 
 def write_instance(tmp_path, text, name="case.txt"):
@@ -196,6 +199,13 @@ class TestExitCodes:
         path = write_instance(tmp_path, "capacity 5\nitem 3\n")
         assert cli.main(["table", path]) == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
+        # <uint> is ASCII decimal digits only, though int() takes all four.
+        for token in NOT_UINT_TOKENS:
+            path = write_instance(tmp_path, f"capacity 5\nitem {token} 3\n")
+            assert cli.main(["table", path]) == EXIT_INPUT
+            assert f"line 2: item weight must be an unsigned integer, got {token!r}" in (
+                capsys.readouterr().err
+            )
 
     def test_capacity_error(self, tmp_path, capsys):
         path = write_instance(tmp_path, THIRTEEN_ITEMS_BODY)
@@ -395,16 +405,9 @@ from qsmax.statevector import cnot
 
 compile_clean = knapsack.compile_oracle
 
-def compile_dirty(instance, plan, threshold, **kwargs):
-    oracle = compile_clean(instance, plan, threshold, **kwargs)
-    return OracleCircuit(
-        prepare=oracle.prepare,
-        mark=oracle.mark + [cnot(plan.q.bit(0), plan.g.bit(0))],
-        unprepare=oracle.unprepare,
-        q_register=oracle.q_register,
-        kickback_qubit=oracle.kickback_qubit,
-        num_qubits=oracle.num_qubits,
-    )
+def compile_dirty(plan, frame, threshold):
+    oracle = compile_clean(plan, frame, threshold)
+    return OracleCircuit(frame, oracle.mark + [cnot(plan.q.bit(0), plan.g.bit(0))])
 
 knapsack.compile_oracle = compile_dirty
 sys.exit(cli.main(sys.argv[1:]))
@@ -426,6 +429,10 @@ class TestExitCodeContract:
         result = self._run("table", write_instance(tmp_path, "capacity 5\nitem 3\n"))
         assert result.returncode == EXIT_INPUT
         assert "error: line 2" in result.stderr
+        for token in NOT_UINT_TOKENS:
+            result = self._run("table", write_instance(tmp_path, f"capacity {token}\nitem 1 3\n"))
+            assert result.returncode == EXIT_INPUT
+            assert "error: line 1: capacity must be an unsigned integer" in result.stderr
 
     @pytest.mark.parametrize(
         "args",

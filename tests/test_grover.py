@@ -31,8 +31,8 @@ from qsmax.grover import (
 )
 from qsmax.knapsack import (
     KnapsackInstance,
+    compile_frame,
     compile_oracle,
-    compile_prepare,
     plan_registers,
 )
 from qsmax.statevector import (
@@ -76,46 +76,34 @@ def toy_oracle(
         gates.extend(off)
         gates.append(mcx(q.bits, kickback))
         gates.extend(off)
-    return OracleCircuit(
-        prepare=GateSequence(),
-        mark=GateSequence(gates),
-        unprepare=GateSequence(),
-        q_register=q,
-        kickback_qubit=kickback,
-        num_qubits=n + 1 + extra_ancillas,
-    )
+    frame = prepare_frame(GateSequence(), q, kickback, n + 1 + extra_ancillas)
+    return OracleCircuit(frame, GateSequence(gates))
 
 
 def demo_oracle(threshold: int) -> OracleCircuit:
     instance = KnapsackInstance(DEMO_ITEMS, DEMO_CAPACITY)
-    return compile_oracle(instance, plan_registers(instance), threshold)
+    plan = plan_registers(instance)
+    return compile_oracle(plan, compile_frame(instance, plan), threshold)
 
 
 def dirty_oracle(leak) -> OracleCircuit:
     """toy_oracle with one extra gate in ``mark`` that breaks the uncompute."""
     oracle = toy_oracle(3, {5}, extra_ancillas=1)
-    return OracleCircuit(
-        prepare=oracle.prepare,
-        mark=oracle.mark + [leak],
-        unprepare=oracle.unprepare,
-        q_register=oracle.q_register,
-        kickback_qubit=oracle.kickback_qubit,
-        num_qubits=oracle.num_qubits,
-    )
+    return OracleCircuit(oracle.frame, oracle.mark + [leak])
 
 
 def whole_oracle_marks(oracle: OracleCircuit):
-    """The phase-kickback contract checked on prepare + mark + unprepare.
+    """The phase-kickback contract checked on prepare + mark + prepare reversed.
 
     Returns (marks, None), or (None, (q value, image at kickback 0, image at
     kickback 1)) for the first candidate whose images break the contract.
     """
-    q = oracle.q_register
-    kick = 1 << oracle.kickback_qubit
+    q = oracle.frame.q_register
+    kick = 1 << oracle.frame.kickback_qubit
     register = np.arange(1 << q.width, dtype=np.int64) << q.offset
-    whole = oracle.prepare + oracle.mark + oracle.unprepare
-    image0 = np.array(push_states(register, whole, oracle.num_qubits))
-    image1 = np.array(push_states(register | kick, whole, oracle.num_qubits))
+    whole = oracle.frame.prepare + oracle.mark + oracle.frame.prepare.reverse()
+    image0 = np.array(push_states(register, whole, oracle.frame.num_qubits))
+    image1 = np.array(push_states(register | kick, whole, oracle.frame.num_qubits))
     flips0, flips1 = image0 ^ register, image1 ^ register ^ kick
     bad = np.flatnonzero((flips0 != flips1) | ((flips0 & ~kick) != 0))
     if bad.size:
@@ -126,8 +114,8 @@ def whole_oracle_marks(oracle: OracleCircuit):
 
 def reference_boyer_search(oracle, classical_check, schedule, max_steps, measure_rng):
     """The unknown-count search run gate by gate on the full statevector."""
-    diffusion = build_diffusion(oracle.q_register)
-    q = oracle.q_register
+    diffusion = build_diffusion(oracle.frame.q_register)
+    q = oracle.frame.q_register
     q_mask = (1 << q.width) - 1
     steps = []
     iterations = 0
@@ -173,7 +161,7 @@ def iterated_amplitudes(marks: np.ndarray):
 
 def q_amplitudes(state, oracle) -> np.ndarray:
     """Subspace amplitudes over q with the kickback in |->, ancillas |0>."""
-    n = oracle.q_register.width
+    n = oracle.frame.q_register.width
     out = np.empty(1 << n, dtype=complex)
     for i in range(1 << n):
         out[i] = get_amplitude(state, i) * math.sqrt(2.0)
@@ -254,36 +242,30 @@ class TestIterationCount:
 
 
 class TestOracleContract:
-    def test_unprepare_must_reverse_prepare(self):
+    def test_kickback_outside_the_plan_is_refused(self):
         q = RegisterRef("q", 0, 2)
-        prep = GateSequence([cnot(0, 2), x(0)])
-        with pytest.raises(ValueError, match="reverse"):
-            OracleCircuit(
-                prepare=prep,
-                mark=GateSequence(),
-                unprepare=prep,  # same order, not the reverse
-                q_register=q,
-                kickback_qubit=3,
-                num_qubits=4,
-            )
+        for kickback in (3, 4, -1):
+            with pytest.raises(ValueError, match="kickback qubit out of range"):
+                prepare_frame(GateSequence(), q, kickback, 3)
+        assert prepare_frame(GateSequence(), q, 2, 3).num_qubits == 3
 
     def test_phase_kickback_exhaustive(self):
         n = 4
         marked = {3, 9, 14}
         oracle = toy_oracle(n, marked)
         for i in range(1 << n):
-            state = new_basis_state(oracle.num_qubits, i)
+            state = new_basis_state(oracle.frame.num_qubits, i)
             apply_sequence(
                 state,
-                GateSequence([x(oracle.kickback_qubit), h(oracle.kickback_qubit)]),
+                GateSequence([x(oracle.frame.kickback_qubit), h(oracle.frame.kickback_qubit)]),
             )
-            apply_sequence(state, oracle.prepare)
+            apply_sequence(state, oracle.frame.prepare)
             apply_sequence(state, oracle.mark)
-            apply_sequence(state, oracle.unprepare)
+            apply_sequence(state, oracle.frame.prepare.reverse())
             sign = -1.0 if i in marked else 1.0
             assert abs(get_amplitude(state, i) - sign * INV_SQRT2) < 1e-10
             assert (
-                abs(get_amplitude(state, i | (1 << oracle.kickback_qubit)) + sign * INV_SQRT2)
+                abs(get_amplitude(state, i | (1 << oracle.frame.kickback_qubit)) + sign * INV_SQRT2)
                 < 1e-10
             )
 
@@ -293,7 +275,7 @@ class TestGroverIteration:
         oracle = toy_oracle(4, set())
         state = prepare_search_state(oracle)
         before = q_amplitudes(state, oracle)
-        grover_iteration(state, oracle, build_diffusion(oracle.q_register))
+        grover_iteration(state, oracle, build_diffusion(oracle.frame.q_register))
         after = q_amplitudes(state, oracle)
         np.testing.assert_allclose(after, -before, atol=1e-10)
 
@@ -301,7 +283,7 @@ class TestGroverIteration:
         oracle = toy_oracle(3, set(range(8)))
         state = prepare_search_state(oracle)
         before = q_amplitudes(state, oracle)
-        grover_iteration(state, oracle, build_diffusion(oracle.q_register))
+        grover_iteration(state, oracle, build_diffusion(oracle.frame.q_register))
         after = q_amplitudes(state, oracle)
         np.testing.assert_allclose(after, before, atol=1e-10)
 
@@ -309,10 +291,10 @@ class TestGroverIteration:
         # N=16, M=2: one iteration boosts each marked item to 25/64.
         oracle = toy_oracle(4, {6, 14})
         state = prepare_search_state(oracle)
-        grover_iteration(state, oracle, build_diffusion(oracle.q_register))
+        grover_iteration(state, oracle, build_diffusion(oracle.frame.q_register))
         for i in (6, 14):
             p = abs(get_amplitude(state, i)) ** 2 + abs(
-                get_amplitude(state, i | (1 << oracle.kickback_qubit))
+                get_amplitude(state, i | (1 << oracle.frame.kickback_qubit))
             ) ** 2
             assert abs(p - 25 / 64) < 1e-10
 
@@ -326,7 +308,7 @@ class TestGroverIteration:
         for m in (1, 2, 3, 4):
             marked = set(range(m))
             oracle = toy_oracle(n, marked)
-            diffusion = build_diffusion(oracle.q_register)
+            diffusion = build_diffusion(oracle.frame.q_register)
             state = prepare_search_state(oracle)
             k_floor = math.floor(math.pi / 4 * math.sqrt(big_n / m))
             for _ in range(k_floor):
@@ -340,7 +322,7 @@ class TestGroverIteration:
         dirty = dirty_oracle(cnot(0, 4))  # leaks candidate bit 0 into the ancilla
         state = prepare_search_state(dirty)
         with pytest.raises(IntegrityError, match="contamination"):
-            grover_iteration(state, dirty, build_diffusion(dirty.q_register))
+            grover_iteration(state, dirty, build_diffusion(dirty.frame.q_register))
 
 
 class TestFusedSearch:
@@ -366,7 +348,7 @@ class TestFusedSearch:
     )
     def test_amplitudes_match_grover_iteration(self, oracle):
         marks = oracle_marks(oracle)
-        diffusion = build_diffusion(oracle.q_register)
+        diffusion = build_diffusion(oracle.frame.q_register)
         state = prepare_search_state(oracle)
         for j in range(6):
             if j:
@@ -403,8 +385,8 @@ class TestFusedSearch:
             size = 1 << n
             below = bool(trial % 2)
             layout = toy_oracle(n, set(), kickback_below_q=below)
-            register = np.arange(size, dtype=np.int64) << layout.q_register.offset
-            basis = np.concatenate((register, register | (1 << layout.kickback_qubit)))
+            register = np.arange(size, dtype=np.int64) << layout.frame.q_register.offset
+            basis = np.concatenate((register, register | (1 << layout.frame.kickback_qubit)))
             order = np.argsort(basis)
             sorted_basis = basis[order]
             m = int(rng.integers(0, size + 1))
@@ -453,7 +435,7 @@ class TestFusedSearch:
     )
     def test_boyer_search_equals_gate_level_reference(self, oracle, check_marks):
         marked = set(np.flatnonzero(oracle_marks(oracle)).tolist()) if check_marks else set()
-        sqrt_n = math.sqrt(1 << oracle.q_register.width)
+        sqrt_n = math.sqrt(1 << oracle.frame.q_register.width)
 
         def run(search, seed):
             sched_rng, meas_rng = [
@@ -498,7 +480,7 @@ class TestFusedSearch:
             mark = GateSequence([mcx([int(c) for c in controls], 5)])
             if rng.random() < 0.5:
                 mark += [random_gate(rng, 6, permutation_kinds())]
-            oracle = OracleCircuit(prepare, mark, prepare.reverse(), q, 5, 6)
+            oracle = OracleCircuit(prepare_frame(prepare, q, 5, 6), mark)
             marks, bad = whole_oracle_marks(oracle)
             if bad is None:
                 assert oracle_marks(oracle).tolist() == marks.tolist()
@@ -510,28 +492,14 @@ class TestFusedSearch:
             outcomes.add(bad is None)
         assert outcomes == {True, False}
 
-    def test_frame_of_another_prepare_is_refused(self):
-        instance = KnapsackInstance(DEMO_ITEMS, DEMO_CAPACITY)
-        plan = plan_registers(instance)
-        prepare = compile_prepare(instance, plan)
-        frame = prepare_frame(prepare, plan.q, plan.r, plan.total_qubits)
-        other = compile_oracle(instance, plan, 13)  # compiles its own, equal prepare
-        assert other.prepare == prepare and other.prepare is not prepare
-        with pytest.raises(ValueError, match="another prepare"):
-            oracle_marks(other, frame)
-        schedule = BoyerSchedule(sqrt_n_cap=4.0, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="another prepare"):
-            boyer_search(other, bool, schedule, 5, np.random.default_rng(1), frame=frame)
-        same = compile_oracle(instance, plan, 13, prepare=prepare)
-        assert oracle_marks(same, frame).tolist() == oracle_marks(other).tolist()
-
 
 class TestBoyerSearch:
     def _run(self, oracle, check, seed, max_steps=40):
         sched_rng, meas_rng = [
             np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
         ]
-        schedule = BoyerSchedule(sqrt_n_cap=math.sqrt(1 << oracle.q_register.width), rng=sched_rng)
+        sqrt_n = math.sqrt(oracle.frame.candidates)
+        schedule = BoyerSchedule(sqrt_n_cap=sqrt_n, rng=sched_rng)
         return boyer_search(oracle, check, schedule, max_steps, meas_rng)
 
     def test_finds_single_marked_item_statistically(self):

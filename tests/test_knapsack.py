@@ -27,6 +27,7 @@ from qsmax.knapsack import (
     candidate_to_index,
     classical_evaluate,
     classical_max,
+    compile_frame,
     compile_oracle,
     compile_prepare,
     enumerate_table,
@@ -198,11 +199,11 @@ class TestClassicalReference:
 class TestOracleCompilation:
     def _prepare_registers(self, instance, candidate):
         plan = plan_registers(instance)
-        oracle = compile_oracle(instance, plan, 0)
+        oracle = compile_oracle(plan, compile_frame(instance, plan), 0)
         state = new_basis_state(
             plan.total_qubits, candidate_to_index(candidate, instance.n) << plan.q.offset
         )
-        apply_sequence(state, oracle.prepare)
+        apply_sequence(state, oracle.frame.prepare)
         basis = measure_all(state, np.random.default_rng(0))
         return plan, basis
 
@@ -221,15 +222,15 @@ class TestOracleCompilation:
 
     def test_threshold_13_marks_exactly_the_two_best(self, demo_instance):
         plan = plan_registers(demo_instance)
-        oracle = compile_oracle(demo_instance, plan, 13)
+        oracle = compile_oracle(plan, compile_frame(demo_instance, plan), 13)
         marked = []
         for candidate in all_candidates(4):
             i = candidate_to_index(candidate, 4)
             state = new_basis_state(plan.total_qubits, i << plan.q.offset)
             apply_sequence(state, GateSequence([x(plan.r), h(plan.r)]))
-            apply_sequence(state, oracle.prepare)
+            apply_sequence(state, oracle.frame.prepare)
             apply_sequence(state, oracle.mark)
-            apply_sequence(state, oracle.unprepare)
+            apply_sequence(state, oracle.frame.prepare.reverse())
             amp = get_amplitude(state, i << plan.q.offset)
             assert abs(abs(amp) - 1 / math.sqrt(2)) < 1e-10
             if amp.real < 0:
@@ -239,17 +240,17 @@ class TestOracleCompilation:
     def test_threshold_must_be_representable(self, demo_instance):
         plan = plan_registers(demo_instance)
         with pytest.raises(ValueError, match="representable"):
-            compile_oracle(demo_instance, plan, 32)
+            compile_oracle(plan, compile_frame(demo_instance, plan), 32)
         with pytest.raises(ValueError, match="representable"):
-            compile_oracle(demo_instance, plan, -33)
+            compile_oracle(plan, compile_frame(demo_instance, plan), -33)
 
     def test_uncompute_hygiene_on_uniform_state(self, demo_instance):
         plan = plan_registers(demo_instance)
-        oracle = compile_oracle(demo_instance, plan, 13)
+        oracle = compile_oracle(plan, compile_frame(demo_instance, plan), 13)
         state = prepare_search_state(oracle)
-        apply_sequence(state, oracle.prepare)
+        apply_sequence(state, oracle.frame.prepare)
         apply_sequence(state, oracle.mark)
-        apply_sequence(state, oracle.unprepare)
+        apply_sequence(state, oracle.frame.prepare.reverse())
         frame_mass = 0.0
         for i in range(16):
             a0 = get_amplitude(state, i << plan.q.offset)
@@ -309,17 +310,9 @@ class TestVerify:
     def test_dirty_uncompute_is_a_mismatch(self, demo_instance, monkeypatch):
         compile_clean = kp.compile_oracle
 
-        def compile_dirty(*args, **kwargs):
-            oracle = compile_clean(*args, **kwargs)
-            plan = plan_registers(demo_instance)
-            return OracleCircuit(
-                prepare=oracle.prepare,
-                mark=oracle.mark + [cnot(plan.q.bit(1), plan.g.bit(0))],
-                unprepare=oracle.unprepare,
-                q_register=oracle.q_register,
-                kickback_qubit=oracle.kickback_qubit,
-                num_qubits=oracle.num_qubits,
-            )
+        def compile_dirty(plan, frame, threshold):
+            oracle = compile_clean(plan, frame, threshold)
+            return OracleCircuit(frame, oracle.mark + [cnot(plan.q.bit(1), plan.g.bit(0))])
 
         monkeypatch.setattr(kp, "compile_oracle", compile_dirty)
         report = verify_instance(demo_instance)
@@ -330,8 +323,8 @@ class TestVerify:
     def test_wrong_marks_are_a_mismatch(self, demo_instance, monkeypatch):
         compile_clean = kp.compile_oracle
 
-        def compile_off_by_one(instance, plan, threshold, **kwargs):
-            return compile_clean(instance, plan, threshold + 1, **kwargs)
+        def compile_off_by_one(plan, frame, threshold):
+            return compile_clean(plan, frame, threshold + 1)
 
         monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
         report = verify_instance(demo_instance)
@@ -482,12 +475,11 @@ class TestGateLevelReference:
     def test_oracle_signs_and_ancillas_match_oracle_marks(self, case):
         instance, threshold = case
         plan = plan_registers(instance)
-        frame = kp._compute_frame(instance, plan)
-        oracle = compile_oracle(instance, plan, threshold, prepare=frame.prepare)
-        marks = grover.oracle_marks(oracle, frame)
+        oracle = compile_oracle(plan, compile_frame(instance, plan), threshold)
+        marks = grover.oracle_marks(oracle)
 
         state = prepare_search_state(oracle)
-        for stage in (oracle.prepare, oracle.mark, oracle.unprepare):
+        for stage in (oracle.frame.prepare, oracle.mark, oracle.frame.prepare.reverse()):
             apply_sequence(state, stage)
         size = 1 << instance.n
         # Every ancilla is back at 0: only q and kickback bits are set, on
@@ -538,7 +530,7 @@ class TestComputeOnce:
         prepare = compile_prepare(instance, plan_registers(instance)).gates
         assert pushed[0] == prepare
         assert pushed[1:] == [oracle.mark.gates for oracle in compiled]
-        assert all(oracle.prepare is compiled[0].prepare for oracle in compiled)
+        assert all(oracle.frame is compiled[0].frame for oracle in compiled)
 
     def test_maximize(self, demo_instance, recorded):
         trace = maximize(demo_instance, seed=1, confirmation_count=2)
@@ -653,7 +645,7 @@ class TestMaximize:
     def test_single_item_four_entry_frame(self, items, capacity):
         instance = KnapsackInstance(items, capacity)
         plan = plan_registers(instance)
-        frame = kp._compute_frame(instance, plan)
+        frame = compile_frame(instance, plan)
         assert frame.candidates == 2 and all(plane < 1 << 4 for plane in frame.planes)
         assert verify_instance(instance).ok
         best = classical_max(instance)
@@ -708,7 +700,7 @@ class TestGroverIntegration:
 
     def _one_iteration_state(self, instance, threshold):
         plan = plan_registers(instance)
-        oracle = compile_oracle(instance, plan, threshold)
+        oracle = compile_oracle(plan, compile_frame(instance, plan), threshold)
         state = prepare_search_state(oracle)
         grover_iteration(state, oracle, build_diffusion(plan.q))
         return plan, state

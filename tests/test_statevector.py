@@ -401,7 +401,7 @@ class TestIndexMap:
 
     @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6])
     def test_reverse_inverts_the_map_on_all_basis_inputs(self, num_qubits):
-        # The premise of oracle_marks' check: unprepare = prepare.reverse()
+        # The premise of oracle_marks' check: the uncompute, prepare.reverse(),
         # sends prepare's image of every basis state back to that state.
         rng = np.random.default_rng(500 + num_qubits)
         basis = list(range(1 << num_qubits))
