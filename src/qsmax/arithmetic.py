@@ -18,17 +18,17 @@ The ``build_*`` functions are memoized (``functools.lru_cache``, at most
 ``_BUILDER_CACHE_SIZE`` sequences each), so a block is built once per process
 and shared: the mark stage's signed comparator across every round and
 threshold, the adders across every instance with the same register layout.
-Sharing is safe because the arguments (ints and frozen RegisterRefs) are
-hashable values, the result is a GateSequence backed by a tuple of frozen,
-interned Gates, and no caller mutates it. A builder that raises is retried
-on the next call, since lru_cache stores no exceptions.
+Sharing is safe because the arguments (ints and RegisterRefs, which are
+immutable NamedTuples) are hashable values, the result is a GateSequence
+backed by a tuple of frozen, interned Gates, and no caller mutates it. A
+builder that raises is retried on the next call, since lru_cache stores no
+exceptions.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .statevector import (
     Gate,
@@ -45,19 +45,28 @@ _BUILDER_CACHE_SIZE = 256
 _memoize = functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE)
 
 
-@dataclass(frozen=True, slots=True)
-class RegisterRef:
-    """Named contiguous range of qubit indices."""
-
+class _RegisterRefFields(NamedTuple):
     name: str
     offset: int
     width: int
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"register {self.name!r}: width must be >= 1")
-        if self.offset < 0:
-            raise ValueError(f"register {self.name!r}: negative offset")
+
+class RegisterRef(_RegisterRefFields):
+    """Named contiguous range of qubit indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, offset: int, width: int) -> "RegisterRef":
+        if width < 1:
+            raise ValueError(f"register {name!r}: width must be >= 1")
+        if offset < 0:
+            raise ValueError(f"register {name!r}: negative offset")
+        return tuple.__new__(cls, (name, offset, width))
+
+    @classmethod
+    def _make(cls, iterable) -> "RegisterRef":
+        """Build through ``__new__``, so ``_replace`` validates as well."""
+        return cls(*iterable)
 
     def bit(self, i: int) -> int:
         """Qubit index of bit ``i`` (bit 0 = least significant)."""
@@ -85,8 +94,7 @@ class RegisterRef:
         return (basis >> self.offset) & ((1 << self.width) - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class SignedEncoding:
+class SignedEncoding(NamedTuple):
     """Two's-complement view of a ``width``-bit register."""
 
     width: int

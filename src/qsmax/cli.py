@@ -30,8 +30,7 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .knapsack import (
     CapacityError,
@@ -68,8 +67,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything that determines a solve run besides the instance itself."""
 
     seed: int = 0

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,7 +47,6 @@ from .statevector import (
 )
 
 
-@dataclass(slots=True)
 class BoyerSchedule:
     """Mutable cutoff state for one unknown-count search.
 
@@ -56,9 +54,12 @@ class BoyerSchedule:
     exceeding ``sqrt_n_cap``.
     """
 
-    sqrt_n_cap: float
-    rng: np.random.Generator
-    m: float = 1.0
+    __slots__ = ("sqrt_n_cap", "rng", "m")
+
+    def __init__(self, sqrt_n_cap: float, rng: np.random.Generator, m: float = 1.0) -> None:
+        self.sqrt_n_cap = sqrt_n_cap
+        self.rng = rng
+        self.m = m
 
     def draw_iterations(self) -> int:
         """Random integer j in [0, ceil(m))."""
@@ -68,8 +69,7 @@ class BoyerSchedule:
         self.m = min(6 / 5 * self.m, self.sqrt_n_cap)
 
 
-@dataclass(frozen=True, slots=True)
-class BoyerStep:
+class BoyerStep(NamedTuple):
     """One measurement of the schedule: cutoff, draw, outcome."""
 
     m: float
@@ -78,8 +78,7 @@ class BoyerStep:
     passed: bool
 
 
-@dataclass(frozen=True, slots=True)
-class BoyerResult:
+class BoyerResult(NamedTuple):
     found: int | None
     steps: tuple[BoyerStep, ...]
     iterations_applied: int
@@ -109,8 +108,7 @@ def iteration_count(n_items: int, n_solutions: int) -> int:
     return math.ceil(math.pi / 4.0 * math.sqrt(n_items / n_solutions))
 
 
-@dataclass(frozen=True, slots=True)
-class PreparedFrame:
+class PreparedFrame(NamedTuple):
     """The oracle frame pushed through the compute stage, once per instance.
 
     The frame is 2N basis states for N candidates: entry i < N is q value i
@@ -154,25 +152,27 @@ def prepare_frame(
     """Write the frame's bit planes in closed form and push them through ``prepare``.
 
     q bit b of entry i is bit b of i: blocks of 2^b zeros then 2^b ones, so
-    its plane is the all-ones plane divided by 2^(2^(b+1)) - 1, which
-    repeats a 1 every 2^(b+1) bits, times one block. The kickback plane is
-    the high N bits; every other plane is 0.
+    its plane is one such pair of blocks repeated over the 2N bits, written
+    by shift-doubling in O(N) bit operations. The kickback plane is the
+    high N bits; every other plane is 0.
     """
     if not 0 <= kickback_qubit < num_qubits:
         raise ValueError("kickback qubit out of range")
     candidates = 1 << q_register.width
-    ones = (1 << 2 * candidates) - 1
     planes = [0] * num_qubits
     for b, qubit in enumerate(q_register.bits):
         block = 1 << b
-        planes[qubit] = ones // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block)
-    planes[kickback_qubit] = ones >> candidates << candidates
+        plane, period = ((1 << block) - 1) << block, 2 * block
+        while period < 2 * candidates:
+            plane |= plane << period
+            period *= 2
+        planes[qubit] = plane
+    planes[kickback_qubit] = ((1 << candidates) - 1) << candidates
     images = permute_planes(planes, prepare, 2 * candidates)
     return PreparedFrame(prepare, q_register, kickback_qubit, tuple(images))
 
 
-@dataclass(frozen=True, slots=True)
-class OracleCircuit:
+class OracleCircuit(NamedTuple):
     """Phase oracle: the instance's compiled compute stage plus one round's mark.
 
     Applying ``frame.prepare``, ``mark`` and ``frame.prepare.reverse()`` to

@@ -45,7 +45,7 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,12 @@ class CapacityError(Exception):
     """An instance too big to run: more than ``MAX_ITEMS`` items."""
 
 
-@dataclass(frozen=True, slots=True)
-class KnapsackInstance:
+class _KnapsackInstanceFields(NamedTuple):
+    items: tuple[tuple[int, int], ...]
+    capacity: int
+
+
+class KnapsackInstance(_KnapsackInstanceFields):
     """Item list (weight, value) plus a weight capacity, all unsigned ints.
 
     Every field must be an integer (anything with ``__index__``, so numpy
@@ -88,28 +92,31 @@ class KnapsackInstance:
     than ``MAX_ITEMS`` items raise CapacityError; fields may be any size.
     """
 
-    items: tuple[tuple[int, int], ...]
-    capacity: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, items: tuple[tuple[int, int], ...], capacity: int) -> "KnapsackInstance":
         try:
-            items = tuple((operator.index(w), operator.index(v)) for w, v in self.items)
-            capacity = operator.index(self.capacity)
+            items = tuple((operator.index(w), operator.index(v)) for w, v in items)
+            capacity = operator.index(capacity)
         except TypeError as err:
             raise ValueError(f"weights, values and capacity must be integers: {err}") from None
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "capacity", capacity)
-        if not self.items:
+        if not items:
             raise ValueError("item count must be at least 1")
-        if len(self.items) > MAX_ITEMS:
+        if len(items) > MAX_ITEMS:
             raise CapacityError(
-                f"item count {len(self.items)} exceeds {MAX_ITEMS}: the oracle frame "
-                f"would hold 2^{len(self.items) + 1} basis states"
+                f"item count {len(items)} exceeds {MAX_ITEMS}: the oracle frame "
+                f"would hold 2^{len(items) + 1} basis states"
             )
-        if any(w < 0 or v < 0 for w, v in self.items):
+        if any(w < 0 or v < 0 for w, v in items):
             raise ValueError("weights and values must be >= 0")
-        if self.capacity < 0:
+        if capacity < 0:
             raise ValueError("capacity must be >= 0")
+        return tuple.__new__(cls, (items, capacity))
+
+    @classmethod
+    def _make(cls, iterable) -> "KnapsackInstance":
+        """Build through ``__new__``, so ``_replace`` validates as well."""
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -124,8 +131,7 @@ class KnapsackInstance:
         return tuple(v for _, v in self.items)
 
 
-@dataclass(frozen=True, slots=True)
-class RegisterPlan:
+class RegisterPlan(NamedTuple):
     """Disjoint contiguous qubit ranges for one instance."""
 
     q: RegisterRef
@@ -141,8 +147,7 @@ class RegisterPlan:
         return SignedEncoding(self.f.width)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateEvaluation:
+class CandidateEvaluation(NamedTuple):
     """Weight/fitness/validity of one candidate; fitness is pre-negation."""
 
     candidate: str
@@ -151,8 +156,7 @@ class CandidateEvaluation:
     valid: bool
 
 
-@dataclass(frozen=True, slots=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One measurement of the maximization run."""
 
     round: int
@@ -166,8 +170,7 @@ class TraceStep:
     threshold_after: int
 
 
-@dataclass(frozen=True, slots=True)
-class SearchTrace:
+class SearchTrace(NamedTuple):
     """Audit record of a maximization run."""
 
     steps: tuple[TraceStep, ...]
@@ -180,8 +183,7 @@ class SearchTrace:
     total_qubits: int
 
 
-@dataclass(frozen=True, slots=True)
-class ResourceEstimate:
+class ResourceEstimate(NamedTuple):
     """Gate-level cost of one full oracle application plus diffusion."""
 
     qubits: int
@@ -190,8 +192,7 @@ class ResourceEstimate:
     grover_iterations_expected: int
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of the quantum-vs-classical agreement suite."""
 
     ok: bool

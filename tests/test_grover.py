@@ -249,6 +249,17 @@ class TestOracleContract:
                 prepare_frame(GateSequence(), q, kickback, 3)
         assert prepare_frame(GateSequence(), q, 2, 3).num_qubits == 3
 
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_frame_planes_equal_a_frame_built_bit_by_bit(self, width):
+        # q sits above the kickback qubit 0, with one spare qubit on top.
+        n = 1 << width
+        q = RegisterRef("q", 1, width)
+        frame = prepare_frame(GateSequence(), q, 0, width + 2)
+        entries = range(2 * n)  # entry e is q value e mod N, kickback e >= N
+        expected = [sum(1 << e for e in entries if e >= n)]
+        expected += [sum(1 << e for e in entries if (e % n) >> b & 1) for b in range(width)]
+        assert list(frame.planes) == expected + [0]
+
     def test_phase_kickback_exhaustive(self):
         n = 4
         marked = {3, 9, 14}
