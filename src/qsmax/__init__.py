@@ -24,7 +24,6 @@ from .arithmetic import (
 )
 from .grover import (
     BoyerResult,
-    BoyerSchedule,
     BoyerStep,
     OracleCircuit,
     boyer_search,
@@ -53,7 +52,6 @@ from .knapsack import (
 from .statevector import (
     Gate,
     GateKind,
-    GateSequence,
     IntegrityError,
 )
 
@@ -61,13 +59,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoyerResult",
-    "BoyerSchedule",
     "BoyerStep",
     "CandidateEvaluation",
     "CapacityError",
     "Gate",
     "GateKind",
-    "GateSequence",
     "IntegrityError",
     "KnapsackInstance",
     "OracleCircuit",

@@ -10,19 +10,18 @@ unwinding pass merged into Peres gates, so the emitted inventory is
 Peres/CNOT/Toffoli. Subtraction uses the complement identity
 ``b - a = (b' + a)'``, the comparator computes only the carry chain and
 uncomputes it, and the modular adder reuses the top bit of ``b`` as the
-carry-out. Every builder is a pure function returning a GateSequence and is
-verified against the classical integer semantics on all basis inputs in the
-test suite.
+carry-out. Every builder is a pure function returning a tuple of gates and
+is verified against the classical integer semantics on all basis inputs in
+the test suite.
 
 The ``build_*`` functions are memoized (``functools.lru_cache``, at most
-``_BUILDER_CACHE_SIZE`` sequences each), so a block is built once per process
+``_BUILDER_CACHE_SIZE`` circuits each), so a block is built once per process
 and shared: the mark stage's signed comparator across every round and
 threshold, the adders across every instance with the same register layout.
-Sharing is safe because the arguments (ints and RegisterRefs, which are
-immutable NamedTuples) are hashable values, the result is a GateSequence
-backed by a tuple of frozen, interned Gates, and no caller mutates it. A
-builder that raises is retried on the next call, since lru_cache stores no
-exceptions.
+This is the package's only cache of gates. Sharing is safe because the
+arguments (ints and RegisterRefs, which are immutable NamedTuples) are
+hashable values and the result is a tuple of frozen Gates. A builder that
+raises is retried on the next call, since lru_cache stores no exceptions.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import NamedTuple, Sequence
 
 from .statevector import (
     Gate,
-    GateSequence,
     cnot,
     controlled_x,
     mcx,
@@ -67,6 +65,10 @@ class RegisterRef(_RegisterRefFields):
     def _make(cls, iterable) -> "RegisterRef":
         """Build through ``__new__``, so ``_replace`` validates as well."""
         return cls(*iterable)
+
+    def __reduce__(self):
+        """Unpickle through ``__new__`` too, under every pickle protocol."""
+        return type(self), tuple(self)
 
     def bit(self, i: int) -> int:
         """Qubit index of bit ``i`` (bit 0 = least significant)."""
@@ -166,7 +168,7 @@ def _carry_prefix(a: RegisterRef, b: RegisterRef, high: int) -> list[Gate]:
 
 
 @_memoize
-def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> GateSequence:
+def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> tuple[Gate, ...]:
     """In-place ripple addition: (A, B, 0) -> (A, (A+B) mod 2^n, carry).
 
     ``high`` must be a caller-zeroed qubit disjoint from both registers; it
@@ -177,7 +179,7 @@ def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> GateSequence:
     _check_disjoint([a, b], [high])
     n = a.width
     if n == 1:
-        return GateSequence([peres(a.bit(0), b.bit(0), high)])
+        return (peres(a.bit(0), b.bit(0), high),)
     gates = _carry_prefix(a, b, high)
     gates.append(peres(a.bit(n - 1), b.bit(n - 1), high))
     for j in range(n - 2, 0, -1):
@@ -187,13 +189,13 @@ def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> GateSequence:
         gates.append(cnot(a.bit(i), a.bit(i + 1)))
     for i in range(n):
         gates.append(cnot(a.bit(i), b.bit(i)))
-    return GateSequence(gates)
+    return tuple(gates)
 
 
 @_memoize
 def build_controlled_adder(
     ctrl: int, a: RegisterRef, b: RegisterRef, high: int
-) -> GateSequence:
+) -> tuple[Gate, ...]:
     """Adder applied when ``ctrl`` is |1>, identity when |0>.
 
     Only the gates that write into ``b`` or ``high`` gain the extra control;
@@ -204,12 +206,7 @@ def build_controlled_adder(
     _check_disjoint([a, b], [high, ctrl])
     n = a.width
     if n == 1:
-        return GateSequence(
-            [
-                mcx((ctrl, a.bit(0), b.bit(0)), high),
-                toffoli(ctrl, a.bit(0), b.bit(0)),
-            ]
-        )
+        return (mcx((ctrl, a.bit(0), b.bit(0)), high), toffoli(ctrl, a.bit(0), b.bit(0)))
     gates: list[Gate] = []
     for i in range(1, n):
         gates.append(toffoli(ctrl, a.bit(i), b.bit(i)))
@@ -226,11 +223,11 @@ def build_controlled_adder(
         gates.append(cnot(a.bit(i), a.bit(i + 1)))
     for i in range(n):
         gates.append(toffoli(ctrl, a.bit(i), b.bit(i)))
-    return GateSequence(gates)
+    return tuple(gates)
 
 
 @_memoize
-def build_modular_adder(a: RegisterRef, b: RegisterRef) -> GateSequence:
+def build_modular_adder(a: RegisterRef, b: RegisterRef) -> tuple[Gate, ...]:
     """In-place (A+B) mod 2^n into ``b``, no carry qubit.
 
     The top bit of ``b`` stands in for the carry-out: the plain adder runs on
@@ -240,37 +237,37 @@ def build_modular_adder(a: RegisterRef, b: RegisterRef) -> GateSequence:
     _check_disjoint([a, b])
     n = a.width
     if n == 1:
-        return GateSequence([cnot(a.bit(0), b.bit(0))])
+        return (cnot(a.bit(0), b.bit(0)),)
     low_a, low_b = a.slice(n - 1), b.slice(n - 1)
-    return build_adder(low_a, low_b, b.bit(n - 1)) + [cnot(a.bit(n - 1), b.bit(n - 1))]
+    return build_adder(low_a, low_b, b.bit(n - 1)) + (cnot(a.bit(n - 1), b.bit(n - 1)),)
 
 
 @_memoize
 def build_controlled_modular_adder(
     ctrl: int, a: RegisterRef, b: RegisterRef
-) -> GateSequence:
+) -> tuple[Gate, ...]:
     """Controlled (A+B) mod 2^n; the workhorse of the oracle compiler."""
     _check_same_width(a, b)
     _check_disjoint([a, b], [ctrl])
     n = a.width
     if n == 1:
-        return GateSequence([toffoli(ctrl, a.bit(0), b.bit(0))])
+        return (toffoli(ctrl, a.bit(0), b.bit(0)),)
     low_a, low_b = a.slice(n - 1), b.slice(n - 1)
-    return build_controlled_adder(ctrl, low_a, low_b, b.bit(n - 1)) + [
-        toffoli(ctrl, a.bit(n - 1), b.bit(n - 1))
-    ]
+    return build_controlled_adder(ctrl, low_a, low_b, b.bit(n - 1)) + (
+        toffoli(ctrl, a.bit(n - 1), b.bit(n - 1)),
+    )
 
 
 @_memoize
-def build_subtractor(a: RegisterRef, b: RegisterRef, high: int) -> GateSequence:
+def build_subtractor(a: RegisterRef, b: RegisterRef, high: int) -> tuple[Gate, ...]:
     """In-place (B-A) mod 2^n into ``b`` via complement-add-complement.
 
     ``high`` is XORed with the borrow: it ends 1 exactly when A > B.
     """
     _check_same_width(a, b)
     _check_disjoint([a, b], [high])
-    complement_b = [x(q) for q in b.bits]
-    return GateSequence(complement_b) + build_adder(a, b, high) + complement_b
+    complement_b = tuple(x(q) for q in b.bits)
+    return complement_b + build_adder(a, b, high) + complement_b
 
 
 def _carry_chain(a: RegisterRef, b: RegisterRef, target: int) -> list[Gate]:
@@ -288,7 +285,7 @@ def _carry_chain(a: RegisterRef, b: RegisterRef, target: int) -> list[Gate]:
 
 
 @_memoize
-def build_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> GateSequence:
+def build_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> tuple[Gate, ...]:
     """Strict unsigned less-than: flag ^= [A < B]; ``a`` and ``b`` restored.
 
     Complements ``a``, rides only the carry chain of the adder into ``flag``
@@ -299,11 +296,11 @@ def build_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> GateSequence:
     complement_a = [x(q) for q in a.bits]
     chain = _carry_chain(a, b, flag)
     unchain = [g for g in reversed(chain) if flag not in g.qubits]
-    return GateSequence(complement_a + chain + unchain + complement_a)
+    return tuple(complement_a + chain + unchain + complement_a)
 
 
 @_memoize
-def build_signed_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> GateSequence:
+def build_signed_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> tuple[Gate, ...]:
     """Two's-complement less-than: flag ^= [A < B] for signed A, B.
 
     Flipping both sign bits converts to the order-preserving biased
@@ -311,22 +308,22 @@ def build_signed_comparator(a: RegisterRef, b: RegisterRef, flag: int) -> GateSe
     """
     _check_same_width(a, b)
     _check_disjoint([a, b], [flag])
-    bias = [x(a.sign_bit), x(b.sign_bit)]
-    return GateSequence(bias) + build_comparator(a, b, flag) + bias
+    bias = (x(a.sign_bit), x(b.sign_bit))
+    return bias + build_comparator(a, b, flag) + bias
 
 
 @_memoize
-def build_load_constant(value: int, reg: RegisterRef) -> GateSequence:
+def build_load_constant(value: int, reg: RegisterRef) -> tuple[Gate, ...]:
     """X gates writing ``value`` into a zeroed register; self-inverse."""
     if value < 0 or value >= (1 << reg.width):
         raise ValueError(
             f"constant {value} does not fit in {reg.width}-bit register {reg.name!r}"
         )
-    return GateSequence(x(reg.bit(i)) for i in range(reg.width) if (value >> i) & 1)
+    return tuple(x(reg.bit(i)) for i in range(reg.width) if (value >> i) & 1)
 
 
 @_memoize
-def build_controlled_negate(ctrl: int, f: RegisterRef) -> GateSequence:
+def build_controlled_negate(ctrl: int, f: RegisterRef) -> tuple[Gate, ...]:
     """Two's-complement negation of ``f`` when ``ctrl`` is |1>.
 
     Complement all bits, then add one (controlled increment). Negating the
@@ -339,4 +336,4 @@ def build_controlled_negate(ctrl: int, f: RegisterRef) -> GateSequence:
     for k in range(p - 1, 0, -1):
         gates.append(controlled_x((ctrl, *[f.bit(j) for j in range(k)]), f.bit(k)))
     gates.append(cnot(ctrl, f.bit(0)))
-    return GateSequence(gates)
+    return tuple(gates)

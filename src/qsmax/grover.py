@@ -9,8 +9,9 @@ unaffected; tests compare exactly those.
 
 ``boyer_search`` implements the search loop of Boyer, Brassard, Hoyer and
 Tapp (arXiv:quant-ph/9605034) for the case where the number of marked items
-is unknown: grow a cutoff m by a factor 6/5 after every failed measurement,
-draw the iteration count j uniformly below m, and cap m at sqrt(N).
+is unknown: the cutoff m starts at 1, each step draws the iteration count j
+uniformly below m, and every failed measurement grows m by a factor 6/5,
+capped at sqrt(N).
 
 The search needs only the oracle's phase pattern. Every oracle stage is a
 permutation circuit, so its effect on basis states is an integer map. Once
@@ -19,14 +20,15 @@ kickback at 0 and at 1) as bit planes and pushes them through the
 threshold-independent compute stage. A round's ``OracleCircuit`` is that
 frame plus the round's ``mark``, and ``oracle_marks`` pushes the frame's
 images through ``mark`` only, reads the marked set off them and checks the
-uncompute (``prepare.reverse()``) exactly, by big-int XOR/OR over the
-planes. A Grover iteration is a sign flip on the marked set followed by
+uncompute (``inverse(prepare)``) exactly, by big-int XOR/OR over the
+planes. Nothing here caches a circuit: the uncompute is built, uncached,
+only to name the basis states of a failed check. A Grover iteration is a sign flip on the marked set followed by
 ``a - 2 mean(a)``, so after j iterations, with sin^2(theta) = M/N for M
 marked of N, every marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M)
 and every other one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed
-form). A measurement is one uniform draw and a bisection over the round's
-prefix counts of marked entries. Nothing here holds a state vector; the tests check this
-path against a gate-by-gate engine.
+form). A measurement is one uniform draw and a bisection over the frame,
+counting the round's 2M marked entries below each probe. Nothing here holds
+a state vector; the tests check this path against a gate-by-gate engine.
 """
 
 from __future__ import annotations
@@ -39,34 +41,13 @@ import numpy as np
 
 from .arithmetic import RegisterRef
 from .statevector import (
-    GateSequence,
+    Gate,
     IntegrityError,
     cphase_flip_zero,
     h,
+    inverse,
     permute_planes,
 )
-
-
-class BoyerSchedule:
-    """Mutable cutoff state for one unknown-count search.
-
-    ``m`` starts at 1 and grows by 6/5 after each failed measurement, never
-    exceeding ``sqrt_n_cap``.
-    """
-
-    __slots__ = ("sqrt_n_cap", "rng", "m")
-
-    def __init__(self, sqrt_n_cap: float, rng: np.random.Generator, m: float = 1.0) -> None:
-        self.sqrt_n_cap = sqrt_n_cap
-        self.rng = rng
-        self.m = m
-
-    def draw_iterations(self) -> int:
-        """Random integer j in [0, ceil(m))."""
-        return int(self.rng.integers(0, math.ceil(self.m)))
-
-    def grow(self) -> None:
-        self.m = min(6 / 5 * self.m, self.sqrt_n_cap)
 
 
 class BoyerStep(NamedTuple):
@@ -88,10 +69,10 @@ class BoyerResult(NamedTuple):
         return self.found is None
 
 
-def build_diffusion(q: RegisterRef) -> GateSequence:
+def build_diffusion(q: RegisterRef) -> tuple[Gate, ...]:
     """Inversion about average over the q register (global phase -1)."""
-    hs = [h(bit) for bit in q.bits]
-    return GateSequence(hs) + [cphase_flip_zero(q.bits)] + hs
+    hs = tuple(h(bit) for bit in q.bits)
+    return hs + (cphase_flip_zero(q.bits),) + hs
 
 
 def iteration_count(n_items: int, n_solutions: int) -> int:
@@ -118,7 +99,7 @@ class PreparedFrame(NamedTuple):
     per qubit: P0 in the low N bits, P1 in the high N.
     """
 
-    prepare: GateSequence
+    prepare: tuple[Gate, ...]
     q_register: RegisterRef
     kickback_qubit: int
     planes: tuple[int, ...]
@@ -137,17 +118,31 @@ class PreparedFrame(NamedTuple):
         int64 for a register of up to 62 bits; Python ints in an object
         array from 63 bits on, so any width reads exactly.
         """
-        n, width, low = self.candidates, register.width, (1 << self.candidates) - 1
-        text = "".join(f"{self.planes[k] & low:0{n}b}" for k in register.bits)
-        # Row t: bit t of every entry's value, as the digits "0" and "1".
-        digits = np.frombuffer(text.encode(), np.uint8).reshape(width, n)[:, ::-1]
-        if width < 63:
-            return ((digits - ord("0")).astype(np.int64) << np.arange(width)[:, None]).sum(axis=0)
-        return np.array([int(row.tobytes(), 2) for row in digits[::-1].T], dtype=object)
+        n, bits = self.candidates, register.bits
+        if register.width < 63:
+            value = np.zeros(n, dtype=np.int64)
+            for t, k in enumerate(bits):
+                value |= _plane_bits(self.planes[k], n).astype(np.int64) << t
+            return value
+        # Row t holds bit t of every entry, so byte b of entry i's
+        # little-endian value is column i of packed row b.
+        rows = np.array([_plane_bits(self.planes[k], n) for k in bits])
+        packed = np.packbits(rows, axis=0, bitorder="little").T.tobytes()
+        size = len(packed) // n
+        return np.array(
+            [int.from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)],
+            dtype=object,
+        )
+
+
+def _plane_bits(plane: int, n: int) -> np.ndarray:
+    """Bits 0 to n-1 of a bit plane as a uint8 array of 0s and 1s, bit i at i."""
+    data = (plane & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(data, np.uint8), count=n, bitorder="little")
 
 
 def prepare_frame(
-    prepare: GateSequence, q_register: RegisterRef, kickback_qubit: int, num_qubits: int
+    prepare: tuple[Gate, ...], q_register: RegisterRef, kickback_qubit: int, num_qubits: int
 ) -> PreparedFrame:
     """Write the frame's bit planes in closed form and push them through ``prepare``.
 
@@ -175,14 +170,14 @@ def prepare_frame(
 class OracleCircuit(NamedTuple):
     """Phase oracle: the instance's compiled compute stage plus one round's mark.
 
-    Applying ``frame.prepare``, ``mark`` and ``frame.prepare.reverse()`` to
+    Applying ``frame.prepare``, ``mark`` and ``inverse(frame.prepare)`` to
     |i>_q (ancillas |0>, kickback |->) yields (-1)^o(i) |i>_q with ancillas
-    restored: the phase-kickback contract. The uncompute is the reverse of
+    restored: the phase-kickback contract. The uncompute is the inverse of
     prepare by construction, so it is never stored.
     """
 
     frame: PreparedFrame
-    mark: GateSequence
+    mark: tuple[Gate, ...]
 
 
 def oracle_marks(oracle: OracleCircuit) -> np.ndarray:
@@ -192,7 +187,7 @@ def oracle_marks(oracle: OracleCircuit) -> np.ndarray:
     candidate with the kickback at 0 and at 1, computed once per instance;
     only ``mark`` runs per call: Y = mark(P). The phase-kickback contract
     is ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on both kickback
-    branches with the same b. The uncompute is ``prepare.reverse()``, and a
+    branches with the same b. The uncompute is ``inverse(prepare)``, and a
     reversed permutation circuit inverts the original on basis states, so
     it sends P back to the frame and the contract is equivalent to: where
     b = (Y0 != P0), Y equals P with its two branches swapped; elsewhere
@@ -215,13 +210,13 @@ def oracle_marks(oracle: OracleCircuit) -> np.ndarray:
     if bad:
         candidate = (bad & -bad).bit_length() - 1
         pair = [((y >> candidate) & 1) | (((y >> (n + candidate)) & 1) << 1) for y in marked]
-        image = permute_planes(pair, frame.prepare.reverse(), 2)
+        image = permute_planes(pair, inverse(frame.prepare), 2)
         states = [sum(((p >> e) & 1) << k for k, p in enumerate(image)) for e in (0, 1)]
         raise IntegrityError(
             f"ancilla contamination after uncompute: q value {candidate} maps "
             f"to basis states {states[0]} and {states[1]}"
         )
-    return np.frombuffer(f"{flips:0{n}b}".encode(), np.uint8)[::-1] == ord("1")
+    return _plane_bits(flips, n).view(bool)
 
 
 def _amplitude_pair(n_marked: int, n_candidates: int, iterations: int) -> tuple[float, float]:
@@ -235,69 +230,77 @@ def _amplitude_pair(n_marked: int, n_candidates: int, iterations: int) -> tuple[
     )
 
 
-def _measure(marked_prefix: list[int], iterations: int, rng: np.random.Generator) -> int:
-    """Sample a position in the frame's sorted order, ``marked_prefix[i]`` marked up to i.
+def _measure(marked: list[int], size: int, iterations: int, rng: np.random.Generator) -> int:
+    """Sample a position in the frame's sorted order of ``size`` entries.
 
-    Refuses a total more than 1e-6 from 1 in norm. Returns the first
-    position whose cumulative probability exceeds one ``rng.random()``
-    times the total, as ``Generator.choice`` does.
+    ``marked`` lists the marked positions in ascending order. Refuses a
+    total more than 1e-6 from 1 in norm. Returns the first position whose
+    cumulative probability exceeds one ``rng.random()`` times the total, as
+    ``Generator.choice`` does.
     """
-    size, n_marked = len(marked_prefix), marked_prefix[-1] // 2
+    n_marked = len(marked) // 2
     a_marked, a_unmarked = _amplitude_pair(n_marked, size // 2, iterations)
     p_marked, p_unmarked = a_marked * a_marked / 2.0, a_unmarked * a_unmarked / 2.0
     total = 2 * n_marked * p_marked + (size - 2 * n_marked) * p_unmarked
     if abs(math.sqrt(total) - 1.0) > 1e-6:
         raise IntegrityError(f"state norm drifted to {math.sqrt(total)!r}; refusing to sample")
-    index = bisect.bisect_right(
-        range(size),
-        rng.random() * total,
-        key=lambda i: p_marked * marked_prefix[i] + p_unmarked * (i + 1 - marked_prefix[i]),
-    )
+
+    def cumulative(i: int) -> float:
+        below = bisect.bisect_right(marked, i)  # marked positions up to i
+        return p_marked * below + p_unmarked * (i + 1 - below)
+
+    index = bisect.bisect_right(range(size), rng.random() * total, key=cumulative)
     return min(index, size - 1)
 
 
 def boyer_search(
     oracle: OracleCircuit,
     classical_check: Callable[[int], bool],
-    schedule: BoyerSchedule,
     max_steps: int,
+    schedule_rng: np.random.Generator,
     measure_rng: np.random.Generator,
 ) -> BoyerResult:
     """Search for a candidate passing ``classical_check`` with M unknown.
 
-    Each step draws j below the cutoff, applies j Grover iterations to the
-    uniform superposition, measures the whole register, and hands the q
-    value to ``classical_check``. Exhaustion after ``max_steps``
-    measurements is a normal return, not an error.
+    Each step draws j uniformly below the cutoff m from ``schedule_rng``,
+    applies j Grover iterations to the uniform superposition, measures the
+    whole register, and hands the q value to ``classical_check``. m starts
+    at 1 and grows by 6/5 after each failed step, capped at sqrt(N).
+    Exhaustion after ``max_steps`` measurements is a normal return, not an
+    error.
 
     The marked set comes from ``oracle_marks`` once per call, which pushes
     the frame through ``mark`` only and raises IntegrityError unless the
     uncompute restores every ancilla exactly. A step uses the closed-form
-    amplitudes (M = 0 and M = N included) and costs O(log N) whatever j is.
-    It samples the distribution the whole register would have after j
+    amplitudes (M = 0 and M = N included) and costs O(log N log M) whatever
+    j is. It samples the distribution the whole register would have after j
     gate-level iterations, in sorted order of full-register indices, the
     way ``Generator.choice`` samples it from one ``random()`` draw, so a
     seeded ``measure_rng`` draws the outcomes a gate-by-gate simulation
-    sampled with ``choice`` would. That order is structural: the kickback-0 branch
-    then the kickback-1 branch when the kickback sits above q, and each q
-    value's two branches side by side when it sits below.
+    sampled with ``choice`` would. That order is structural: the kickback-0
+    branch then the kickback-1 branch when the kickback sits above q, and
+    each q value's two branches side by side when it sits below. Only the
+    2M marked positions in that order are kept.
     """
-    marks = oracle_marks(oracle)
+    hits = np.flatnonzero(oracle_marks(oracle))
     q = oracle.frame.q_register
+    n = oracle.frame.candidates
     interleaved = oracle.frame.kickback_qubit < q.offset
-    marked_prefix = np.cumsum(np.repeat(marks, 2) if interleaved else np.tile(marks, 2)).tolist()
-    q_mask = (1 << q.width) - 1
+    if interleaved:
+        marked = np.column_stack((2 * hits, 2 * hits + 1)).ravel().tolist()
+    else:
+        marked = np.concatenate((hits, hits + n)).tolist()
     steps: list[BoyerStep] = []
     iterations = 0
+    m = 1.0
     for _ in range(max_steps):
-        m_now = schedule.m
-        j = schedule.draw_iterations()
-        position = _measure(marked_prefix, j, measure_rng)
+        j = int(schedule_rng.integers(0, math.ceil(m)))
+        position = _measure(marked, 2 * n, j, measure_rng)
         iterations += j
-        candidate = position >> 1 if interleaved else position & q_mask
+        candidate = position >> 1 if interleaved else position & (n - 1)
         passed = bool(classical_check(candidate))
-        steps.append(BoyerStep(m=m_now, j=j, candidate=candidate, passed=passed))
+        steps.append(BoyerStep(m=m, j=j, candidate=candidate, passed=passed))
         if passed:
             return BoyerResult(candidate, tuple(steps), iterations)
-        schedule.grow()
+        m = min(6 / 5 * m, math.sqrt(n))
     return BoyerResult(None, tuple(steps), iterations)

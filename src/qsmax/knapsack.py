@@ -59,7 +59,6 @@ from .arithmetic import (
     build_signed_comparator,
 )
 from .grover import (
-    BoyerSchedule,
     OracleCircuit,
     PreparedFrame,
     boyer_search,
@@ -68,7 +67,7 @@ from .grover import (
     oracle_marks,
     prepare_frame,
 )
-from .statevector import Gate, GateKind, GateSequence, IntegrityError
+from .statevector import Gate, GateKind, IntegrityError, inverse
 
 # The oracle frame holds 2^(n+1) basis states, 8,192 at this bound.
 MAX_ITEMS = 12
@@ -117,6 +116,10 @@ class KnapsackInstance(_KnapsackInstanceFields):
     def _make(cls, iterable) -> "KnapsackInstance":
         """Build through ``__new__``, so ``_replace`` validates as well."""
         return cls(*iterable)
+
+    def __reduce__(self):
+        """Unpickle through ``__new__`` too, under every pickle protocol."""
+        return type(self), tuple(self)
 
     @property
     def n(self) -> int:
@@ -315,7 +318,7 @@ def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
     )
 
 
-def compile_prepare(instance: KnapsackInstance, plan: RegisterPlan) -> GateSequence:
+def compile_prepare(instance: KnapsackInstance, plan: RegisterPlan) -> tuple[Gate, ...]:
     """Compute stage of the oracle; it does not depend on the threshold.
 
     Per item, load its weight into g and add into w under the item qubit,
@@ -343,7 +346,7 @@ def compile_prepare(instance: KnapsackInstance, plan: RegisterPlan) -> GateSeque
     gates += build_comparator(g_w, plan.w, plan.v)  # v ^= capacity < weight
     gates += load_cap
     gates += build_controlled_negate(plan.v, plan.f)
-    return GateSequence(gates)
+    return tuple(gates)
 
 
 def compile_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFrame:
@@ -575,8 +578,7 @@ def maximize(
             ev = evaluate(candidate_index)
             return ev.valid and ev.fitness > t
 
-        schedule = BoyerSchedule(sqrt_n_cap=math.sqrt(big_n), rng=schedule_rng)
-        result = boyer_search(oracle, check, schedule, max_steps, measure_rng)
+        result = boyer_search(oracle, check, max_steps, schedule_rng, measure_rng)
         for step in result.steps:
             cumulative_j += step.j
             ev = evaluate(step.candidate)
@@ -632,7 +634,7 @@ def estimate_resources(instance: KnapsackInstance) -> ResourceEstimate:
     """Count gates in one full oracle (threshold 0) plus diffusion.
 
     The oracle is compiled as the search compiles it (``compile_frame``,
-    then ``compile_oracle``), and its uncompute is ``prepare.reverse()``.
+    then ``compile_oracle``), and its uncompute is ``inverse(prepare)``.
     Constant loads depend on the loaded value's popcount, so the X count is
     reported for threshold 0.
     """
@@ -642,7 +644,7 @@ def estimate_resources(instance: KnapsackInstance) -> ResourceEstimate:
     diffusion = build_diffusion(plan.q)
     counts: Counter[str] = Counter()
     toffoli_equivalent = 0
-    for sequence in (frame.prepare, mark, frame.prepare.reverse(), diffusion):
+    for sequence in (frame.prepare, mark, inverse(frame.prepare), diffusion):
         for gate in sequence:
             counts[gate.kind.value] += 1
             toffoli_equivalent += _toffoli_equivalents(

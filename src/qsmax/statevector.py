@@ -18,18 +18,16 @@ since nothing in the package allocates ``2**qubits`` amplitudes. The search
 works from the oracle's marks in closed form (``grover``); the gate-by-gate
 state vector engine it is checked against lives with the tests.
 
-Gates are frozen values and a GateSequence is a tuple of them, so both can
-be shared freely: the permutation-gate factories intern their gates (see
-the factory section below) and the arithmetic builders cache whole
-sequences.
+A circuit is a plain tuple of frozen Gates, so both can be shared freely;
+the arithmetic builders cache whole circuits, and ``inverse`` derives a
+circuit's adjoint where it is run.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class IntegrityError(Exception):
@@ -110,17 +108,6 @@ class Gate:
         return self
 
 
-# Gate factories. The permutation-gate factories are interned: a Gate is
-# frozen, so one object per distinct gate can be shared by every sequence
-# that uses it, and its checks run once, on first construction. An invalid
-# gate raises on every call, since lru_cache stores no exceptions. Each
-# cache holds at most _GATE_CACHE_SIZE gates (a demo prepare has 93
-# distinct gates among its 290).
-_GATE_CACHE_SIZE = 2048
-_intern = functools.lru_cache(maxsize=_GATE_CACHE_SIZE)
-
-
-@_intern
 def x(target: int) -> Gate:
     return Gate(GateKind.X, (target,))
 
@@ -129,23 +116,16 @@ def h(target: int) -> Gate:
     return Gate(GateKind.H, (target,))
 
 
-@_intern
 def cnot(control: int, target: int) -> Gate:
     return Gate(GateKind.CNOT, (target,), (control,))
 
 
-@_intern
 def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return Gate(GateKind.TOFFOLI, (target,), (control_a, control_b))
 
 
 def mcx(controls: Sequence[int], target: int) -> Gate:
-    return _mcx(tuple(controls), target)
-
-
-@_intern
-def _mcx(controls: tuple[int, ...], target: int) -> Gate:
-    return Gate(GateKind.MCX, (target,), controls)
+    return Gate(GateKind.MCX, (target,), tuple(controls))
 
 
 def controlled_x(controls: Sequence[int], target: int) -> Gate:
@@ -160,12 +140,10 @@ def controlled_x(controls: Sequence[int], target: int) -> Gate:
     return mcx(controls, target)
 
 
-@_intern
 def peres(a: int, b: int, c: int) -> Gate:
     return Gate(GateKind.PERES, (a, b, c))
 
 
-@_intern
 def peres_inv(a: int, b: int, c: int) -> Gate:
     return Gate(GateKind.PERES_INV, (a, b, c))
 
@@ -174,45 +152,9 @@ def cphase_flip_zero(qubits: Sequence[int]) -> Gate:
     return Gate(GateKind.CPHASE_FLIP_ZERO, tuple(qubits))
 
 
-class GateSequence:
-    """Ordered, immutable list of gates (the circuit IR)."""
-
-    __slots__ = ("gates", "_reverse")
-
-    def __init__(self, gates: Iterable[Gate] = ()) -> None:
-        self.gates: tuple[Gate, ...] = tuple(gates)
-        self._reverse: GateSequence | None = None
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __iter__(self) -> Iterator[Gate]:
-        return iter(self.gates)
-
-    def __getitem__(self, i: int) -> Gate:
-        return self.gates[i]
-
-    def __add__(self, other: "GateSequence | Iterable[Gate]") -> "GateSequence":
-        other_gates = other.gates if isinstance(other, GateSequence) else tuple(other)
-        return GateSequence(self.gates + other_gates)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GateSequence):
-            return NotImplemented
-        return self.gates == other.gates
-
-    def reverse(self) -> "GateSequence":
-        """The inverse sequence: reversed order, each gate replaced by its adjoint.
-
-        Built on the first call and returned as the same object afterwards.
-        """
-        if self._reverse is None:
-            self._reverse = GateSequence(map(Gate.inverse, reversed(self.gates)))
-        return self._reverse
-
-    def qubits(self) -> frozenset[int]:
-        """All qubit indices any gate touches."""
-        return frozenset(q for g in self.gates for q in g.qubits)
+def inverse(gates: Sequence[Gate]) -> tuple[Gate, ...]:
+    """The adjoint circuit: reversed order, each gate replaced by its adjoint."""
+    return tuple(gate.inverse() for gate in reversed(gates))
 
 
 def permute_planes(planes: Sequence[int], gates: Iterable[Gate], size: int) -> list[int]:

@@ -36,7 +36,7 @@ def demo_instance() -> KnapsackInstance:
     return KnapsackInstance(DEMO_ITEMS, DEMO_CAPACITY)
 
 
-def apply_to_basis(num_qubits: int, sequence: sv.GateSequence, basis: int) -> int:
+def apply_to_basis(num_qubits: int, sequence, basis: int) -> int:
     """Send one basis state through a permutation circuit on the reference engine."""
     state = ref.apply_sequence(ref.new_basis_state(num_qubits, basis), sequence)
     out = ref.measure_all(state, np.random.default_rng(0))
@@ -100,8 +100,8 @@ def random_gate(rng: np.random.Generator, num_qubits: int, kinds=_ALL_KINDS) -> 
 
 def random_sequence(
     rng: np.random.Generator, num_qubits: int, length: int, kinds=_ALL_KINDS
-) -> sv.GateSequence:
-    return sv.GateSequence(random_gate(rng, num_qubits, kinds) for _ in range(length))
+) -> tuple[sv.Gate, ...]:
+    return tuple(random_gate(rng, num_qubits, kinds) for _ in range(length))
 
 
 def permutation_kinds():

@@ -27,9 +27,9 @@ from qsmax.grover import OracleCircuit, PreparedFrame
 from qsmax.statevector import (
     Gate,
     GateKind,
-    GateSequence,
     IntegrityError,
     h,
+    inverse,
     x,
 )
 
@@ -175,7 +175,7 @@ def apply_gate(state: SparseState, gate: Gate) -> SparseState:
     return state
 
 
-def apply_sequence(state: SparseState, sequence: GateSequence) -> SparseState:
+def apply_sequence(state: SparseState, sequence: Sequence[Gate]) -> SparseState:
     """Apply all gates in order; errors carry the offending gate position."""
     for position, gate in enumerate(sequence):
         try:
@@ -243,15 +243,13 @@ def prepare_search_state(oracle: OracleCircuit) -> SparseState:
     state = new_zero_state(frame.num_qubits)
     return apply_sequence(
         state,
-        GateSequence(
-            [x(frame.kickback_qubit), h(frame.kickback_qubit)]
-            + [h(bit) for bit in frame.q_register.bits]
-        ),
+        [x(frame.kickback_qubit), h(frame.kickback_qubit)]
+        + [h(bit) for bit in frame.q_register.bits],
     )
 
 
 def grover_iteration(
-    state: SparseState, oracle: OracleCircuit, diffusion: GateSequence
+    state: SparseState, oracle: OracleCircuit, diffusion: Sequence[Gate]
 ) -> SparseState:
     """One oracle application (prepare, mark, prepare reversed) plus diffusion.
 
@@ -260,7 +258,7 @@ def grover_iteration(
     """
     apply_sequence(state, oracle.frame.prepare)
     apply_sequence(state, oracle.mark)
-    apply_sequence(state, oracle.frame.prepare.reverse())
+    apply_sequence(state, inverse(oracle.frame.prepare))
     apply_sequence(state, diffusion)
     ancillas = ancilla_qubits(oracle.frame)
     if ancillas:

@@ -42,6 +42,7 @@ from qsmax.knapsack import (
     plan_registers,
     verify_instance,
 )
+from qsmax.statevector import inverse
 from reference_engine import apply_sequence, get_amplitude, norm_squared, prepare_search_state
 
 DEMO = KnapsackInstance(((7, 4), (4, 10), (2, 5), (3, 3)), 10)
@@ -105,7 +106,7 @@ def test_criterion_2_worked_amplitude_example():
     state = prepare_search_state(oracle)
     apply_sequence(state, oracle.frame.prepare)
     apply_sequence(state, oracle.mark)
-    apply_sequence(state, oracle.frame.prepare.reverse())
+    apply_sequence(state, inverse(oracle.frame.prepare))
 
     marked = ("0110", "0111")
     sqrt2 = math.sqrt(2.0)
@@ -234,7 +235,7 @@ def test_criterion_5_uncompute_hygiene():
     state = prepare_search_state(oracle)
     apply_sequence(state, oracle.frame.prepare)
     apply_sequence(state, oracle.mark)
-    apply_sequence(state, oracle.frame.prepare.reverse())
+    apply_sequence(state, inverse(oracle.frame.prepare))
     frame_mass = 0.0
     for candidate in all_candidates(4):
         base = candidate_to_index(candidate, 4) << plan.q.offset

@@ -407,7 +407,7 @@ compile_clean = knapsack.compile_oracle
 
 def compile_dirty(plan, frame, threshold):
     oracle = compile_clean(plan, frame, threshold)
-    return OracleCircuit(frame, oracle.mark + [cnot(plan.q.bit(0), plan.g.bit(0))])
+    return OracleCircuit(frame, oracle.mark + (cnot(plan.q.bit(0), plan.g.bit(0)),))
 
 knapsack.compile_oracle = compile_dirty
 sys.exit(cli.main(sys.argv[1:]))

@@ -20,9 +20,9 @@ from qsmax import grover
 from qsmax.arithmetic import RegisterRef
 from qsmax.grover import (
     BoyerResult,
-    BoyerSchedule,
     BoyerStep,
     OracleCircuit,
+    PreparedFrame,
     boyer_search,
     build_diffusion,
     iteration_count,
@@ -36,10 +36,10 @@ from qsmax.knapsack import (
     plan_registers,
 )
 from qsmax.statevector import (
-    GateSequence,
     IntegrityError,
     cnot,
     h,
+    inverse,
     mcx,
     toffoli,
     x,
@@ -76,8 +76,8 @@ def toy_oracle(
         gates.extend(off)
         gates.append(mcx(q.bits, kickback))
         gates.extend(off)
-    frame = prepare_frame(GateSequence(), q, kickback, n + 1 + extra_ancillas)
-    return OracleCircuit(frame, GateSequence(gates))
+    frame = prepare_frame((), q, kickback, n + 1 + extra_ancillas)
+    return OracleCircuit(frame, tuple(gates))
 
 
 def demo_oracle(threshold: int) -> OracleCircuit:
@@ -89,7 +89,7 @@ def demo_oracle(threshold: int) -> OracleCircuit:
 def dirty_oracle(leak) -> OracleCircuit:
     """toy_oracle with one extra gate in ``mark`` that breaks the uncompute."""
     oracle = toy_oracle(3, {5}, extra_ancillas=1)
-    return OracleCircuit(oracle.frame, oracle.mark + [leak])
+    return OracleCircuit(oracle.frame, oracle.mark + (leak,))
 
 
 def whole_oracle_marks(oracle: OracleCircuit):
@@ -101,7 +101,7 @@ def whole_oracle_marks(oracle: OracleCircuit):
     q = oracle.frame.q_register
     kick = 1 << oracle.frame.kickback_qubit
     register = np.arange(1 << q.width, dtype=np.int64) << q.offset
-    whole = oracle.frame.prepare + oracle.mark + oracle.frame.prepare.reverse()
+    whole = oracle.frame.prepare + oracle.mark + inverse(oracle.frame.prepare)
     image0 = np.array(push_states(register, whole, oracle.frame.num_qubits))
     image1 = np.array(push_states(register | kick, whole, oracle.frame.num_qubits))
     flips0, flips1 = image0 ^ register, image1 ^ register ^ kick
@@ -112,26 +112,26 @@ def whole_oracle_marks(oracle: OracleCircuit):
     return flips0 == kick, None
 
 
-def reference_boyer_search(oracle, classical_check, schedule, max_steps, measure_rng):
+def reference_boyer_search(oracle, classical_check, max_steps, schedule_rng, measure_rng):
     """The unknown-count search run gate by gate on the full statevector."""
     diffusion = build_diffusion(oracle.frame.q_register)
     q = oracle.frame.q_register
     q_mask = (1 << q.width) - 1
     steps = []
     iterations = 0
+    m = 1.0
     for _ in range(max_steps):
-        m_now = schedule.m
-        j = schedule.draw_iterations()
+        j = int(schedule_rng.integers(0, math.ceil(m)))
         state = prepare_search_state(oracle)
         for _ in range(j):
             grover_iteration(state, oracle, diffusion)
         iterations += j
         candidate = (measure_all(state, measure_rng) >> q.offset) & q_mask
         passed = bool(classical_check(candidate))
-        steps.append(BoyerStep(m=m_now, j=j, candidate=candidate, passed=passed))
+        steps.append(BoyerStep(m=m, j=j, candidate=candidate, passed=passed))
         if passed:
             return BoyerResult(candidate, tuple(steps), iterations)
-        schedule.grow()
+        m = min(6 / 5 * m, math.sqrt(1 << q.width))
     return BoyerResult(None, tuple(steps), iterations)
 
 
@@ -246,15 +246,15 @@ class TestOracleContract:
         q = RegisterRef("q", 0, 2)
         for kickback in (3, 4, -1):
             with pytest.raises(ValueError, match="kickback qubit out of range"):
-                prepare_frame(GateSequence(), q, kickback, 3)
-        assert prepare_frame(GateSequence(), q, 2, 3).num_qubits == 3
+                prepare_frame((), q, kickback, 3)
+        assert prepare_frame((), q, 2, 3).num_qubits == 3
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_frame_planes_equal_a_frame_built_bit_by_bit(self, width):
         # q sits above the kickback qubit 0, with one spare qubit on top.
         n = 1 << width
         q = RegisterRef("q", 1, width)
-        frame = prepare_frame(GateSequence(), q, 0, width + 2)
+        frame = prepare_frame((), q, 0, width + 2)
         entries = range(2 * n)  # entry e is q value e mod N, kickback e >= N
         expected = [sum(1 << e for e in entries if e >= n)]
         expected += [sum(1 << e for e in entries if (e % n) >> b & 1) for b in range(width)]
@@ -267,18 +267,51 @@ class TestOracleContract:
         for i in range(1 << n):
             state = new_basis_state(oracle.frame.num_qubits, i)
             apply_sequence(
-                state,
-                GateSequence([x(oracle.frame.kickback_qubit), h(oracle.frame.kickback_qubit)]),
+                state, (x(oracle.frame.kickback_qubit), h(oracle.frame.kickback_qubit))
             )
             apply_sequence(state, oracle.frame.prepare)
             apply_sequence(state, oracle.mark)
-            apply_sequence(state, oracle.frame.prepare.reverse())
+            apply_sequence(state, inverse(oracle.frame.prepare))
             sign = -1.0 if i in marked else 1.0
             assert abs(get_amplitude(state, i) - sign * INV_SQRT2) < 1e-10
             assert (
                 abs(get_amplitude(state, i | (1 << oracle.frame.kickback_qubit)) + sign * INV_SQRT2)
                 < 1e-10
             )
+
+
+class TestPlaneReads:
+    """Bit planes read as arrays, against bit-by-bit Python references."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+    def test_plane_bits(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            # bits above n (the kickback-1 half of a frame plane) are ignored
+            plane = int(rng.integers(0, 1 << 62)) << 1 | int(rng.integers(0, 2))
+            plane |= plane << 62
+            bits = grover._plane_bits(plane, n)
+            assert bits.dtype == np.uint8
+            assert bits.tolist() == [(plane >> i) & 1 for i in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("width", [62, 63, 70])
+    def test_column(self, n, width):
+        rng = np.random.default_rng(100 * n + width)
+        size = 1 << n
+        planes = tuple(
+            int.from_bytes(rng.bytes(size // 4 + 1), "little") for _ in range(width + 2)
+        )
+        frame = PreparedFrame((), RegisterRef("q", 0, n), 1, planes)
+        register = RegisterRef("w", 2, width)
+        column = frame.column(register)
+        expected = [
+            sum(((planes[k] >> i) & 1) << t for t, k in enumerate(register.bits))
+            for i in range(size)
+        ]
+        assert column.dtype == (np.int64 if width < 63 else object)
+        assert column.tolist() == expected
+        assert all(type(value) is int for value in column.tolist())
 
 
 class TestGroverIteration:
@@ -406,14 +439,14 @@ class TestFusedSearch:
             frame_marks = np.concatenate((marks, marks))[order]
             structural = np.repeat(marks, 2) if below else np.tile(marks, 2)
             assert frame_marks.tolist() == structural.tolist()
-            prefix = np.cumsum(frame_marks).tolist()
+            marked = np.flatnonzero(frame_marks).tolist()
             old_rng, new_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             for _ in range(5):
                 j = int(rng.integers(0, math.ceil(math.sqrt(size)) + 1))
                 half = next(itertools.islice(iterated_amplitudes(marks), j, None)) ** 2 / 2.0
                 probs = np.concatenate((half, half))[order]
                 expected = sample_basis(sorted_basis, probs, old_rng)
-                got = int(sorted_basis[grover._measure(prefix, j, new_rng)])
+                got = int(sorted_basis[grover._measure(marked, 2 * size, j, new_rng)])
                 draws += 1
                 disagreements += got != expected
             assert old_rng.random() == new_rng.random()
@@ -426,9 +459,10 @@ class TestFusedSearch:
             "_amplitude_pair",
             lambda *args: tuple(a * (1.0 + 1e-3) for a in closed_form(*args)),
         )
-        schedule = BoyerSchedule(sqrt_n_cap=4.0, rng=np.random.default_rng(0))
         with pytest.raises(IntegrityError, match="refusing to sample"):
-            boyer_search(toy_oracle(4, {3}), bool, schedule, 5, np.random.default_rng(1))
+            boyer_search(
+                toy_oracle(4, {3}), bool, 5, np.random.default_rng(0), np.random.default_rng(1)
+            )
 
     @pytest.mark.parametrize(
         "oracle, check_marks",
@@ -446,14 +480,12 @@ class TestFusedSearch:
     )
     def test_boyer_search_equals_gate_level_reference(self, oracle, check_marks):
         marked = set(np.flatnonzero(oracle_marks(oracle)).tolist()) if check_marks else set()
-        sqrt_n = math.sqrt(1 << oracle.frame.q_register.width)
 
         def run(search, seed):
             sched_rng, meas_rng = [
                 np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
             ]
-            schedule = BoyerSchedule(sqrt_n_cap=sqrt_n, rng=sched_rng)
-            return search(oracle, marked.__contains__, schedule, 6, meas_rng)
+            return search(oracle, marked.__contains__, 6, sched_rng, meas_rng)
 
         results = [run(boyer_search, seed) for seed in range(5)]
         assert results == [run(reference_boyer_search, seed) for seed in range(5)]
@@ -473,9 +505,10 @@ class TestFusedSearch:
         dirty = dirty_oracle(leak)
         with pytest.raises(IntegrityError, match="contamination"):
             oracle_marks(dirty)
-        schedule = BoyerSchedule(sqrt_n_cap=math.sqrt(8), rng=np.random.default_rng(0))
         with pytest.raises(IntegrityError, match="contamination"):
-            boyer_search(dirty, lambda c: False, schedule, 5, np.random.default_rng(1))
+            boyer_search(
+                dirty, lambda c: False, 5, np.random.default_rng(0), np.random.default_rng(1)
+            )
 
 
     def test_check_equals_the_whole_oracle_contract_on_random_oracles(self):
@@ -488,9 +521,9 @@ class TestFusedSearch:
         for _ in range(200):
             prepare = random_sequence(rng, 5, 10, kinds=permutation_kinds())
             controls = rng.choice(5, size=int(rng.integers(1, 4)), replace=False)
-            mark = GateSequence([mcx([int(c) for c in controls], 5)])
+            mark = (mcx([int(c) for c in controls], 5),)
             if rng.random() < 0.5:
-                mark += [random_gate(rng, 6, permutation_kinds())]
+                mark += (random_gate(rng, 6, permutation_kinds()),)
             oracle = OracleCircuit(prepare_frame(prepare, q, 5, 6), mark)
             marks, bad = whole_oracle_marks(oracle)
             if bad is None:
@@ -509,9 +542,7 @@ class TestBoyerSearch:
         sched_rng, meas_rng = [
             np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
         ]
-        sqrt_n = math.sqrt(oracle.frame.candidates)
-        schedule = BoyerSchedule(sqrt_n_cap=sqrt_n, rng=sched_rng)
-        return boyer_search(oracle, check, schedule, max_steps, meas_rng)
+        return boyer_search(oracle, check, max_steps, sched_rng, meas_rng)
 
     def test_finds_single_marked_item_statistically(self):
         oracle = toy_oracle(4, {11})
@@ -535,6 +566,17 @@ class TestBoyerSearch:
         assert all(b >= a for a, b in zip(ms, ms[1:]))
         assert max(ms) <= math.sqrt(16) + 1e-12
         assert ms[-1] == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cutoff_grows_by_six_fifths_up_to_sqrt_n(self, n):
+        # N = 8 caps m at the irrational sqrt(8) after 6 growths; N = 16 at 4 after 8.
+        result = self._run(toy_oracle(n, set()), lambda c: False, seed=7, max_steps=12)
+        ms = [step.m for step in result.steps]
+        cap = math.sqrt(1 << n)
+        assert ms[:3] == [1.0, 1.2, pytest.approx(1.44)]
+        assert ms == pytest.approx([min(1.2**k, cap) for k in range(12)], rel=1e-12)
+        assert ms[-1] == cap
+        assert all(step.j < math.ceil(step.m) for step in result.steps)
 
     def test_zero_iteration_measurement_can_accept(self):
         oracle = toy_oracle(4, set())

@@ -38,9 +38,9 @@ from qsmax.knapsack import (
     verify_instance,
 )
 from qsmax.statevector import (
-    GateSequence,
     cnot,
     h,
+    inverse,
     x,
 )
 from reference_engine import (
@@ -227,10 +227,10 @@ class TestOracleCompilation:
         for candidate in all_candidates(4):
             i = candidate_to_index(candidate, 4)
             state = new_basis_state(plan.total_qubits, i << plan.q.offset)
-            apply_sequence(state, GateSequence([x(plan.r), h(plan.r)]))
+            apply_sequence(state, (x(plan.r), h(plan.r)))
             apply_sequence(state, oracle.frame.prepare)
             apply_sequence(state, oracle.mark)
-            apply_sequence(state, oracle.frame.prepare.reverse())
+            apply_sequence(state, inverse(oracle.frame.prepare))
             amp = get_amplitude(state, i << plan.q.offset)
             assert abs(abs(amp) - 1 / math.sqrt(2)) < 1e-10
             if amp.real < 0:
@@ -250,7 +250,7 @@ class TestOracleCompilation:
         state = prepare_search_state(oracle)
         apply_sequence(state, oracle.frame.prepare)
         apply_sequence(state, oracle.mark)
-        apply_sequence(state, oracle.frame.prepare.reverse())
+        apply_sequence(state, inverse(oracle.frame.prepare))
         frame_mass = 0.0
         for i in range(16):
             a0 = get_amplitude(state, i << plan.q.offset)
@@ -312,7 +312,7 @@ class TestVerify:
 
         def compile_dirty(plan, frame, threshold):
             oracle = compile_clean(plan, frame, threshold)
-            return OracleCircuit(frame, oracle.mark + [cnot(plan.q.bit(1), plan.g.bit(0))])
+            return OracleCircuit(frame, oracle.mark + (cnot(plan.q.bit(1), plan.g.bit(0)),))
 
         monkeypatch.setattr(kp, "compile_oracle", compile_dirty)
         report = verify_instance(demo_instance)
@@ -349,7 +349,7 @@ class TestVerify:
 
         def prepare_with_stray_bit(instance, plan):
             qubit = plan.v if register == "v" else getattr(plan, register).bit(0)
-            return prepare_clean(instance, plan) + [x(qubit)]
+            return prepare_clean(instance, plan) + (x(qubit),)
 
         monkeypatch.setattr(kp, "compile_prepare", prepare_with_stray_bit)
         report = verify_instance(demo_instance)
@@ -479,7 +479,7 @@ class TestGateLevelReference:
         marks = grover.oracle_marks(oracle)
 
         state = prepare_search_state(oracle)
-        for stage in (oracle.frame.prepare, oracle.mark, oracle.frame.prepare.reverse()):
+        for stage in (oracle.frame.prepare, oracle.mark, inverse(oracle.frame.prepare)):
             apply_sequence(state, stage)
         size = 1 << instance.n
         # Every ancilla is back at 0: only q and kickback bits are set, on
@@ -527,9 +527,9 @@ class TestComputeOnce:
 
     def _assert_prepare_once_then_marks(self, recorded, instance):
         pushed, compiled = recorded
-        prepare = compile_prepare(instance, plan_registers(instance)).gates
+        prepare = compile_prepare(instance, plan_registers(instance))
         assert pushed[0] == prepare
-        assert pushed[1:] == [oracle.mark.gates for oracle in compiled]
+        assert pushed[1:] == [oracle.mark for oracle in compiled]
         assert all(oracle.frame is compiled[0].frame for oracle in compiled)
 
     def test_maximize(self, demo_instance, recorded):
@@ -567,7 +567,7 @@ class TestBuiltOnce:
         first = compile_prepare(demo_instance, plan)
         second = compile_prepare(demo_instance, plan)
         assert first == second and first is not second
-        # the gates themselves are interned, so both share every gate object
+        # the memoized builders' blocks are shared, so both hold the same gate objects
         assert all(a is b for a, b in zip(first, second))
 
     def test_signed_comparator_is_built_once_per_run(self, demo_instance):

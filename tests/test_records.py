@@ -15,7 +15,7 @@ import pytest
 from conftest import DEMO_CAPACITY, DEMO_ITEMS, REPO_ROOT
 from qsmax.arithmetic import RegisterRef, SignedEncoding
 from qsmax.cli import RunConfig
-from qsmax.grover import BoyerResult, BoyerSchedule, BoyerStep
+from qsmax.grover import BoyerResult, BoyerStep
 from qsmax.knapsack import (
     CapacityError,
     KnapsackInstance,
@@ -55,9 +55,9 @@ RECORDS = {
     "VerifyReport": lambda: verify_instance(_demo()),
     "RunConfig": lambda: RunConfig(seed=1, output_format="machine"),
 }
-# Records holding a GateSequence (which compares by value but defines no
-# hash) or a dict cannot be hashed, as when they were frozen dataclasses.
-UNHASHABLE = {"PreparedFrame", "OracleCircuit", "ResourceEstimate"}
+# A record holding a dict cannot be hashed; circuits are tuples of frozen
+# Gates, so frames and oracles hash by value.
+UNHASHABLE = {"ResourceEstimate"}
 
 record_builders = pytest.mark.parametrize("name", sorted(RECORDS))
 
@@ -92,19 +92,9 @@ class TestRecordContract:
     @record_builders
     def test_pickle_round_trips(self, name):
         record = RECORDS[name]()
-        restored = pickle.loads(pickle.dumps(record))
-        assert type(restored) is type(record) and restored == record
-
-
-class TestBoyerSchedule:
-    def test_cutoff_is_mutable_and_the_slots_are_fixed(self):
-        schedule = BoyerSchedule(sqrt_n_cap=1.5, rng=np.random.default_rng(0))
-        assert schedule.m == 1.0
-        schedule.m = 1.25
-        schedule.grow()
-        assert schedule.m == 1.5
-        with pytest.raises(AttributeError):
-            schedule.extra = 1
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(record, protocol))
+            assert type(restored) is type(record) and restored == record, protocol
 
 
 # Every way a validated record can be built, from a valid record and the
@@ -114,14 +104,21 @@ def _fields(good, changes) -> dict:
     return {**good._asdict(), **changes}
 
 
+def _unpickled(protocol=None):
+    return lambda good, changes: pickle.loads(
+        pickle.dumps(tuple.__new__(type(good), _fields(good, changes).values()), protocol)
+    )
+
+
+# "pickle" uses the default protocol. Protocols 0 and 1 rebuild a tuple
+# subclass without its __new__ unless the class defines __reduce__.
 BUILDS = {
     "positional": lambda good, changes: type(good)(*_fields(good, changes).values()),
     "keyword": lambda good, changes: type(good)(**_fields(good, changes)),
     "_make": lambda good, changes: type(good)._make(_fields(good, changes).values()),
     "_replace": lambda good, changes: good._replace(**changes),
-    "pickle": lambda good, changes: pickle.loads(
-        pickle.dumps(tuple.__new__(type(good), _fields(good, changes).values()))
-    ),
+    "pickle": _unpickled(),
+    **{f"pickle-{p}": _unpickled(p) for p in range(pickle.HIGHEST_PROTOCOL + 1)},
 }
 
 BAD_INPUTS = [
