@@ -130,28 +130,26 @@ def _parse_uint(fields: list[str], position: int, lineno: int, what: str) -> int
 
 
 def _emit_machine(trace: SearchTrace, config: RunConfig, out) -> None:
-    print(
+    lines = [
         f"seed={config.seed} qubits={trace.total_qubits} "
         f"initial_threshold={trace.initial_threshold} "
-        f"initial_candidate={trace.initial_candidate or '-'}",
-        file=out,
-    )
-    for s in trace.steps:
-        print(
-            f"round={s.round} m={s.m:.6f} j={s.j} "
-            f"grover_iterations_cumulative={s.grover_iterations_cumulative} "
-            f"measured_candidate={s.measured_candidate} "
-            f"measured_fitness={s.measured_fitness} "
-            f"valid={int(s.valid)} accepted={int(s.accepted)} "
-            f"threshold_after={s.threshold_after}",
-            file=out,
-        )
-    print(
+        f"initial_candidate={trace.initial_candidate or '-'}"
+    ]
+    lines += [
+        f"round={s.round} m={s.m:.6f} j={s.j} "
+        f"grover_iterations_cumulative={s.grover_iterations_cumulative} "
+        f"measured_candidate={s.measured_candidate} "
+        f"measured_fitness={s.measured_fitness} "
+        f"valid={int(s.valid)} accepted={int(s.accepted)} "
+        f"threshold_after={s.threshold_after}"
+        for s in trace.steps
+    ]
+    lines.append(
         f"final_candidate={trace.final_candidate or '-'} "
         f"final_fitness={trace.final_fitness} rounds={trace.rounds} "
-        f"total_grover_iterations={trace.total_grover_iterations}",
-        file=out,
+        f"total_grover_iterations={trace.total_grover_iterations}"
     )
+    out.write("\n".join(lines) + "\n")
 
 
 def _emit_human(trace: SearchTrace, elapsed: float, out) -> None:

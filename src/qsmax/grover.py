@@ -17,18 +17,21 @@ The search needs only the oracle's phase pattern. Every oracle stage is a
 permutation circuit, so its effect on basis states is an integer map. Once
 per instance, ``prepare_frame`` writes the frame (every q value with the
 kickback at 0 and at 1) as bit planes and pushes them through the
-threshold-independent compute stage. A round's ``OracleCircuit`` is that
-frame plus the round's ``mark``, and ``oracle_marks`` pushes the frame's
-images through ``mark`` only, reads the marked set off them and checks the
-uncompute (``inverse(prepare)``) exactly, by big-int XOR/OR over the
-planes. Nothing here caches a circuit: the uncompute is built, uncached,
-only to name the basis states of a failed check. A Grover iteration is a sign flip on the marked set followed by
+threshold-independent compute stage. A threshold's ``OracleCircuit`` is
+that frame plus the threshold's ``mark``, and ``oracle_marks`` pushes the
+frame's images through ``mark`` only, reads the marked set off them and
+checks the uncompute (``inverse(prepare)``) exactly, by big-int XOR/OR over
+the planes. Nothing here caches a circuit: the uncompute is built,
+uncached, only to name the basis states of a failed check.
+
+A Grover iteration is a sign flip on the marked set followed by
 ``a - 2 mean(a)``, so after j iterations, with sin^2(theta) = M/N for M
 marked of N, every marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M)
 and every other one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed
-form). A measurement is one uniform draw and a bisection over the frame,
-counting the round's 2M marked entries below each probe. Nothing here holds
-a state vector; the tests check this path against a gate-by-gate engine.
+form). A measurement is one uniform draw and an exact inverse CDF over the
+frame: a bisection over the 2M marked entries, then a closed-form index
+into a run of unmarked ones. Nothing here holds a state vector; the tests
+check this path against a gate-by-gate engine.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ def prepare_frame(
 
 
 class OracleCircuit(NamedTuple):
-    """Phase oracle: the instance's compiled compute stage plus one round's mark.
+    """Phase oracle: the instance's compiled compute stage plus one threshold's mark.
 
     Applying ``frame.prepare``, ``mark`` and ``inverse(frame.prepare)`` to
     |i>_q (ancillas |0>, kickback |->) yields (-1)^o(i) |i>_q with ancillas
@@ -230,31 +233,62 @@ def _amplitude_pair(n_marked: int, n_candidates: int, iterations: int) -> tuple[
     )
 
 
-def _measure(marked: list[int], size: int, iterations: int, rng: np.random.Generator) -> int:
-    """Sample a position in the frame's sorted order of ``size`` entries.
+def _probabilities(n_marked: int, n_candidates: int, iterations: int) -> tuple[float, float, float]:
+    """Probability of one marked and of one unmarked frame entry, and their total.
 
-    ``marked`` lists the marked positions in ascending order. Refuses a
-    total more than 1e-6 from 1 in norm. Returns the first position whose
-    cumulative probability exceeds one ``rng.random()`` times the total, as
-    ``Generator.choice`` does.
+    A candidate's probability is split evenly over its two kickback
+    branches, so the frame's 2N entries carry the distribution. Refuses a
+    total more than 1e-6 from 1 in norm.
     """
-    n_marked = len(marked) // 2
-    a_marked, a_unmarked = _amplitude_pair(n_marked, size // 2, iterations)
+    a_marked, a_unmarked = _amplitude_pair(n_marked, n_candidates, iterations)
     p_marked, p_unmarked = a_marked * a_marked / 2.0, a_unmarked * a_unmarked / 2.0
-    total = 2 * n_marked * p_marked + (size - 2 * n_marked) * p_unmarked
+    total = 2 * n_marked * p_marked + (2 * n_candidates - 2 * n_marked) * p_unmarked
     if abs(math.sqrt(total) - 1.0) > 1e-6:
         raise IntegrityError(f"state norm drifted to {math.sqrt(total)!r}; refusing to sample")
+    return p_marked, p_unmarked, total
 
-    def cumulative(i: int) -> float:
-        below = bisect.bisect_right(marked, i)  # marked positions up to i
-        return p_marked * below + p_unmarked * (i + 1 - below)
 
-    index = bisect.bisect_right(range(size), rng.random() * total, key=cumulative)
-    return min(index, size - 1)
+def _position(marked: list[int], size: int, p_marked: float, p_unmarked: float, draw: float) -> int:
+    """First position below ``size`` whose cumulative probability exceeds
+    ``draw``, capped at ``size - 1``, as ``Generator.choice`` picks it.
+
+    ``marked`` lists the marked positions in ascending order. The
+    cumulative at position i is ``p_marked * below + p_unmarked * (i + 1 -
+    below)``, ``below`` counting the marked positions up to i. Only the
+    marked positions are bisected; the index inside the unmarked run that
+    follows is guessed in closed form and checked with that same float
+    expression, bisecting the run only if the guess is off.
+    """
+    k = 0  # marked positions whose cumulative is at most draw
+    if marked:
+        k = bisect.bisect_right(
+            range(len(marked)), draw, key=lambda t: p_marked * (t + 1) + p_unmarked * (marked[t] - t)
+        )
+    # The outcome is in the unmarked run [start, end) or is end: marked[k],
+    # or size past the last marked position.
+    start = marked[k - 1] + 1 if k else 0
+    end = marked[k] if k < len(marked) else size
+    if p_unmarked and start < end:
+        base = p_marked * k  # the cumulative in the run is base + p_unmarked * (i + 1 - k)
+        t = (draw - base) / p_unmarked
+        guess = k + int(t) if t < end else end
+        guess = end if guess > end else start if guess < start else guess
+        if guess < end and base + p_unmarked * (guess + 1 - k) <= draw:
+            start = guess + 1
+        elif guess > start and base + p_unmarked * (guess - k) > draw:
+            end = guess
+        else:
+            start = end = guess
+        if start < end:
+            end = start + bisect.bisect_right(
+                range(start, end), draw, key=lambda i: base + p_unmarked * (i + 1 - k)
+            )
+    return min(end, size - 1)
 
 
 def boyer_search(
-    oracle: OracleCircuit,
+    frame: PreparedFrame,
+    marks: np.ndarray,
     classical_check: Callable[[int], bool],
     max_steps: int,
     schedule_rng: np.random.Generator,
@@ -269,38 +303,42 @@ def boyer_search(
     Exhaustion after ``max_steps`` measurements is a normal return, not an
     error.
 
-    The marked set comes from ``oracle_marks`` once per call, which pushes
-    the frame through ``mark`` only and raises IntegrityError unless the
-    uncompute restores every ancilla exactly. A step uses the closed-form
-    amplitudes (M = 0 and M = N included) and costs O(log N log M) whatever
-    j is. It samples the distribution the whole register would have after j
+    ``marks`` is ``oracle_marks`` of an oracle on ``frame``. A step uses
+    the closed-form amplitudes (M = 0 and M = N included), whose
+    probabilities and norm check are computed once per distinct j. It
+    samples the distribution the whole register would have after j
     gate-level iterations, in sorted order of full-register indices, the
     way ``Generator.choice`` samples it from one ``random()`` draw, so a
     seeded ``measure_rng`` draws the outcomes a gate-by-gate simulation
     sampled with ``choice`` would. That order is structural: the kickback-0
     branch then the kickback-1 branch when the kickback sits above q, and
     each q value's two branches side by side when it sits below. Only the
-    2M marked positions in that order are kept.
+    2M marked positions in that order are kept, and a step costs O(log M)
+    whatever j is, O(1) at M = 0.
     """
-    hits = np.flatnonzero(oracle_marks(oracle))
-    q = oracle.frame.q_register
-    n = oracle.frame.candidates
-    interleaved = oracle.frame.kickback_qubit < q.offset
+    hits = np.flatnonzero(marks).tolist()
+    n = frame.candidates
+    interleaved = frame.kickback_qubit < frame.q_register.offset
     if interleaved:
-        marked = np.column_stack((2 * hits, 2 * hits + 1)).ravel().tolist()
+        marked = [p for h in hits for p in (2 * h, 2 * h + 1)]
     else:
-        marked = np.concatenate((hits, hits + n)).tolist()
+        marked = hits + [h + n for h in hits]
+    size, n_marked, cap = 2 * n, len(hits), math.sqrt(n)
+    table: dict[int, tuple[float, float, float]] = {}
     steps: list[BoyerStep] = []
     iterations = 0
     m = 1.0
     for _ in range(max_steps):
         j = int(schedule_rng.integers(0, math.ceil(m)))
-        position = _measure(marked, 2 * n, j, measure_rng)
+        if j not in table:
+            table[j] = _probabilities(n_marked, n, j)
+        p_marked, p_unmarked, total = table[j]
+        position = _position(marked, size, p_marked, p_unmarked, measure_rng.random() * total)
         iterations += j
         candidate = position >> 1 if interleaved else position & (n - 1)
         passed = bool(classical_check(candidate))
-        steps.append(BoyerStep(m=m, j=j, candidate=candidate, passed=passed))
+        steps.append(BoyerStep(m, j, candidate, passed))
         if passed:
             return BoyerResult(candidate, tuple(steps), iterations)
-        m = min(6 / 5 * m, math.sqrt(n))
+        m = min(6 / 5 * m, cap)
     return BoyerResult(None, tuple(steps), iterations)

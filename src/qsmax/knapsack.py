@@ -10,13 +10,14 @@ push the candidate basis states through the compiled stages as bit planes
 (``statevector.permute_planes``) and read registers and kickback flips off
 the images exactly, at any register width. The compute stage does not
 depend on the threshold, so each of ``enumerate_table``,
-``verify_instance``, ``maximize`` and ``estimate_resources`` compiles it
-and pushes every candidate through it once per instance
+``verify_instance`` and ``maximize`` compiles it and pushes every
+candidate through it once per instance
 (``compile_frame``); the table reads w, f and v off those images
-(``PreparedFrame.column``). Each search round or verify threshold compiles
-only its marking stage (``compile_oracle``: the frame plus a mark) and
-pushes the images through it (``grover.oracle_marks``). Only the item
-count is bounded (``MAX_ITEMS``): the frame holds 2^(n+1) basis states.
+(``PreparedFrame.column``). Each distinct search threshold and each verify
+threshold compiles only its marking stage (``compile_oracle``: the frame
+plus a ``compile_mark``) and pushes the images through it
+(``grover.oracle_marks``). Only the item count is bounded (``MAX_ITEMS``):
+the frame holds 2^(n+1) basis states.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
 table order. The circuit side is read off the images register by register
@@ -204,10 +205,14 @@ class VerifyReport(NamedTuple):
     mismatch: str | None = None
 
 
+def _check_candidate(candidate: str, n: int) -> None:
+    if len(candidate) != n or candidate.strip("01"):
+        raise ValueError(f"candidate {candidate!r} is not a {n}-bit 0/1 string")
+
+
 def candidate_to_index(candidate: str, n: int) -> int:
     """Candidate bitstring (item 1 first) to q-register basis value."""
-    if len(candidate) != n or any(ch not in "01" for ch in candidate):
-        raise ValueError(f"candidate {candidate!r} is not a {n}-bit 0/1 string")
+    _check_candidate(candidate, n)
     return sum(1 << k for k, ch in enumerate(candidate) if ch == "1")
 
 
@@ -215,7 +220,7 @@ def index_to_candidate(index: int, n: int) -> str:
     """q-register basis value to candidate bitstring (item 1 first)."""
     if not 0 <= index < (1 << n):
         raise ValueError(f"candidate index {index} out of range for {n} items")
-    return "".join(str((index >> k) & 1) for k in range(n))
+    return format(index, f"0{n}b")[::-1]
 
 
 def all_candidates(n: int) -> list[str]:
@@ -266,15 +271,13 @@ def plan_registers(instance: KnapsackInstance) -> RegisterPlan:
 
 def classical_evaluate(instance: KnapsackInstance, candidate: str) -> CandidateEvaluation:
     """Brute-force reference: sum selected weights/values, check capacity."""
-    index = candidate_to_index(candidate, instance.n)
-    weight = sum(w for k, (w, _) in enumerate(instance.items) if (index >> k) & 1)
-    fitness = sum(v for k, (_, v) in enumerate(instance.items) if (index >> k) & 1)
-    return CandidateEvaluation(
-        candidate=candidate,
-        weight=weight,
-        fitness=fitness,
-        valid=weight <= instance.capacity,
-    )
+    _check_candidate(candidate, instance.n)
+    weight = fitness = 0
+    for bit, (w, v) in zip(candidate, instance.items):
+        if bit == "1":
+            weight += w
+            fitness += v
+    return CandidateEvaluation(candidate, weight, fitness, weight <= instance.capacity)
 
 
 def _classical_columns(
@@ -354,13 +357,9 @@ def compile_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFra
     return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
 
 
-def compile_oracle(plan: RegisterPlan, frame: PreparedFrame, threshold: int) -> OracleCircuit:
-    """Compile the phase oracle marking valid candidates with fitness > threshold.
-
-    ``frame`` is the instance's compiled compute stage (``compile_frame``).
-    mark: load the threshold into g and flip the kickback qubit where
-    threshold < f under signed comparison.
-    """
+def compile_mark(plan: RegisterPlan, threshold: int) -> tuple[Gate, ...]:
+    """Marking stage at ``threshold``: load it into g and flip the kickback
+    qubit where threshold < f under signed comparison."""
     enc = plan.fitness_encoding
     if not enc.min_value <= threshold <= enc.max_value:
         raise ValueError(
@@ -369,12 +368,20 @@ def compile_oracle(plan: RegisterPlan, frame: PreparedFrame, threshold: int) -> 
         )
     g_f = plan.g.slice(plan.f.width)
     load_threshold = build_load_constant(enc.encode(threshold), g_f)
-    mark = (
+    return (
         load_threshold
         + build_signed_comparator(g_f, plan.f, plan.r)  # r ^= threshold < fitness
         + load_threshold
     )
-    return OracleCircuit(frame, mark)
+
+
+def compile_oracle(plan: RegisterPlan, frame: PreparedFrame, threshold: int) -> OracleCircuit:
+    """Compile the phase oracle marking valid candidates with fitness > threshold.
+
+    ``frame`` is the instance's compiled compute stage (``compile_frame``);
+    the oracle adds the marking stage (``compile_mark``).
+    """
+    return OracleCircuit(frame, compile_mark(plan, threshold))
 
 
 def _circuit_columns(
@@ -514,11 +521,11 @@ def maximize(
 ) -> SearchTrace:
     """Find the maximum-fitness valid candidate by threshold-raising search.
 
-    The compute stage is compiled and pushed through once; each round
-    compiles only the marking stage at the current threshold and runs the
-    unknown-count search, for at most 3 * ceil(sqrt(N)) measurements; a
-    found candidate raises the threshold to its fitness. Each distinct
-    measured candidate is evaluated classically once.
+    The compute stage is compiled and pushed through once, the marking
+    stage once per distinct threshold; each round runs the unknown-count
+    search on the current threshold's marks, for at most 3 * ceil(sqrt(N))
+    measurements; a found candidate raises the threshold to its fitness.
+    Each distinct measured candidate is evaluated classically once.
     ``confirmation_count`` consecutive exhausted rounds (default 1) end the
     run. The seed fully determines the run: it spawns independent
     streams for the initial threshold draw, the schedule's j draws, and
@@ -571,35 +578,26 @@ def maximize(
     consecutive_exhausted = 0
     while rounds < max_rounds and consecutive_exhausted < confirmation_count:
         rounds += 1
-        oracle = compile_oracle(plan, frame, threshold)
+        if not consecutive_exhausted:  # the first round, or the threshold just rose
+            marks = oracle_marks(compile_oracle(plan, frame, threshold))
         current = threshold
 
         def check(candidate_index: int, t: int = current) -> bool:
             ev = evaluate(candidate_index)
             return ev.valid and ev.fitness > t
 
-        result = boyer_search(oracle, check, max_steps, schedule_rng, measure_rng)
+        result = boyer_search(frame, marks, check, max_steps, schedule_rng, measure_rng)
         for step in result.steps:
             cumulative_j += step.j
-            ev = evaluate(step.candidate)
-            candidate = ev.candidate
-            new_threshold = ev.fitness if step.passed else threshold
+            candidate, _, fitness, valid = evaluate(step.candidate)
+            if step.passed:
+                threshold, best_candidate = fitness, candidate
             steps.append(
                 TraceStep(
-                    round=rounds,
-                    m=step.m,
-                    j=step.j,
-                    grover_iterations_cumulative=cumulative_j,
-                    measured_candidate=candidate,
-                    measured_fitness=ev.fitness,
-                    valid=ev.valid,
-                    accepted=step.passed,
-                    threshold_after=new_threshold,
+                    rounds, step.m, step.j, cumulative_j, candidate,
+                    fitness, valid, step.passed, threshold,
                 )
             )
-            if step.passed:
-                threshold = new_threshold
-                best_candidate = candidate
         if result.found is None:
             consecutive_exhausted += 1
         else:
@@ -633,18 +631,17 @@ def _toffoli_equivalents(kind: GateKind, gate_qubits: int, controls: int) -> int
 def estimate_resources(instance: KnapsackInstance) -> ResourceEstimate:
     """Count gates in one full oracle (threshold 0) plus diffusion.
 
-    The oracle is compiled as the search compiles it (``compile_frame``,
-    then ``compile_oracle``), and its uncompute is ``inverse(prepare)``.
+    The stages are compiled as the search compiles them, but no basis
+    state is pushed through them; the uncompute is ``inverse(prepare)``.
     Constant loads depend on the loaded value's popcount, so the X count is
     reported for threshold 0.
     """
     plan = plan_registers(instance)
-    frame = compile_frame(instance, plan)
-    mark = compile_oracle(plan, frame, 0).mark
+    prepare = compile_prepare(instance, plan)
     diffusion = build_diffusion(plan.q)
     counts: Counter[str] = Counter()
     toffoli_equivalent = 0
-    for sequence in (frame.prepare, mark, inverse(frame.prepare), diffusion):
+    for sequence in (prepare, compile_mark(plan, 0), inverse(prepare), diffusion):
         for gate in sequence:
             counts[gate.kind.value] += 1
             toffoli_equivalent += _toffoli_equivalents(

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from conftest import DEMO_INSTANCE_FILE
-from qsmax import cli
+from qsmax import cli, grover, statevector
 from qsmax.cli import (
     EXIT_CAPACITY,
     EXIT_INPUT,
@@ -325,6 +325,19 @@ class TestEstimateCommand:
         cli.main(["estimate", DEMO])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("path", [DEMO, WIDE], ids=["demo", "wide"])
+    def test_counts_gates_without_pushing_states(self, path, monkeypatch, capsys):
+        # Gate counts depend on the circuit only, so no frame is built.
+        pushes = []
+        for module in (grover, statevector):
+            push = module.permute_planes
+            monkeypatch.setattr(
+                module, "permute_planes", lambda *args, push=push: pushes.append(args) or push(*args)
+            )
+        assert cli.main(["estimate", path]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("qubits: ")
+        assert pushes == []
 
 
 class TestGoldenFiles:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -133,6 +134,29 @@ def reference_boyer_search(oracle, classical_check, max_steps, schedule_rng, mea
             return BoyerResult(candidate, tuple(steps), iterations)
         m = min(6 / 5 * m, math.sqrt(1 << q.width))
     return BoyerResult(None, tuple(steps), iterations)
+
+
+def oracle_search(oracle, classical_check, max_steps, schedule_rng, measure_rng):
+    """``boyer_search`` on an oracle's frame and its marks."""
+    marks = oracle_marks(oracle)
+    return boyer_search(oracle.frame, marks, classical_check, max_steps, schedule_rng, measure_rng)
+
+
+def reference_cumulative(marked, p_marked, p_unmarked):
+    """Cumulative probability at each position, as the sampler defines it."""
+
+    def cumulative(i: int) -> float:
+        below = bisect.bisect_right(marked, i)  # marked positions up to i
+        return p_marked * below + p_unmarked * (i + 1 - below)
+
+    return cumulative
+
+
+def reference_position(marked, size, p_marked, p_unmarked, draw):
+    """The measurement's position lookup as one key bisection over all ``size``
+    positions, each probe counting the marked positions up to it."""
+    cumulative = reference_cumulative(marked, p_marked, p_unmarked)
+    return min(bisect.bisect_right(range(size), draw, key=cumulative), size - 1)
 
 
 def search_amplitudes(marks: np.ndarray, iterations: int) -> np.ndarray:
@@ -446,11 +470,46 @@ class TestFusedSearch:
                 half = next(itertools.islice(iterated_amplitudes(marks), j, None)) ** 2 / 2.0
                 probs = np.concatenate((half, half))[order]
                 expected = sample_basis(sorted_basis, probs, old_rng)
-                got = int(sorted_basis[grover._measure(marked, 2 * size, j, new_rng)])
+                p_marked, p_unmarked, total = grover._probabilities(m, size, j)
+                draw = new_rng.random() * total
+                got = int(sorted_basis[grover._position(marked, 2 * size, p_marked, p_unmarked, draw)])
                 draws += 1
                 disagreements += got != expected
             assert old_rng.random() == new_rng.random()
         assert (draws, disagreements) == (3000, 0)
+
+    @pytest.mark.parametrize("interleaved", [False, True], ids=["concatenated", "interleaved"])
+    def test_position_lookup_equals_key_bisection(self, interleaved):
+        # Draws sit exactly on a position's cumulative probability and one
+        # float step either side of it, where the closed-form guess inside
+        # an unmarked run is most likely off by one. Every position is a
+        # boundary up to N = 64; above that, 40 random positions plus the
+        # neighbours of 8 marked ones, so the suite stays fast.
+        rng = np.random.default_rng(31)
+        lookups = 0
+        for n in range(1, 13):
+            size = 1 << n
+            for m in sorted({0, 1, int(rng.integers(0, size + 1)), size - 1, size}):
+                marks = np.zeros(size, dtype=bool)
+                marks[rng.choice(size, m, replace=False)] = True
+                layout = np.repeat(marks, 2) if interleaved else np.tile(marks, 2)
+                marked = np.flatnonzero(layout).tolist()
+                positions = set(range(2 * size)) if size <= 64 else {0, 2 * size - 1}
+                if size > 64:
+                    positions.update(rng.choice(2 * size, 40, replace=False).tolist())
+                    for t in rng.choice(marked, min(8, len(marked)), replace=False).tolist():
+                        positions.update(p for p in (t - 1, t, t + 1) if 0 <= p < 2 * size)
+                for j in range(math.ceil(math.sqrt(size)) + 1):
+                    p_marked, p_unmarked, _ = grover._probabilities(m, size, j)
+                    cumulative = reference_cumulative(marked, p_marked, p_unmarked)
+                    for i in sorted(positions):
+                        edge = cumulative(i)
+                        for draw in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)):
+                            args = (marked, 2 * size, p_marked, p_unmarked, draw)
+                            got, expected = grover._position(*args), reference_position(*args)
+                            assert got == expected, f"N={size} M={m} j={j} i={i} draw={draw!r}"
+                            lookups += 1
+        assert lookups > 100_000
 
     def test_norm_check_refuses_to_sample(self, monkeypatch):
         closed_form = grover._amplitude_pair
@@ -460,9 +519,40 @@ class TestFusedSearch:
             lambda *args: tuple(a * (1.0 + 1e-3) for a in closed_form(*args)),
         )
         with pytest.raises(IntegrityError, match="refusing to sample"):
-            boyer_search(
+            oracle_search(
                 toy_oracle(4, {3}), bool, 5, np.random.default_rng(0), np.random.default_rng(1)
             )
+
+    def test_probabilities_once_per_distinct_j(self, monkeypatch):
+        # Each round computes a j's probabilities and norm check once, and a
+        # drifted j still raises at the first step that draws it.
+        oracle = toy_oracle(4, set())
+        steps = oracle_search(
+            oracle, lambda c: False, 12, np.random.default_rng(3), np.random.default_rng(4)
+        ).steps
+        js = [step.j for step in steps]
+        calls = []
+        probabilities = grover._probabilities
+        monkeypatch.setattr(
+            grover, "_probabilities", lambda *args: calls.append(args[2]) or probabilities(*args)
+        )
+        oracle_search(oracle, lambda c: False, 12, np.random.default_rng(3), np.random.default_rng(4))
+        assert calls == list(dict.fromkeys(js)) and len(calls) < len(js)
+
+        closed_form = grover._amplitude_pair
+        drifted = max(js)
+        monkeypatch.setattr(
+            grover,
+            "_amplitude_pair",
+            lambda m, n, j: tuple(a * (1.0 + 1e-3 * (j == drifted)) for a in closed_form(m, n, j)),
+        )
+        checked = []
+        with pytest.raises(IntegrityError, match="refusing to sample"):
+            oracle_search(
+                oracle, lambda c: checked.append(c) and False, 12,
+                np.random.default_rng(3), np.random.default_rng(4),
+            )
+        assert len(checked) == js.index(drifted)
 
     @pytest.mark.parametrize(
         "oracle, check_marks",
@@ -487,7 +577,7 @@ class TestFusedSearch:
             ]
             return search(oracle, marked.__contains__, 6, sched_rng, meas_rng)
 
-        results = [run(boyer_search, seed) for seed in range(5)]
+        results = [run(oracle_search, seed) for seed in range(5)]
         assert results == [run(reference_boyer_search, seed) for seed in range(5)]
         assert any(step.j > 0 for result in results for step in result.steps)
 
@@ -505,10 +595,6 @@ class TestFusedSearch:
         dirty = dirty_oracle(leak)
         with pytest.raises(IntegrityError, match="contamination"):
             oracle_marks(dirty)
-        with pytest.raises(IntegrityError, match="contamination"):
-            boyer_search(
-                dirty, lambda c: False, 5, np.random.default_rng(0), np.random.default_rng(1)
-            )
 
 
     def test_check_equals_the_whole_oracle_contract_on_random_oracles(self):
@@ -542,7 +628,7 @@ class TestBoyerSearch:
         sched_rng, meas_rng = [
             np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
         ]
-        return boyer_search(oracle, check, max_steps, sched_rng, meas_rng)
+        return oracle_search(oracle, check, max_steps, sched_rng, meas_rng)
 
     def test_finds_single_marked_item_statistically(self):
         oracle = toy_oracle(4, {11})

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from conftest import (
     DEMO_BEST_CANDIDATE,
     DEMO_BEST_FITNESS,
+    DEMO_INSTANCE_FILE,
     random_instance,
 )
-from qsmax import grover
+from qsmax import cli, grover
 from qsmax import knapsack as kp
 from qsmax import statevector as sv
 from qsmax.grover import OracleCircuit, build_diffusion
@@ -28,6 +29,7 @@ from qsmax.knapsack import (
     classical_evaluate,
     classical_max,
     compile_frame,
+    compile_mark,
     compile_oracle,
     compile_prepare,
     enumerate_table,
@@ -502,6 +504,13 @@ class TestGateLevelReference:
         assert marks[candidate_indices(instance.n)].tolist() == (stored > threshold).tolist()
 
 
+def searched_thresholds(trace) -> list[int]:
+    """The thresholds a run searched at, in order: the initial one, then each
+    accepted step's."""
+    accepted = [step.threshold_after for step in trace.steps if step.accepted]
+    return [trace.initial_threshold] + accepted
+
+
 class TestComputeOnce:
     """The compute stage goes through the index map once per instance."""
 
@@ -534,8 +543,28 @@ class TestComputeOnce:
 
     def test_maximize(self, demo_instance, recorded):
         trace = maximize(demo_instance, seed=1, confirmation_count=2)
-        assert len(recorded[1]) == trace.rounds > 1
+        thresholds = searched_thresholds(trace)
+        # one compile per distinct threshold: the confirmation round reuses the marks
+        assert len(set(thresholds)) == len(thresholds) == trace.rounds - 1 > 1
+        plan = plan_registers(demo_instance)
+        assert [oracle.mark for oracle in recorded[1]] == [compile_mark(plan, t) for t in thresholds]
         self._assert_prepare_once_then_marks(recorded, demo_instance)
+
+    def test_confirmation_rounds_reuse_the_marks(self, monkeypatch, capsys):
+        calls = []
+        marks = kp.oracle_marks
+        monkeypatch.setattr(kp, "oracle_marks", lambda oracle: calls.append(oracle) or marks(oracle))
+        argv = ["solve", str(DEMO_INSTANCE_FILE), "--confirmations", "3", "--format", "machine"]
+        assert cli.main(argv + ["--seed", "5"]) == 0
+        records = [dict(field.split("=") for field in line.split())
+                   for line in capsys.readouterr().out.splitlines()]
+        steps = records[1:-1]
+        thresholds = [records[0]["initial_threshold"]]
+        thresholds += [step["threshold_after"] for step in steps if step["accepted"] == "1"]
+        rounds = int(records[-1]["rounds"])
+        assert len(set(thresholds)) == len(thresholds) == rounds - 2
+        assert len(calls) == len(thresholds)
+        assert rounds == int(steps[-1]["round"]) and len({s["round"] for s in steps}) == rounds
 
     def test_verify(self, demo_instance, recorded):
         report = verify_instance(demo_instance)
@@ -575,7 +604,8 @@ class TestBuiltOnce:
         trace = maximize(demo_instance, seed=1, confirmation_count=2)
         info = kp.build_signed_comparator.cache_info()
         assert info.misses <= 1
-        assert info.hits + info.misses == trace.rounds > 1
+        # compiled once per distinct threshold, not once per round
+        assert info.hits + info.misses == len(searched_thresholds(trace)) == trace.rounds - 1 > 1
 
 
 class TestWideRegisters:
