@@ -1,22 +1,22 @@
 """Command-line front end: solve / verify / table / estimate.
 
-Instance file grammar (line oriented, ``#`` starts a comment):
+Instance file grammar (line oriented; ``#`` starts a comment to the end of its line):
 
     capacity <uint>          exactly once
     item <weight> <value>    one line per item, in item order
 
 Every field is a ``<uint>``: one or more ASCII decimal digits.
 
-Exit codes: 0 success; 1 parse, I/O or command-line usage error (including
-a flag value out of range: ``--seed`` below 0, ``--max-rounds`` or
-``--confirmations`` below 1, an ``--initial-threshold`` the fitness register
-cannot hold); 2 instance too big to run (more than 12 items: the oracle
-frame holds 2^(n+1) basis states; register width never refuses one); 3
-quantum/classical verification mismatch or a failed integrity check (an
-oracle whose uncompute leaves an ancilla dirty). Errors are reported on
-stderr in a line containing ``error:``; a verification mismatch prints a
-``MISMATCH:`` line on stdout instead. Any other exception is a bug and is
-not mapped to a code: it propagates out of ``main`` as a traceback.
+Exit codes: 0 success; 1 parse, I/O or command-line usage error (including a
+flag value not in ASCII digits or out of range: ``--seed`` below 0,
+``--max-rounds`` or ``--confirmations`` below 1, an ``--initial-threshold``
+the fitness register cannot hold); 2 instance too big to run (more than 12
+items: the oracle frame holds 2^(n+1) basis states; register width never
+refuses one); 3 quantum/classical verification mismatch or a failed integrity
+check (an oracle whose uncompute leaves an ancilla dirty). Errors are reported
+on stderr in a line containing ``error:``; a verification mismatch prints a
+``MISMATCH:`` line on stdout instead. Any other exception is a bug and is not
+mapped to a code: it propagates out of ``main`` as a traceback.
 
 Candidate bitstrings are printed most-significant-item-first (item 1 is the
 leftmost character). Machine-format output is line-oriented ``key=value``
@@ -87,8 +87,8 @@ def parse_instance(path: str) -> KnapsackInstance:
     except UnicodeDecodeError as err:
         raise InstanceParseError(str(err)) from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         fields = line.split()
         if fields[0] == "capacity":
@@ -226,14 +226,13 @@ def cmd_table(path: str, out=None) -> int:
     instance = parse_instance(path)
     rows = enumerate_table(instance)
     best = classical_max(instance)
-    print("candidate  fitness  weight  validity", file=out)
-    for row in rows:
-        marker = "  *" if row.candidate == best.candidate else ""
-        print(
-            f"{row.candidate:>9s}  {row.fitness:7d}  {row.weight:6d}  "
-            f"{'valid' if row.valid else 'invalid'}{marker}",
-            file=out,
+    out.write("candidate  fitness  weight  validity\n" + "".join(
+        "%9s  %7d  %6d  %s%s\n" % (
+            row.candidate, row.fitness, row.weight, "valid" if row.valid else "invalid",
+            "  *" if row.candidate == best.candidate else "",
         )
+        for row in rows
+    ))
     return EXIT_OK
 
 
@@ -252,14 +251,17 @@ def cmd_estimate(path: str, out=None) -> int:
     return EXIT_OK
 
 
-def _int_at_least(minimum: int):
-    """argparse ``type``: an int of at least ``minimum``, else a usage error."""
+def _ascii_int(minimum: int | None = None):
+    """argparse ``type``: ASCII digits after an optional ``-`` (``int()`` also takes
+    "1_0", "+3", " 4" and non-ASCII digits), at least ``minimum`` if given."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
+        digits = text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(text)
+        if minimum is not None and (int(text) < minimum or digits != text):
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+        return int(text)
 
     parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
     return parse
@@ -278,18 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the maximization search")
     solve.add_argument("instance", help="instance file path")
     solve.add_argument(
-        "--seed", type=_int_at_least(0), default=0, help="run seed (default 0)"
+        "--seed", type=_ascii_int(0), default=0, help="run seed (default 0)"
     )
-    solve.add_argument("--max-rounds", type=_int_at_least(1), default=100)
+    solve.add_argument("--max-rounds", type=_ascii_int(1), default=100)
     solve.add_argument(
         "--initial-threshold",
-        type=int,
+        type=_ascii_int(),
         default=None,
         help="override the randomly drawn starting threshold",
     )
     solve.add_argument(
         "--confirmations",
-        type=_int_at_least(1),
+        type=_ascii_int(1),
         default=1,
         help="consecutive exhausted rounds required to stop (default 1)",
     )

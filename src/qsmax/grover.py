@@ -99,7 +99,8 @@ class PreparedFrame(NamedTuple):
     with the kickback qubit at 0, entry N + i is q value i with it at 1, and
     every other qubit is 0. ``planes`` holds ``prepare``'s image of the
     frame as bit planes (see ``statevector.permute_planes``), one 2N-bit int
-    per qubit: P0 in the low N bits, P1 in the high N.
+    per qubit: P0 in the low N bits, P1 in the high N. ``columns`` reads
+    registers off P0 as integer columns.
     """
 
     prepare: tuple[Gate, ...]
@@ -116,26 +117,31 @@ class PreparedFrame(NamedTuple):
         return len(self.planes)
 
     def column(self, register: RegisterRef) -> np.ndarray:
-        """Unsigned value of ``register`` in P0, in q-value order.
+        """Unsigned value of ``register`` in P0, in q-value order (see ``columns``)."""
+        return self.columns(register)[0]
 
-        int64 for a register of up to 62 bits; Python ints in an object
-        array from 63 bits on, so any width reads exactly.
-        """
-        n, bits = self.candidates, register.bits
-        if register.width < 63:
-            value = np.zeros(n, dtype=np.int64)
-            for t, k in enumerate(bits):
-                value |= _plane_bits(self.planes[k], n).astype(np.int64) << t
-            return value
-        # Row t holds bit t of every entry, so byte b of entry i's
-        # little-endian value is column i of packed row b.
-        rows = np.array([_plane_bits(self.planes[k], n) for k in bits])
-        packed = np.packbits(rows, axis=0, bitorder="little").T.tobytes()
-        size = len(packed) // n
-        return np.array(
-            [int.from_bytes(packed[i : i + size], "little") for i in range(0, len(packed), size)],
-            dtype=object,
-        )
+    def columns(self, *registers: RegisterRef) -> tuple[np.ndarray, ...]:
+        """Unsigned value of each register in P0, in q-value order, read in
+        one pass: the planes are unpacked together into a bit matrix. int64 up
+        to 62 bits; Python ints in an object array from 63 bits on, so any
+        width reads exactly."""
+        n = self.candidates
+        planes = [self.planes[k] & ((1 << n) - 1) for register in registers for k in register.bits]
+        data = np.frombuffer(b"".join(p.to_bytes((n + 7) // 8, "little") for p in planes), np.uint8)
+        rows = np.unpackbits(data.reshape(len(planes), -1), axis=1, count=n, bitorder="little")
+        values, stop = [], 0
+        for register in registers:
+            start, stop = stop, stop + register.width
+            if register.width < 63:
+                weights = 1 << np.arange(register.width, dtype=np.int64)
+                values.append(weights @ rows[start:stop].astype(np.int64))
+                continue
+            # Byte b of entry i's little-endian value is column i of packed row b.
+            packed = np.packbits(rows[start:stop], axis=0, bitorder="little").T.tobytes()
+            step = len(packed) // n
+            chunks = (packed[i : i + step] for i in range(0, len(packed), step))
+            values.append(np.array([int.from_bytes(c, "little") for c in chunks], dtype=object))
+        return tuple(values)
 
 
 def _plane_bits(plane: int, n: int) -> np.ndarray:

@@ -12,15 +12,16 @@ the images exactly, at any register width. The compute stage does not
 depend on the threshold, so each of ``enumerate_table``,
 ``verify_instance`` and ``maximize`` compiles it and pushes every
 candidate through it once per instance
-(``compile_frame``); the table reads w, f and v off those images
-(``PreparedFrame.column``). Each distinct search threshold and each verify
+(``compile_frame``); the table reads w, f and v off those images in one
+pass (``PreparedFrame.columns``). Each distinct search threshold and each verify
 threshold compiles only its marking stage (``compile_oracle``: the frame
 plus a ``compile_mark``) and pushes the images through it
 (``grover.oracle_marks``). Only the item count is bounded (``MAX_ITEMS``):
 the frame holds 2^(n+1) basis states.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
-table order. The circuit side is read off the images register by register
+table order, whose q values and strings are built once per item count
+(``candidate_indices``, read-only). The circuit side is read off the images
 (``_circuit_columns``); the brute-force side is built by subset doubling
 (``_classical_columns``), and ``classical_max`` is one ``argmax`` over it.
 ``verify_instance`` compares the columns at once, and each threshold's
@@ -223,22 +224,27 @@ def index_to_candidate(index: int, n: int) -> str:
     return format(index, f"0{n}b")[::-1]
 
 
+@functools.cache
+def _table_order(n: int) -> tuple[bytes, tuple[str, ...]]:
+    """Every candidate's q value (as int64 bytes) and string, in table order.
+    Built once per n; both are immutable, so all callers can share them."""
+    strings = tuple(format(d, f"0{n}b") for d in range(1 << n))
+    return np.array([int(s[::-1], 2) for s in strings], dtype=np.int64).tobytes(), strings
+
+
 def all_candidates(n: int) -> list[str]:
     """All candidate strings in table order (string read as a binary number)."""
-    return [format(d, f"0{n}b") for d in range(1 << n)]
+    return list(_table_order(n)[1])
 
 
 def candidate_indices(n: int) -> np.ndarray:
-    """q-register value of every candidate in table order, as int64.
+    """q-register value of every candidate in table order, as read-only int64.
 
     String position k is item k+1, i.e. q bit k, and the table reads the
     string as a binary number, so entry d is d with its n bits reversed.
+    The array is a view of cached bytes, so it can never be made writeable.
     """
-    table = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros_like(table)
-    for k in range(n):
-        out |= ((table >> (n - 1 - k)) & 1) << k
-    return out
+    return np.frombuffer(_table_order(n)[0], np.int64)
 
 
 def plan_registers(instance: KnapsackInstance) -> RegisterPlan:
@@ -285,18 +291,18 @@ def _classical_columns(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weight, fitness and validity of every candidate, in table order.
 
-    Built by subset doubling: after items 1..k the columns hold the 2^k
-    selections of those items, and item k+1 appends its bit as the new least
-    significant table bit, so item 1 ends up the most significant one, as
-    in the table. O(2^n) additions, no 2^n x n bit matrix. int64 while both
-    sums fit in it; Python ints in object arrays otherwise.
+    Built by subset doubling over a 2-row (weight, fitness) array, items
+    last to first: each item appends a copy of the array with its weight
+    and value added, as the new most significant table bit, so item 1 ends
+    up the most significant one, as in the table. O(2^n) additions, no 2^n
+    x n bit matrix. int64 while both sums fit in it; object arrays otherwise.
     """
     total_weight = sum(instance.weights)
     dtype = np.int64 if max(total_weight, sum(instance.values)) < 1 << 63 else object
-    weight = fitness = np.zeros(1, dtype=dtype)
-    for w, v in instance.items:
-        weight = np.add.outer(weight, np.array((0, w), dtype=dtype)).ravel()
-        fitness = np.add.outer(fitness, np.array((0, v), dtype=dtype)).ravel()
+    columns = np.zeros((2, 1), dtype=dtype)
+    for item in np.array(instance.items, dtype=dtype)[::-1, :, None]:
+        columns = np.concatenate((columns, columns + item), axis=1)
+    weight, fitness = columns
     # No selection outweighs the total, so clamping keeps the comparison
     # within the column's range.
     return weight, fitness, weight <= min(instance.capacity, total_weight)
@@ -390,13 +396,12 @@ def _circuit_columns(
     """Weight, fitness and validity read off the frame's kickback-0 images.
 
     ``q_values`` is ``candidate_indices(n)``, so the columns are in table
-    order; like ``PreparedFrame.column`` they hold Python ints from 63 bits
-    on. Fitness is sign-extended from f and reported pre-negation (the
-    circuit stores the negated fitness for invalid candidates).
+    order; one ``PreparedFrame.columns`` pass reads w, f and v, with Python
+    ints from 63 bits on. Fitness is sign-extended from f and reported
+    pre-negation (the circuit stores the negated fitness for invalid ones).
     """
     weight, stored, flag = (
-        frame.column(register)[q_values]
-        for register in (plan.w, plan.f, RegisterRef("v", plan.v, 1))
+        column[q_values] for column in frame.columns(plan.w, plan.f, RegisterRef("v", plan.v, 1))
     )
     stored -= (stored >> (plan.f.width - 1)) << plan.f.width
     valid = flag == 0
@@ -416,7 +421,7 @@ def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
     return [
         CandidateEvaluation(candidate, weight, fitness, valid)
         for candidate, weight, fitness, valid in zip(
-            all_candidates(n), *(column.tolist() for column in columns)
+            _table_order(n)[1], *(column.tolist() for column in columns)
         )
     ]
 
@@ -503,12 +508,7 @@ def verify_instance(
                     f"(expected marked={bool(expected[first])})"
                 ),
             )
-    return VerifyReport(
-        ok=True,
-        candidates_checked=1 << n,
-        thresholds_checked=thresholds,
-        mismatch=None,
-    )
+    return VerifyReport(ok=True, candidates_checked=1 << n, thresholds_checked=thresholds)
 
 
 def maximize(

@@ -34,6 +34,8 @@ DEMO = str(DEMO_INSTANCE_FILE)
 WIDE = str(DEMO_INSTANCE_FILE.parent / "knapsack_wide.txt")
 # 102 qubits: past the widest register int64 basis indices could address.
 PAST_INT64_BODY = "capacity 1\nitem 1073741824 1073741824\nitem 1073741824 1073741824\n"
+# Twelve items, generated from a seed: the largest frame the CLI accepts.
+TWELVE = str(DEMO_INSTANCE_FILE.parent / "knapsack12.txt")
 THIRTEEN_ITEMS_BODY = "capacity 5\n" + "item 1 1\n" * 13
 # Tokens int() accepts that the <uint> grammar does not: a digit separator,
 # a sign, a signed zero and an Arabic-Indic three.
@@ -75,6 +77,31 @@ class TestParseInstance:
         )
         instance = parse_instance(path)
         assert instance.items == ((1, 2),) and instance.capacity == 5
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "capacity 5 # the weight limit\nitem 1 2\n",
+            "capacity 5\nitem 1 2# light\n",
+            "#\ncapacity 5\n#\nitem 1 2\n   #\n",
+        ],
+        ids=["capacity", "item", "bare-hash"],
+    )
+    def test_trailing_comments_ignored(self, tmp_path, body):
+        instance = parse_instance(write_instance(tmp_path, body))
+        assert instance.items == ((1, 2),) and instance.capacity == 5
+
+    def test_comment_is_not_part_of_an_error(self, tmp_path):
+        path = write_instance(tmp_path, "capacity 5\nitem 3 # weight only\n")
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(path)
+        assert str(err.value) == "line 2: expected 'item <weight> <value>', got 'item 3'"
+
+    def test_errors_without_comments_are_unchanged(self, tmp_path):
+        path = write_instance(tmp_path, "capacity 5\n  item 3\t\n")
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(path)
+        assert str(err.value) == "line 2: expected 'item <weight> <value>', got 'item 3'"
 
     def test_missing_capacity(self, tmp_path):
         path = write_instance(tmp_path, "item 1 2\n")
@@ -263,6 +290,30 @@ class TestExitCodes:
         assert exc.value.code == EXIT_INPUT
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", ["--seed", "--max-rounds", "--confirmations", "--initial-threshold"]
+    )
+    @pytest.mark.parametrize(
+        "value", ["1_0", "+3", "\u0663", " 4"], ids=["separator", "plus", "arabic-indic", "space"]
+    )
+    def test_int_flags_take_ascii_digits_only(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", DEMO, flag, value])
+        assert exc.value.code == EXIT_INPUT
+        assert f"error: argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+    def test_signed_zero_seed_is_out_of_range(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", DEMO, "--seed", "-0"])
+        assert exc.value.code == EXIT_INPUT
+        assert "error: argument --seed: must be >= 0, got -0" in capsys.readouterr().err
+
+    def test_ascii_flag_values_parse(self, capsys):
+        argv = ["solve", DEMO, "--format", "machine", "--seed", "007", "--max-rounds", "3",
+                "--confirmations", "2", "--initial-threshold", "-3"]
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("seed=7 qubits=23 initial_threshold=-3 ")
+
     def test_undecodable_instance_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"capacity 5\n\xff\xfe\n")
@@ -356,6 +407,22 @@ class TestGoldenFiles:
         # the pinned transcript must itself agree with the brute-force optimum
         final = golden.strip().splitlines()[-1]
         assert "final_candidate=0111 final_fitness=18" in final
+
+    @pytest.mark.parametrize(
+        "path, name", [(DEMO, "table_demo.golden"), (WIDE, "table_wide.golden")], ids=["demo", "wide"]
+    )
+    def test_table_output(self, path, name):
+        from conftest import REPO_ROOT
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["table", path]) == EXIT_OK
+        assert out.getvalue().encode() == (REPO_ROOT / "tests" / "data" / name).read_bytes()
+
+    @pytest.mark.parametrize("path, count", [(DEMO, 16), (WIDE, 16), (TWELVE, 4096)])
+    def test_verify_ok_line(self, path, count, capsys):
+        assert cli.main(["verify", path]) == EXIT_OK
+        assert capsys.readouterr() == (f"OK ({count} candidates checked)\n", "")
 
     def test_estimate_output(self):
         out = io.StringIO()
@@ -547,3 +614,15 @@ class TestWideInstanceFile:
         assert capsys.readouterr().out == "OK (16 candidates checked)\n"
         assert cli.main(["table", WIDE]) == EXIT_OK
         assert_table_is_brute_force(capsys.readouterr().out, WIDE)
+
+
+class TestTwelveItemFile:
+    """The checked-in 12-item instance: an 8,192-entry frame, 4,096 rows."""
+
+    def test_table_agrees_with_brute_force(self, capsys):
+        assert cli.main(["table", TWELVE]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert len(stdout.splitlines()) == 4097
+        assert_table_is_brute_force(stdout, TWELVE)
+        best = classical_max(parse_instance(TWELVE))
+        assert [l.split()[0] for l in stdout.splitlines() if l.endswith("*")] == [best.candidate]

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     DEMO_CAPACITY,
@@ -336,6 +338,34 @@ class TestPlaneReads:
         assert column.dtype == (np.int64 if width < 63 else object)
         assert column.tolist() == expected
         assert all(type(value) is int for value in column.tolist())
+
+    @given(
+        n=st.integers(1, 8),
+        widths=st.lists(st.sampled_from((1, 61, 62, 63, 64, 70)), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_columns_match_per_bit_reference(self, n, widths, data):
+        # Registers at drawn offsets, overlapping or not, read in one pass;
+        # the planes' high (kickback-1) half is random too and must be ignored.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        size, count = 1 << n, 72
+        planes = tuple(int.from_bytes(rng.bytes(size // 4 + 1), "little") for _ in range(count))
+        registers = [
+            RegisterRef(f"r{i}", data.draw(st.integers(0, count - width)), width)
+            for i, width in enumerate(widths)
+        ]
+        frame = PreparedFrame((), RegisterRef("q", 0, n), count - 1, planes)
+        columns = frame.columns(*registers)
+        assert len(columns) == len(registers)
+        for register, column in zip(registers, columns):
+            expected = [
+                sum(((planes[k] >> i) & 1) << t for t, k in enumerate(register.bits))
+                for i in range(size)
+            ]
+            assert column.dtype == (np.int64 if register.width < 63 else object)
+            assert column.tolist() == expected
+            assert all(type(value) is int for value in column.tolist())
+            assert frame.column(register).tolist() == expected
 
 
 class TestGroverIteration:

@@ -123,6 +123,25 @@ class TestInstance:
         expected = [candidate_to_index(c, n) for c in all_candidates(n)]
         assert candidate_indices(n).tolist() == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 6, 12])
+    def test_cached_table_order_cannot_be_mutated(self, n):
+        strings = [format(d, f"0{n}b") for d in range(1 << n)]
+        indices = candidate_indices(n)
+        assert indices.dtype == np.int64
+        assert indices.tolist() == [candidate_to_index(c, n) for c in strings]
+        assert all_candidates(n) == strings
+        with pytest.raises(ValueError):
+            indices[0] = 1
+        with pytest.raises(ValueError):
+            indices.setflags(write=True)
+        # Each call returns its own view and its own list of the cached order.
+        indices.shape = (1, -1)
+        candidates = all_candidates(n)
+        candidates[0] = "x"
+        assert candidate_indices(n).shape == (1 << n,)
+        assert candidate_indices(n).tolist() == [candidate_to_index(c, n) for c in strings]
+        assert all_candidates(n) == strings
+
     def test_bad_candidate_strings(self):
         with pytest.raises(ValueError):
             candidate_to_index("012", 3)
