@@ -25,7 +25,6 @@ from .arithmetic import (
 from .grover import (
     BoyerResult,
     BoyerStep,
-    OracleCircuit,
     boyer_search,
     build_diffusion,
     iteration_count,
@@ -66,7 +65,6 @@ __all__ = [
     "GateKind",
     "IntegrityError",
     "KnapsackInstance",
-    "OracleCircuit",
     "RegisterPlan",
     "RegisterRef",
     "ResourceEstimate",

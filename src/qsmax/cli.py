@@ -30,7 +30,7 @@ import argparse
 import functools
 import sys
 import time
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .knapsack import (
     CapacityError,
@@ -65,16 +65,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-class RunConfig(NamedTuple):
-    """Everything that determines a solve run besides the instance itself."""
-
-    seed: int = 0
-    max_rounds: int = 100
-    initial_threshold: int | None = None
-    confirmation_count: int = 1
-    output_format: str = "human"
 
 
 def parse_instance(path: str) -> KnapsackInstance:
@@ -129,9 +119,9 @@ def _parse_uint(fields: list[str], position: int, lineno: int, what: str) -> int
     return int(text)
 
 
-def _emit_machine(trace: SearchTrace, config: RunConfig, out) -> None:
+def _emit_machine(trace: SearchTrace, seed: int, out) -> None:
     lines = [
-        f"seed={config.seed} qubits={trace.total_qubits} "
+        f"seed={seed} qubits={trace.total_qubits} "
         f"initial_threshold={trace.initial_threshold} "
         f"initial_candidate={trace.initial_candidate or '-'}"
     ]
@@ -181,28 +171,31 @@ def _emit_human(trace: SearchTrace, elapsed: float, out) -> None:
     )
 
 
-def cmd_solve(path: str, config: RunConfig, out=None) -> int:
+def cmd_solve(
+    path: str, *, seed: int = 0, max_rounds: int = 100, initial_threshold: int | None = None,
+    confirmation_count: int = 1, output_format: str = "human", out=None,
+) -> int:
     """Run the maximization and emit the trace."""
     out = out or sys.stdout
     instance = parse_instance(path)
-    if config.initial_threshold is not None:
+    if initial_threshold is not None:
         enc = plan_registers(instance).fitness_encoding
-        if not enc.min_value <= config.initial_threshold <= enc.max_value:
+        if not enc.min_value <= initial_threshold <= enc.max_value:
             raise UsageError(
-                f"initial threshold {config.initial_threshold} not representable "
+                f"initial threshold {initial_threshold} not representable "
                 f"in {enc.width} signed bits"
             )
     start = time.perf_counter()
     trace = maximize(
         instance,
-        seed=config.seed,
-        max_rounds=config.max_rounds,
-        initial_threshold=config.initial_threshold,
-        confirmation_count=config.confirmation_count,
+        seed=seed,
+        max_rounds=max_rounds,
+        initial_threshold=initial_threshold,
+        confirmation_count=confirmation_count,
     )
     elapsed = time.perf_counter() - start
-    if config.output_format == "machine":
-        _emit_machine(trace, config, out)
+    if output_format == "machine":
+        _emit_machine(trace, seed, out)
     else:
         _emit_human(trace, elapsed, out)
     return EXIT_OK
@@ -319,14 +312,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "solve":
-            config = RunConfig(
+            return cmd_solve(
+                args.instance,
                 seed=args.seed,
                 max_rounds=args.max_rounds,
                 initial_threshold=args.initial_threshold,
                 confirmation_count=args.confirmations,
                 output_format=args.format,
             )
-            return cmd_solve(args.instance, config)
         if args.command == "verify":
             return cmd_verify(args.instance)
         if args.command == "table":

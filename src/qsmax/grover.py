@@ -17,12 +17,12 @@ The search needs only the oracle's phase pattern. Every oracle stage is a
 permutation circuit, so its effect on basis states is an integer map. Once
 per instance, ``prepare_frame`` writes the frame (every q value with the
 kickback at 0 and at 1) as bit planes and pushes them through the
-threshold-independent compute stage. A threshold's ``OracleCircuit`` is
-that frame plus the threshold's ``mark``, and ``oracle_marks`` pushes the
-frame's images through ``mark`` only, reads the marked set off them and
-checks the uncompute (``inverse(prepare)``) exactly, by big-int XOR/OR over
-the planes. Nothing here caches a circuit: the uncompute is built,
-uncached, only to name the basis states of a failed check.
+threshold-independent compute stage. ``oracle_marks`` pushes the frame's
+images through one threshold's ``mark`` only, reads the marked set off them
+and checks the uncompute (``inverse(prepare)``) exactly, by big-int XOR/OR
+over the planes. The marked set is all the search reads of the oracle.
+Nothing here caches a circuit: the uncompute is built, uncached, only to
+name the basis states of a failed check.
 
 A Grover iteration is a sign flip on the marked set followed by
 ``a - 2 mean(a)``, so after j iterations, with sin^2(theta) = M/N for M
@@ -65,11 +65,6 @@ class BoyerStep(NamedTuple):
 class BoyerResult(NamedTuple):
     found: int | None
     steps: tuple[BoyerStep, ...]
-    iterations_applied: int
-
-    @property
-    def exhausted(self) -> bool:
-        return self.found is None
 
 
 def build_diffusion(q: RegisterRef) -> tuple[Gate, ...]:
@@ -99,7 +94,8 @@ class PreparedFrame(NamedTuple):
     with the kickback qubit at 0, entry N + i is q value i with it at 1, and
     every other qubit is 0. ``planes`` holds ``prepare``'s image of the
     frame as bit planes (see ``statevector.permute_planes``), one 2N-bit int
-    per qubit: P0 in the low N bits, P1 in the high N. ``columns`` reads
+    per qubit: P0 in the low N bits, P1 in the high N. The kickback qubit
+    sits above q, so this is sorted full-register order. ``columns`` reads
     registers off P0 as integer columns.
     """
 
@@ -122,9 +118,9 @@ class PreparedFrame(NamedTuple):
 
     def columns(self, *registers: RegisterRef) -> tuple[np.ndarray, ...]:
         """Unsigned value of each register in P0, in q-value order, read in
-        one pass: the planes are unpacked together into a bit matrix. int64 up
-        to 62 bits; Python ints in an object array from 63 bits on, so any
-        width reads exactly."""
+        one pass: the planes are unpacked together into a bit matrix, and each
+        register is summed in 62-bit limbs. int64 up to 62 bits; Python ints in
+        an object array from 63 bits on, so any width reads exactly."""
         n = self.candidates
         planes = [self.planes[k] & ((1 << n) - 1) for register in registers for k in register.bits]
         data = np.frombuffer(b"".join(p.to_bytes((n + 7) // 8, "little") for p in planes), np.uint8)
@@ -132,15 +128,11 @@ class PreparedFrame(NamedTuple):
         values, stop = [], 0
         for register in registers:
             start, stop = stop, stop + register.width
-            if register.width < 63:
-                weights = 1 << np.arange(register.width, dtype=np.int64)
-                values.append(weights @ rows[start:stop].astype(np.int64))
-                continue
-            # Byte b of entry i's little-endian value is column i of packed row b.
-            packed = np.packbits(rows[start:stop], axis=0, bitorder="little").T.tobytes()
-            step = len(packed) // n
-            chunks = (packed[i : i + step] for i in range(0, len(packed), step))
-            values.append(np.array([int.from_bytes(c, "little") for c in chunks], dtype=object))
+            for shift in range(0, register.width, 62):
+                limb_rows = rows[start + shift : min(start + shift + 62, stop)]
+                limb = (1 << np.arange(len(limb_rows), dtype=np.int64)) @ limb_rows.astype(np.int64)
+                value = value + (limb.astype(object) << shift) if shift else limb
+            values.append(value)
         return tuple(values)
 
 
@@ -158,10 +150,11 @@ def prepare_frame(
     q bit b of entry i is bit b of i: blocks of 2^b zeros then 2^b ones, so
     its plane is one such pair of blocks repeated over the 2N bits, written
     by shift-doubling in O(N) bit operations. The kickback plane is the
-    high N bits; every other plane is 0.
+    high N bits; every other plane is 0. The kickback qubit must sit above
+    q, so that the frame's entries are in sorted full-register order.
     """
-    if not 0 <= kickback_qubit < num_qubits:
-        raise ValueError("kickback qubit out of range")
+    if not q_register.offset + q_register.width <= kickback_qubit < num_qubits:
+        raise ValueError("kickback qubit out of range: it must sit above q, below num_qubits")
     candidates = 1 << q_register.width
     planes = [0] * num_qubits
     for b, qubit in enumerate(q_register.bits):
@@ -176,26 +169,14 @@ def prepare_frame(
     return PreparedFrame(prepare, q_register, kickback_qubit, tuple(images))
 
 
-class OracleCircuit(NamedTuple):
-    """Phase oracle: the instance's compiled compute stage plus one threshold's mark.
-
-    Applying ``frame.prepare``, ``mark`` and ``inverse(frame.prepare)`` to
-    |i>_q (ancillas |0>, kickback |->) yields (-1)^o(i) |i>_q with ancillas
-    restored: the phase-kickback contract. The uncompute is the inverse of
-    prepare by construction, so it is never stored.
-    """
-
-    frame: PreparedFrame
-    mark: tuple[Gate, ...]
-
-
-def oracle_marks(oracle: OracleCircuit) -> np.ndarray:
+def oracle_marks(frame: PreparedFrame, mark: tuple[Gate, ...]) -> np.ndarray:
     """Boolean mask over q-register values: True where the oracle flips the phase.
 
-    The oracle's frame holds prepare's images P = (P0, P1) of every
-    candidate with the kickback at 0 and at 1, computed once per instance;
-    only ``mark`` runs per call: Y = mark(P). The phase-kickback contract
-    is ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on both kickback
+    The oracle is ``frame.prepare``, ``mark`` and ``inverse(frame.prepare)``.
+    ``frame`` holds prepare's images P = (P0, P1) of every candidate with
+    the kickback at 0 and at 1, computed once per instance; only ``mark``
+    runs per call: Y = mark(P). The phase-kickback contract is
+    ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on both kickback
     branches with the same b. The uncompute is ``inverse(prepare)``, and a
     reversed permutation circuit inverts the original on basis states, so
     it sends P back to the frame and the contract is equivalent to: where
@@ -204,10 +185,9 @@ def oracle_marks(oracle: OracleCircuit) -> np.ndarray:
     image raises IntegrityError naming the first offending candidate and the
     basis states its two branches end in after the uncompute.
     """
-    frame = oracle.frame
     n = frame.candidates
     low = (1 << n) - 1
-    marked = permute_planes(frame.planes, oracle.mark, 2 * n)
+    marked = permute_planes(frame.planes, mark, 2 * n)
     changed = swapped = 0  # bit i: entry i's image differs from P, from swapped P
     for p, y in zip(frame.planes, marked):
         changed |= p ^ y
@@ -293,7 +273,6 @@ def _position(marked: list[int], size: int, p_marked: float, p_unmarked: float, 
 
 
 def boyer_search(
-    frame: PreparedFrame,
     marks: np.ndarray,
     classical_check: Callable[[int], bool],
     max_steps: int,
@@ -309,30 +288,25 @@ def boyer_search(
     Exhaustion after ``max_steps`` measurements is a normal return, not an
     error.
 
-    ``marks`` is ``oracle_marks`` of an oracle on ``frame``. A step uses
-    the closed-form amplitudes (M = 0 and M = N included), whose
+    ``marks`` is ``oracle_marks`` over the N = ``marks.size`` q values. A
+    step uses the closed-form amplitudes (M = 0 and M = N included), whose
     probabilities and norm check are computed once per distinct j. It
     samples the distribution the whole register would have after j
     gate-level iterations, in sorted order of full-register indices, the
     way ``Generator.choice`` samples it from one ``random()`` draw, so a
     seeded ``measure_rng`` draws the outcomes a gate-by-gate simulation
-    sampled with ``choice`` would. That order is structural: the kickback-0
-    branch then the kickback-1 branch when the kickback sits above q, and
-    each q value's two branches side by side when it sits below. Only the
-    2M marked positions in that order are kept, and a step costs O(log M)
-    whatever j is, O(1) at M = 0.
+    sampled with ``choice`` would. With the kickback above q
+    (``prepare_frame``), that order is the kickback-0 branch then the
+    kickback-1 branch, so position p is q value p mod N. Only the 2M marked
+    positions in that order are kept, and a step costs O(log M) whatever j
+    is, O(1) at M = 0.
     """
     hits = np.flatnonzero(marks).tolist()
-    n = frame.candidates
-    interleaved = frame.kickback_qubit < frame.q_register.offset
-    if interleaved:
-        marked = [p for h in hits for p in (2 * h, 2 * h + 1)]
-    else:
-        marked = hits + [h + n for h in hits]
+    n = marks.size
+    marked = hits + [h + n for h in hits]
     size, n_marked, cap = 2 * n, len(hits), math.sqrt(n)
     table: dict[int, tuple[float, float, float]] = {}
     steps: list[BoyerStep] = []
-    iterations = 0
     m = 1.0
     for _ in range(max_steps):
         j = int(schedule_rng.integers(0, math.ceil(m)))
@@ -340,11 +314,10 @@ def boyer_search(
             table[j] = _probabilities(n_marked, n, j)
         p_marked, p_unmarked, total = table[j]
         position = _position(marked, size, p_marked, p_unmarked, measure_rng.random() * total)
-        iterations += j
-        candidate = position >> 1 if interleaved else position & (n - 1)
+        candidate = position & (n - 1)
         passed = bool(classical_check(candidate))
         steps.append(BoyerStep(m, j, candidate, passed))
         if passed:
-            return BoyerResult(candidate, tuple(steps), iterations)
+            return BoyerResult(candidate, tuple(steps))
         m = min(6 / 5 * m, cap)
-    return BoyerResult(None, tuple(steps), iterations)
+    return BoyerResult(None, tuple(steps))

@@ -14,10 +14,10 @@ depend on the threshold, so each of ``enumerate_table``,
 candidate through it once per instance
 (``compile_frame``); the table reads w, f and v off those images in one
 pass (``PreparedFrame.columns``). Each distinct search threshold and each verify
-threshold compiles only its marking stage (``compile_oracle``: the frame
-plus a ``compile_mark``) and pushes the images through it
-(``grover.oracle_marks``). Only the item count is bounded (``MAX_ITEMS``):
-the frame holds 2^(n+1) basis states.
+threshold compiles only its marking stage (``compile_oracle``) and pushes
+the images through it (``grover.oracle_marks``); the search reads only the
+marked set. Only the item count is bounded (``MAX_ITEMS``): the frame holds
+2^(n+1) basis states.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
 table order, whose q values and strings are built once per item count
@@ -61,7 +61,6 @@ from .arithmetic import (
     build_signed_comparator,
 )
 from .grover import (
-    OracleCircuit,
     PreparedFrame,
     boyer_search,
     build_diffusion,
@@ -363,9 +362,12 @@ def compile_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFra
     return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
 
 
-def compile_mark(plan: RegisterPlan, threshold: int) -> tuple[Gate, ...]:
-    """Marking stage at ``threshold``: load it into g and flip the kickback
-    qubit where threshold < f under signed comparison."""
+def compile_oracle(plan: RegisterPlan, threshold: int) -> tuple[Gate, ...]:
+    """Marking stage of the phase oracle at ``threshold``: load it into g and
+    flip the kickback qubit where threshold < f under signed comparison, so
+    it marks the valid candidates with fitness > threshold. The rest of the
+    oracle is the instance's compute stage (``compile_frame``) and its
+    inverse."""
     enc = plan.fitness_encoding
     if not enc.min_value <= threshold <= enc.max_value:
         raise ValueError(
@@ -379,15 +381,6 @@ def compile_mark(plan: RegisterPlan, threshold: int) -> tuple[Gate, ...]:
         + build_signed_comparator(g_f, plan.f, plan.r)  # r ^= threshold < fitness
         + load_threshold
     )
-
-
-def compile_oracle(plan: RegisterPlan, frame: PreparedFrame, threshold: int) -> OracleCircuit:
-    """Compile the phase oracle marking valid candidates with fitness > threshold.
-
-    ``frame`` is the instance's compiled compute stage (``compile_frame``);
-    the oracle adds the marking stage (``compile_mark``).
-    """
-    return OracleCircuit(frame, compile_mark(plan, threshold))
 
 
 def _circuit_columns(
@@ -484,9 +477,8 @@ def verify_instance(
         np.random.default_rng(threshold_seed), sum(instance.values), 5
     )
     for threshold in thresholds:
-        oracle = compile_oracle(plan, frame, threshold)
         try:
-            marks = oracle_marks(oracle)
+            marks = oracle_marks(frame, compile_oracle(plan, threshold))
         except IntegrityError as err:
             return VerifyReport(
                 ok=False,
@@ -529,7 +521,8 @@ def maximize(
     ``confirmation_count`` consecutive exhausted rounds (default 1) end the
     run. The seed fully determines the run: it spawns independent
     streams for the initial threshold draw, the schedule's j draws, and
-    measurement sampling.
+    measurement sampling. An ``initial_threshold`` the fitness register
+    cannot hold raises ValueError (``compile_oracle``) before any step.
     """
     if confirmation_count < 1:
         raise ValueError("confirmation_count must be >= 1")
@@ -538,18 +531,12 @@ def maximize(
     plan = plan_registers(instance)
     n = instance.n
     big_n = 1 << n
-    enc = plan.fitness_encoding
     init_rng, schedule_rng, measure_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     ]
 
     zero_candidate = "0" * n
     if initial_threshold is not None:
-        if not enc.min_value <= initial_threshold <= enc.max_value:
-            raise ValueError(
-                f"initial threshold {initial_threshold} not representable "
-                f"in {plan.f.width} signed bits"
-            )
         threshold = initial_threshold
         initial_candidate: str | None = None
         best_candidate: str | None = None
@@ -579,14 +566,14 @@ def maximize(
     while rounds < max_rounds and consecutive_exhausted < confirmation_count:
         rounds += 1
         if not consecutive_exhausted:  # the first round, or the threshold just rose
-            marks = oracle_marks(compile_oracle(plan, frame, threshold))
+            marks = oracle_marks(frame, compile_oracle(plan, threshold))
         current = threshold
 
         def check(candidate_index: int, t: int = current) -> bool:
             ev = evaluate(candidate_index)
             return ev.valid and ev.fitness > t
 
-        result = boyer_search(frame, marks, check, max_steps, schedule_rng, measure_rng)
+        result = boyer_search(marks, check, max_steps, schedule_rng, measure_rng)
         for step in result.steps:
             cumulative_j += step.j
             candidate, _, fitness, valid = evaluate(step.candidate)
@@ -641,7 +628,7 @@ def estimate_resources(instance: KnapsackInstance) -> ResourceEstimate:
     diffusion = build_diffusion(plan.q)
     counts: Counter[str] = Counter()
     toffoli_equivalent = 0
-    for sequence in (prepare, compile_mark(plan, 0), inverse(prepare), diffusion):
+    for sequence in (prepare, compile_oracle(plan, 0), inverse(prepare), diffusion):
         for gate in sequence:
             counts[gate.kind.value] += 1
             toffoli_equivalent += _toffoli_equivalents(

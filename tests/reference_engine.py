@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qsmax.grover import OracleCircuit, PreparedFrame
+from qsmax.grover import PreparedFrame
 from qsmax.statevector import (
     Gate,
     GateKind,
@@ -237,9 +237,8 @@ def ancilla_qubits(frame: PreparedFrame) -> tuple[int, ...]:
     )
 
 
-def prepare_search_state(oracle: OracleCircuit) -> SparseState:
+def prepare_search_state(frame: PreparedFrame) -> SparseState:
     """Zero state with the kickback qubit in |-> and q in uniform superposition."""
-    frame = oracle.frame
     state = new_zero_state(frame.num_qubits)
     return apply_sequence(
         state,
@@ -249,18 +248,18 @@ def prepare_search_state(oracle: OracleCircuit) -> SparseState:
 
 
 def grover_iteration(
-    state: SparseState, oracle: OracleCircuit, diffusion: Sequence[Gate]
+    state: SparseState, frame: PreparedFrame, mark: Sequence[Gate], diffusion: Sequence[Gate]
 ) -> SparseState:
     """One oracle application (prepare, mark, prepare reversed) plus diffusion.
 
     More than 1e-12 probability on states with an ancilla left at 1 means a
     broken uncompute and raises IntegrityError.
     """
-    apply_sequence(state, oracle.frame.prepare)
-    apply_sequence(state, oracle.mark)
-    apply_sequence(state, inverse(oracle.frame.prepare))
+    apply_sequence(state, frame.prepare)
+    apply_sequence(state, mark)
+    apply_sequence(state, inverse(frame.prepare))
     apply_sequence(state, diffusion)
-    ancillas = ancilla_qubits(oracle.frame)
+    ancillas = ancilla_qubits(frame)
     if ancillas:
         contamination = norm_squared(state) - subspace_probability(state, ancillas, 0)
         if contamination > ANCILLA_TOLERANCE:

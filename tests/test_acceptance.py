@@ -102,11 +102,11 @@ def test_criterion_2_worked_amplitude_example():
     """Threshold 13: marked phase -1 at 1/4; diffusion to 5/8 vs 1/8; p=0.390625; < 5 s."""
     start = time.perf_counter()
     plan = plan_registers(DEMO)
-    oracle = compile_oracle(plan, compile_frame(DEMO, plan), 13)
-    state = prepare_search_state(oracle)
-    apply_sequence(state, oracle.frame.prepare)
-    apply_sequence(state, oracle.mark)
-    apply_sequence(state, inverse(oracle.frame.prepare))
+    frame = compile_frame(DEMO, plan)
+    state = prepare_search_state(frame)
+    apply_sequence(state, frame.prepare)
+    apply_sequence(state, compile_oracle(plan, 13))
+    apply_sequence(state, inverse(frame.prepare))
 
     marked = ("0110", "0111")
     sqrt2 = math.sqrt(2.0)
@@ -231,11 +231,11 @@ def test_criterion_4_arithmetic_exhaustiveness():
 def test_criterion_5_uncompute_hygiene():
     """Post-oracle probability mass outside the q (x) |0..0> (x) |-> frame < 1e-12."""
     plan = plan_registers(DEMO)
-    oracle = compile_oracle(plan, compile_frame(DEMO, plan), 13)
-    state = prepare_search_state(oracle)
-    apply_sequence(state, oracle.frame.prepare)
-    apply_sequence(state, oracle.mark)
-    apply_sequence(state, inverse(oracle.frame.prepare))
+    frame = compile_frame(DEMO, plan)
+    state = prepare_search_state(frame)
+    apply_sequence(state, frame.prepare)
+    apply_sequence(state, compile_oracle(plan, 13))
+    apply_sequence(state, inverse(frame.prepare))
     frame_mass = 0.0
     for candidate in all_candidates(4):
         base = candidate_to_index(candidate, 4) << plan.q.offset

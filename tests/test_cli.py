@@ -18,7 +18,6 @@ from qsmax.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     InstanceParseError,
-    RunConfig,
     parse_instance,
 )
 from qsmax.knapsack import (
@@ -154,8 +153,7 @@ class TestParseInstance:
 class TestSolveCommand:
     def test_machine_output_finds_optimum(self):
         out = io.StringIO()
-        config = RunConfig(seed=1, output_format="machine")
-        assert cli.cmd_solve(DEMO, config, out=out) == EXIT_OK
+        assert cli.cmd_solve(DEMO, seed=1, output_format="machine", out=out) == EXIT_OK
         text = out.getvalue()
         assert "final_candidate=0111 final_fitness=18" in text
         assert "qubits=23" in text
@@ -165,7 +163,7 @@ class TestSolveCommand:
         outputs = []
         for _ in range(2):
             out = io.StringIO()
-            cli.cmd_solve(DEMO, RunConfig(seed=7, output_format="machine"), out=out)
+            cli.cmd_solve(DEMO, seed=7, output_format="machine", out=out)
             outputs.append(out.getvalue())
         assert outputs[0] == outputs[1]
 
@@ -173,13 +171,13 @@ class TestSolveCommand:
         traces = []
         for seed in (1, 2):
             out = io.StringIO()
-            cli.cmd_solve(DEMO, RunConfig(seed=seed, output_format="machine"), out=out)
+            cli.cmd_solve(DEMO, seed=seed, output_format="machine", out=out)
             traces.append(out.getvalue())
         assert traces[0] != traces[1]
 
     def test_human_output_has_summary_and_time(self):
         out = io.StringIO()
-        cli.cmd_solve(DEMO, RunConfig(seed=1), out=out)
+        cli.cmd_solve(DEMO, seed=1, out=out)
         text = out.getvalue()
         assert "result: candidate 0111" in text
         assert "grover iterations" in text
@@ -187,7 +185,7 @@ class TestSolveCommand:
 
     def test_machine_step_records_have_all_keys(self):
         out = io.StringIO()
-        cli.cmd_solve(DEMO, RunConfig(seed=3, output_format="machine"), out=out)
+        cli.cmd_solve(DEMO, seed=3, output_format="machine", out=out)
         step_lines = [l for l in out.getvalue().splitlines() if l.startswith("round=")]
         assert step_lines
         for key in (
@@ -205,8 +203,8 @@ class TestSolveCommand:
 
     def test_forced_optimal_threshold(self):
         out = io.StringIO()
-        config = RunConfig(seed=1, initial_threshold=18, output_format="machine")
-        assert cli.cmd_solve(DEMO, config, out=out) == EXIT_OK
+        code = cli.cmd_solve(DEMO, seed=1, initial_threshold=18, output_format="machine", out=out)
+        assert code == EXIT_OK
         text = out.getvalue()
         assert "final_candidate=- final_fitness=18" in text
         assert "accepted=1" not in text
@@ -401,7 +399,7 @@ class TestGoldenFiles:
 
     def test_solve_seed1_machine_output(self):
         out = io.StringIO()
-        cli.cmd_solve(DEMO, RunConfig(seed=1, output_format="machine"), out=out)
+        cli.cmd_solve(DEMO, seed=1, output_format="machine", out=out)
         golden = self._golden("solve_seed1_machine.golden")
         assert out.getvalue() == golden
         # the pinned transcript must itself agree with the brute-force optimum
@@ -480,14 +478,12 @@ class TestRepeatedMain:
 _DIRTY_ORACLE_MAIN = """
 import sys
 from qsmax import cli, knapsack
-from qsmax.grover import OracleCircuit
 from qsmax.statevector import cnot
 
 compile_clean = knapsack.compile_oracle
 
-def compile_dirty(plan, frame, threshold):
-    oracle = compile_clean(plan, frame, threshold)
-    return OracleCircuit(frame, oracle.mark + (cnot(plan.q.bit(0), plan.g.bit(0)),))
+def compile_dirty(plan, threshold):
+    return compile_clean(plan, threshold) + (cnot(plan.q.bit(0), plan.g.bit(0)),)
 
 knapsack.compile_oracle = compile_dirty
 sys.exit(cli.main(sys.argv[1:]))

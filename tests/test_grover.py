@@ -24,7 +24,6 @@ from qsmax.arithmetic import RegisterRef
 from qsmax.grover import (
     BoyerResult,
     BoyerStep,
-    OracleCircuit,
     PreparedFrame,
     boyer_search,
     build_diffusion,
@@ -39,6 +38,7 @@ from qsmax.knapsack import (
     plan_registers,
 )
 from qsmax.statevector import (
+    Gate,
     IntegrityError,
     cnot,
     h,
@@ -63,50 +63,46 @@ from reference_engine import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def toy_oracle(
-    n: int, marked: set[int], extra_ancillas: int = 0, kickback_below_q: bool = False
-) -> OracleCircuit:
-    """Oracle flipping the kickback qubit exactly on the marked q values.
+Oracle = tuple[PreparedFrame, tuple[Gate, ...]]
 
-    The kickback sits above q, or with ``kickback_below_q`` at qubit 0 under
-    q, where sorted full-register order interleaves the two kickback branches.
-    """
-    q = RegisterRef("q", int(kickback_below_q), n)
-    kickback = 0 if kickback_below_q else n
+
+def toy_oracle(n: int, marked: set[int], extra_ancillas: int = 0) -> Oracle:
+    """Frame and mark of an oracle flipping the kickback qubit, right above
+    q, exactly on the marked q values."""
+    q = RegisterRef("q", 0, n)
     gates = []
     for target in marked:
         off = [x(q.bit(i)) for i in range(n) if not (target >> i) & 1]
         gates.extend(off)
-        gates.append(mcx(q.bits, kickback))
+        gates.append(mcx(q.bits, n))
         gates.extend(off)
-    frame = prepare_frame((), q, kickback, n + 1 + extra_ancillas)
-    return OracleCircuit(frame, tuple(gates))
+    return prepare_frame((), q, n, n + 1 + extra_ancillas), tuple(gates)
 
 
-def demo_oracle(threshold: int) -> OracleCircuit:
+def demo_oracle(threshold: int) -> Oracle:
     instance = KnapsackInstance(DEMO_ITEMS, DEMO_CAPACITY)
     plan = plan_registers(instance)
-    return compile_oracle(plan, compile_frame(instance, plan), threshold)
+    return compile_frame(instance, plan), compile_oracle(plan, threshold)
 
 
-def dirty_oracle(leak) -> OracleCircuit:
+def dirty_oracle(leak) -> Oracle:
     """toy_oracle with one extra gate in ``mark`` that breaks the uncompute."""
-    oracle = toy_oracle(3, {5}, extra_ancillas=1)
-    return OracleCircuit(oracle.frame, oracle.mark + (leak,))
+    frame, mark = toy_oracle(3, {5}, extra_ancillas=1)
+    return frame, mark + (leak,)
 
 
-def whole_oracle_marks(oracle: OracleCircuit):
+def whole_oracle_marks(frame: PreparedFrame, mark: tuple[Gate, ...]):
     """The phase-kickback contract checked on prepare + mark + prepare reversed.
 
     Returns (marks, None), or (None, (q value, image at kickback 0, image at
     kickback 1)) for the first candidate whose images break the contract.
     """
-    q = oracle.frame.q_register
-    kick = 1 << oracle.frame.kickback_qubit
+    q = frame.q_register
+    kick = 1 << frame.kickback_qubit
     register = np.arange(1 << q.width, dtype=np.int64) << q.offset
-    whole = oracle.frame.prepare + oracle.mark + inverse(oracle.frame.prepare)
-    image0 = np.array(push_states(register, whole, oracle.frame.num_qubits))
-    image1 = np.array(push_states(register | kick, whole, oracle.frame.num_qubits))
+    whole = frame.prepare + mark + inverse(frame.prepare)
+    image0 = np.array(push_states(register, whole, frame.num_qubits))
+    image1 = np.array(push_states(register | kick, whole, frame.num_qubits))
     flips0, flips1 = image0 ^ register, image1 ^ register ^ kick
     bad = np.flatnonzero((flips0 != flips1) | ((flips0 & ~kick) != 0))
     if bad.size:
@@ -117,31 +113,30 @@ def whole_oracle_marks(oracle: OracleCircuit):
 
 def reference_boyer_search(oracle, classical_check, max_steps, schedule_rng, measure_rng):
     """The unknown-count search run gate by gate on the full statevector."""
-    diffusion = build_diffusion(oracle.frame.q_register)
-    q = oracle.frame.q_register
+    frame, mark = oracle
+    q = frame.q_register
+    diffusion = build_diffusion(q)
     q_mask = (1 << q.width) - 1
     steps = []
-    iterations = 0
     m = 1.0
     for _ in range(max_steps):
         j = int(schedule_rng.integers(0, math.ceil(m)))
-        state = prepare_search_state(oracle)
+        state = prepare_search_state(frame)
         for _ in range(j):
-            grover_iteration(state, oracle, diffusion)
-        iterations += j
+            grover_iteration(state, frame, mark, diffusion)
         candidate = (measure_all(state, measure_rng) >> q.offset) & q_mask
         passed = bool(classical_check(candidate))
         steps.append(BoyerStep(m=m, j=j, candidate=candidate, passed=passed))
         if passed:
-            return BoyerResult(candidate, tuple(steps), iterations)
+            return BoyerResult(candidate, tuple(steps))
         m = min(6 / 5 * m, math.sqrt(1 << q.width))
-    return BoyerResult(None, tuple(steps), iterations)
+    return BoyerResult(None, tuple(steps))
 
 
 def oracle_search(oracle, classical_check, max_steps, schedule_rng, measure_rng):
-    """``boyer_search`` on an oracle's frame and its marks."""
-    marks = oracle_marks(oracle)
-    return boyer_search(oracle.frame, marks, classical_check, max_steps, schedule_rng, measure_rng)
+    """``boyer_search`` on an oracle's marks."""
+    marks = oracle_marks(*oracle)
+    return boyer_search(marks, classical_check, max_steps, schedule_rng, measure_rng)
 
 
 def reference_cumulative(marked, p_marked, p_unmarked):
@@ -185,9 +180,9 @@ def iterated_amplitudes(marks: np.ndarray):
         amplitudes -= 2.0 * amplitudes.mean()
 
 
-def q_amplitudes(state, oracle) -> np.ndarray:
+def q_amplitudes(state, frame) -> np.ndarray:
     """Subspace amplitudes over q with the kickback in |->, ancillas |0>."""
-    n = oracle.frame.q_register.width
+    n = frame.q_register.width
     out = np.empty(1 << n, dtype=complex)
     for i in range(1 << n):
         out[i] = get_amplitude(state, i) * math.sqrt(2.0)
@@ -269,39 +264,42 @@ class TestIterationCount:
 
 class TestOracleContract:
     def test_kickback_outside_the_plan_is_refused(self):
-        q = RegisterRef("q", 0, 2)
-        for kickback in (3, 4, -1):
+        # The kickback must sit above q and below num_qubits: inside q it
+        # would overwrite a q plane, below q the frame would not be in
+        # sorted full-register order.
+        q = RegisterRef("q", 1, 2)
+        for kickback in (-1, 0, 1, 2, 4, 5):  # below q, inside q, at and past num_qubits
             with pytest.raises(ValueError, match="kickback qubit out of range"):
-                prepare_frame((), q, kickback, 3)
-        assert prepare_frame((), q, 2, 3).num_qubits == 3
+                prepare_frame((), q, kickback, 4)
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            prepare_frame((), RegisterRef("q", 0, 3), 1, 4)
+        assert prepare_frame((), q, 3, 4).num_qubits == 4
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_frame_planes_equal_a_frame_built_bit_by_bit(self, width):
-        # q sits above the kickback qubit 0, with one spare qubit on top.
+        # q sits at qubit 0, the kickback right above it, one spare qubit on top.
         n = 1 << width
-        q = RegisterRef("q", 1, width)
-        frame = prepare_frame((), q, 0, width + 2)
+        q = RegisterRef("q", 0, width)
+        frame = prepare_frame((), q, width, width + 2)
         entries = range(2 * n)  # entry e is q value e mod N, kickback e >= N
-        expected = [sum(1 << e for e in entries if e >= n)]
-        expected += [sum(1 << e for e in entries if (e % n) >> b & 1) for b in range(width)]
+        expected = [sum(1 << e for e in entries if (e % n) >> b & 1) for b in range(width)]
+        expected += [sum(1 << e for e in entries if e >= n)]
         assert list(frame.planes) == expected + [0]
 
     def test_phase_kickback_exhaustive(self):
         n = 4
         marked = {3, 9, 14}
-        oracle = toy_oracle(n, marked)
+        frame, mark = toy_oracle(n, marked)
         for i in range(1 << n):
-            state = new_basis_state(oracle.frame.num_qubits, i)
-            apply_sequence(
-                state, (x(oracle.frame.kickback_qubit), h(oracle.frame.kickback_qubit))
-            )
-            apply_sequence(state, oracle.frame.prepare)
-            apply_sequence(state, oracle.mark)
-            apply_sequence(state, inverse(oracle.frame.prepare))
+            state = new_basis_state(frame.num_qubits, i)
+            apply_sequence(state, (x(frame.kickback_qubit), h(frame.kickback_qubit)))
+            apply_sequence(state, frame.prepare)
+            apply_sequence(state, mark)
+            apply_sequence(state, inverse(frame.prepare))
             sign = -1.0 if i in marked else 1.0
             assert abs(get_amplitude(state, i) - sign * INV_SQRT2) < 1e-10
             assert (
-                abs(get_amplitude(state, i | (1 << oracle.frame.kickback_qubit)) + sign * INV_SQRT2)
+                abs(get_amplitude(state, i | (1 << frame.kickback_qubit)) + sign * INV_SQRT2)
                 < 1e-10
             )
 
@@ -341,14 +339,14 @@ class TestPlaneReads:
 
     @given(
         n=st.integers(1, 8),
-        widths=st.lists(st.sampled_from((1, 61, 62, 63, 64, 70)), min_size=1, max_size=3),
+        widths=st.lists(st.sampled_from((1, 61, 62, 63, 64, 70, 124, 125)), min_size=1, max_size=3),
         data=st.data(),
     )
     def test_columns_match_per_bit_reference(self, n, widths, data):
         # Registers at drawn offsets, overlapping or not, read in one pass;
         # the planes' high (kickback-1) half is random too and must be ignored.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        size, count = 1 << n, 72
+        size, count = 1 << n, 128
         planes = tuple(int.from_bytes(rng.bytes(size // 4 + 1), "little") for _ in range(count))
         registers = [
             RegisterRef(f"r{i}", data.draw(st.integers(0, count - width)), width)
@@ -370,29 +368,29 @@ class TestPlaneReads:
 
 class TestGroverIteration:
     def test_empty_marked_set_is_global_phase(self):
-        oracle = toy_oracle(4, set())
-        state = prepare_search_state(oracle)
-        before = q_amplitudes(state, oracle)
-        grover_iteration(state, oracle, build_diffusion(oracle.frame.q_register))
-        after = q_amplitudes(state, oracle)
+        frame, mark = toy_oracle(4, set())
+        state = prepare_search_state(frame)
+        before = q_amplitudes(state, frame)
+        grover_iteration(state, frame, mark, build_diffusion(frame.q_register))
+        after = q_amplitudes(state, frame)
         np.testing.assert_allclose(after, -before, atol=1e-10)
 
     def test_all_marked_is_global_phase(self):
-        oracle = toy_oracle(3, set(range(8)))
-        state = prepare_search_state(oracle)
-        before = q_amplitudes(state, oracle)
-        grover_iteration(state, oracle, build_diffusion(oracle.frame.q_register))
-        after = q_amplitudes(state, oracle)
+        frame, mark = toy_oracle(3, set(range(8)))
+        state = prepare_search_state(frame)
+        before = q_amplitudes(state, frame)
+        grover_iteration(state, frame, mark, build_diffusion(frame.q_register))
+        after = q_amplitudes(state, frame)
         np.testing.assert_allclose(after, before, atol=1e-10)
 
     def test_single_iteration_known_probability(self):
         # N=16, M=2: one iteration boosts each marked item to 25/64.
-        oracle = toy_oracle(4, {6, 14})
-        state = prepare_search_state(oracle)
-        grover_iteration(state, oracle, build_diffusion(oracle.frame.q_register))
+        frame, mark = toy_oracle(4, {6, 14})
+        state = prepare_search_state(frame)
+        grover_iteration(state, frame, mark, build_diffusion(frame.q_register))
         for i in (6, 14):
             p = abs(get_amplitude(state, i)) ** 2 + abs(
-                get_amplitude(state, i | (1 << oracle.frame.kickback_qubit))
+                get_amplitude(state, i | (1 << frame.kickback_qubit))
             ) ** 2
             assert abs(p - 25 / 64) < 1e-10
 
@@ -405,34 +403,34 @@ class TestGroverIteration:
         big_n = 1 << n
         for m in (1, 2, 3, 4):
             marked = set(range(m))
-            oracle = toy_oracle(n, marked)
-            diffusion = build_diffusion(oracle.frame.q_register)
-            state = prepare_search_state(oracle)
+            frame, mark = toy_oracle(n, marked)
+            diffusion = build_diffusion(frame.q_register)
+            state = prepare_search_state(frame)
             k_floor = math.floor(math.pi / 4 * math.sqrt(big_n / m))
             for _ in range(k_floor):
-                grover_iteration(state, oracle, diffusion)
-            amps = q_amplitudes(state, oracle)
+                grover_iteration(state, frame, mark, diffusion)
+            amps = q_amplitudes(state, frame)
             p_marked = float(np.sum(np.abs(amps[list(marked)]) ** 2))
             assert p_marked > 1 - m / big_n
             assert iteration_count(big_n, m) - k_floor in (0, 1)
 
     def test_dirty_ancilla_raises_integrity_error(self):
-        dirty = dirty_oracle(cnot(0, 4))  # leaks candidate bit 0 into the ancilla
-        state = prepare_search_state(dirty)
+        frame, mark = dirty_oracle(cnot(0, 4))  # leaks candidate bit 0 into the ancilla
+        state = prepare_search_state(frame)
         with pytest.raises(IntegrityError, match="contamination"):
-            grover_iteration(state, dirty, build_diffusion(dirty.frame.q_register))
+            grover_iteration(state, frame, mark, build_diffusion(frame.q_register))
 
 
 class TestFusedSearch:
     """The index-map marks and 2^n-amplitude iteration against the gate level."""
 
     def test_marks_of_toy_oracle(self):
-        marks = oracle_marks(toy_oracle(4, {3, 9, 14}))
+        marks = oracle_marks(*toy_oracle(4, {3, 9, 14}))
         assert np.flatnonzero(marks).tolist() == [3, 9, 14]
 
     def test_marks_of_demo_oracle(self):
         # threshold 13: exactly candidates 0110 and 0111 (q values 6 and 14)
-        assert np.flatnonzero(oracle_marks(demo_oracle(13))).tolist() == [6, 14]
+        assert np.flatnonzero(oracle_marks(*demo_oracle(13))).tolist() == [6, 14]
 
     @pytest.mark.parametrize(
         "oracle",
@@ -445,14 +443,15 @@ class TestFusedSearch:
         ],
     )
     def test_amplitudes_match_grover_iteration(self, oracle):
-        marks = oracle_marks(oracle)
-        diffusion = build_diffusion(oracle.frame.q_register)
-        state = prepare_search_state(oracle)
+        frame, mark = oracle
+        marks = oracle_marks(frame, mark)
+        diffusion = build_diffusion(frame.q_register)
+        state = prepare_search_state(frame)
         for j in range(6):
             if j:
-                grover_iteration(state, oracle, diffusion)
+                grover_iteration(state, frame, mark, diffusion)
             fused = search_amplitudes(marks, j)
-            np.testing.assert_allclose(q_amplitudes(state, oracle), fused, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(q_amplitudes(state, frame), fused, rtol=0, atol=1e-12)
             # everything else on the gate level is the kickback-1 mirror image
             assert abs(norm_squared(state) - float(np.sum(fused**2))) < 1e-12
 
@@ -475,24 +474,22 @@ class TestFusedSearch:
         # sampled by Generator.choice in sorted order of full-register
         # indices. Both generators must give the same outcome and stay in
         # step, and the sorted order must be the structural one boyer_search
-        # uses: branches concatenated, or interleaved with the kickback below q.
+        # uses: the kickback-0 branch, then the kickback-1 branch.
         rng = np.random.default_rng(29)
         draws = disagreements = 0
         for trial in range(600):
             n = int(rng.integers(1, 11))
             size = 1 << n
-            below = bool(trial % 2)
-            layout = toy_oracle(n, set(), kickback_below_q=below)
-            register = np.arange(size, dtype=np.int64) << layout.frame.q_register.offset
-            basis = np.concatenate((register, register | (1 << layout.frame.kickback_qubit)))
+            frame, _ = toy_oracle(n, set())
+            register = np.arange(size, dtype=np.int64) << frame.q_register.offset
+            basis = np.concatenate((register, register | (1 << frame.kickback_qubit)))
             order = np.argsort(basis)
             sorted_basis = basis[order]
             m = int(rng.integers(0, size + 1))
             marks = np.zeros(size, dtype=bool)
             marks[rng.choice(size, m, replace=False)] = True
             frame_marks = np.concatenate((marks, marks))[order]
-            structural = np.repeat(marks, 2) if below else np.tile(marks, 2)
-            assert frame_marks.tolist() == structural.tolist()
+            assert frame_marks.tolist() == np.tile(marks, 2).tolist()
             marked = np.flatnonzero(frame_marks).tolist()
             old_rng, new_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             for _ in range(5):
@@ -589,9 +586,6 @@ class TestFusedSearch:
         [
             pytest.param(demo_oracle(13), True, id="demo-t13"),
             pytest.param(demo_oracle(17), True, id="demo-t17"),
-            pytest.param(
-                toy_oracle(4, {2, 7, 12}, kickback_below_q=True), True, id="kickback-below-q"
-            ),
             pytest.param(toy_oracle(4, set()), True, id="toy-M0"),
             # a check accepting every marked candidate would stop at the first
             # step, whose j is 0; rejecting all of them lets j grow
@@ -599,7 +593,7 @@ class TestFusedSearch:
         ],
     )
     def test_boyer_search_equals_gate_level_reference(self, oracle, check_marks):
-        marked = set(np.flatnonzero(oracle_marks(oracle)).tolist()) if check_marks else set()
+        marked = set(np.flatnonzero(oracle_marks(*oracle)).tolist()) if check_marks else set()
 
         def run(search, seed):
             sched_rng, meas_rng = [
@@ -622,9 +616,8 @@ class TestFusedSearch:
         ],
     )
     def test_dirty_uncompute_raises_integrity_error(self, leak):
-        dirty = dirty_oracle(leak)
         with pytest.raises(IntegrityError, match="contamination"):
-            oracle_marks(dirty)
+            oracle_marks(*dirty_oracle(leak))
 
 
     def test_check_equals_the_whole_oracle_contract_on_random_oracles(self):
@@ -640,15 +633,15 @@ class TestFusedSearch:
             mark = (mcx([int(c) for c in controls], 5),)
             if rng.random() < 0.5:
                 mark += (random_gate(rng, 6, permutation_kinds()),)
-            oracle = OracleCircuit(prepare_frame(prepare, q, 5, 6), mark)
-            marks, bad = whole_oracle_marks(oracle)
+            frame = prepare_frame(prepare, q, 5, 6)
+            marks, bad = whole_oracle_marks(frame, mark)
             if bad is None:
-                assert oracle_marks(oracle).tolist() == marks.tolist()
+                assert oracle_marks(frame, mark).tolist() == marks.tolist()
             else:
                 c, image0, image1 = bad
                 expected = f"q value {c} maps to basis states {image0} and {image1}$"
                 with pytest.raises(IntegrityError, match=expected):
-                    oracle_marks(oracle)
+                    oracle_marks(frame, mark)
             outcomes.add(bad is None)
         assert outcomes == {True, False}
 
@@ -672,7 +665,7 @@ class TestBoyerSearch:
     def test_nothing_marked_exhausts(self):
         oracle = toy_oracle(4, set())
         result = self._run(oracle, lambda c: False, seed=3, max_steps=12)
-        assert result.exhausted and result.found is None
+        assert result.found is None
         assert len(result.steps) == 12
 
     def test_cutoff_monotone_and_capped(self):
@@ -699,11 +692,6 @@ class TestBoyerSearch:
         result = self._run(oracle, lambda c: True, seed=5)
         assert result.found is not None
         assert result.steps[0].j == 0  # m starts at 1, so the first draw is 0
-
-    def test_iterations_applied_matches_steps(self):
-        oracle = toy_oracle(4, {2})
-        result = self._run(oracle, lambda c: c == 2, seed=6)
-        assert result.iterations_applied == sum(s.j for s in result.steps)
 
     def test_reproducible(self):
         oracle = toy_oracle(4, {7})

@@ -18,7 +18,7 @@ from conftest import (
 from qsmax import cli, grover
 from qsmax import knapsack as kp
 from qsmax import statevector as sv
-from qsmax.grover import OracleCircuit, build_diffusion
+from qsmax.grover import build_diffusion
 from qsmax.knapsack import (
     MAX_ITEMS,
     CapacityError,
@@ -29,7 +29,6 @@ from qsmax.knapsack import (
     classical_evaluate,
     classical_max,
     compile_frame,
-    compile_mark,
     compile_oracle,
     compile_prepare,
     enumerate_table,
@@ -220,11 +219,10 @@ class TestClassicalReference:
 class TestOracleCompilation:
     def _prepare_registers(self, instance, candidate):
         plan = plan_registers(instance)
-        oracle = compile_oracle(plan, compile_frame(instance, plan), 0)
         state = new_basis_state(
             plan.total_qubits, candidate_to_index(candidate, instance.n) << plan.q.offset
         )
-        apply_sequence(state, oracle.frame.prepare)
+        apply_sequence(state, compile_prepare(instance, plan))
         basis = measure_all(state, np.random.default_rng(0))
         return plan, basis
 
@@ -243,15 +241,15 @@ class TestOracleCompilation:
 
     def test_threshold_13_marks_exactly_the_two_best(self, demo_instance):
         plan = plan_registers(demo_instance)
-        oracle = compile_oracle(plan, compile_frame(demo_instance, plan), 13)
+        prepare, mark = compile_prepare(demo_instance, plan), compile_oracle(plan, 13)
         marked = []
         for candidate in all_candidates(4):
             i = candidate_to_index(candidate, 4)
             state = new_basis_state(plan.total_qubits, i << plan.q.offset)
             apply_sequence(state, (x(plan.r), h(plan.r)))
-            apply_sequence(state, oracle.frame.prepare)
-            apply_sequence(state, oracle.mark)
-            apply_sequence(state, inverse(oracle.frame.prepare))
+            apply_sequence(state, prepare)
+            apply_sequence(state, mark)
+            apply_sequence(state, inverse(prepare))
             amp = get_amplitude(state, i << plan.q.offset)
             assert abs(abs(amp) - 1 / math.sqrt(2)) < 1e-10
             if amp.real < 0:
@@ -261,17 +259,17 @@ class TestOracleCompilation:
     def test_threshold_must_be_representable(self, demo_instance):
         plan = plan_registers(demo_instance)
         with pytest.raises(ValueError, match="representable"):
-            compile_oracle(plan, compile_frame(demo_instance, plan), 32)
+            compile_oracle(plan, 32)
         with pytest.raises(ValueError, match="representable"):
-            compile_oracle(plan, compile_frame(demo_instance, plan), -33)
+            compile_oracle(plan, -33)
 
     def test_uncompute_hygiene_on_uniform_state(self, demo_instance):
         plan = plan_registers(demo_instance)
-        oracle = compile_oracle(plan, compile_frame(demo_instance, plan), 13)
-        state = prepare_search_state(oracle)
-        apply_sequence(state, oracle.frame.prepare)
-        apply_sequence(state, oracle.mark)
-        apply_sequence(state, inverse(oracle.frame.prepare))
+        frame = compile_frame(demo_instance, plan)
+        state = prepare_search_state(frame)
+        apply_sequence(state, frame.prepare)
+        apply_sequence(state, compile_oracle(plan, 13))
+        apply_sequence(state, inverse(frame.prepare))
         frame_mass = 0.0
         for i in range(16):
             a0 = get_amplitude(state, i << plan.q.offset)
@@ -331,9 +329,8 @@ class TestVerify:
     def test_dirty_uncompute_is_a_mismatch(self, demo_instance, monkeypatch):
         compile_clean = kp.compile_oracle
 
-        def compile_dirty(plan, frame, threshold):
-            oracle = compile_clean(plan, frame, threshold)
-            return OracleCircuit(frame, oracle.mark + (cnot(plan.q.bit(1), plan.g.bit(0)),))
+        def compile_dirty(plan, threshold):
+            return compile_clean(plan, threshold) + (cnot(plan.q.bit(1), plan.g.bit(0)),)
 
         monkeypatch.setattr(kp, "compile_oracle", compile_dirty)
         report = verify_instance(demo_instance)
@@ -344,8 +341,8 @@ class TestVerify:
     def test_wrong_marks_are_a_mismatch(self, demo_instance, monkeypatch):
         compile_clean = kp.compile_oracle
 
-        def compile_off_by_one(plan, frame, threshold):
-            return compile_clean(plan, frame, threshold + 1)
+        def compile_off_by_one(plan, threshold):
+            return compile_clean(plan, threshold + 1)
 
         monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
         report = verify_instance(demo_instance)
@@ -496,11 +493,11 @@ class TestGateLevelReference:
     def test_oracle_signs_and_ancillas_match_oracle_marks(self, case):
         instance, threshold = case
         plan = plan_registers(instance)
-        oracle = compile_oracle(plan, compile_frame(instance, plan), threshold)
-        marks = grover.oracle_marks(oracle)
+        frame, mark = compile_frame(instance, plan), compile_oracle(plan, threshold)
+        marks = grover.oracle_marks(frame, mark)
 
-        state = prepare_search_state(oracle)
-        for stage in (oracle.frame.prepare, oracle.mark, inverse(oracle.frame.prepare)):
+        state = prepare_search_state(frame)
+        for stage in (frame.prepare, mark, inverse(frame.prepare)):
             apply_sequence(state, stage)
         size = 1 << instance.n
         # Every ancilla is back at 0: only q and kickback bits are set, on
@@ -535,9 +532,10 @@ class TestComputeOnce:
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """Gates of every ``permute_planes`` call and every compiled oracle."""
-        pushed, compiled = [], []
-        push, compile_clean = sv.permute_planes, kp.compile_oracle
+        """Gates of every ``permute_planes`` call and every compiled mark, and
+        the frame of every ``oracle_marks`` call."""
+        pushed, compiled, frames = [], [], []
+        push, compile_clean, marks = sv.permute_planes, kp.compile_oracle, kp.oracle_marks
 
         def counting_push(planes, gates, size):
             pushed.append(tuple(gates))
@@ -551,14 +549,15 @@ class TestComputeOnce:
             if hasattr(module, "permute_planes"):
                 monkeypatch.setattr(module, "permute_planes", counting_push)
         monkeypatch.setattr(kp, "compile_oracle", recording_compile)
-        return pushed, compiled
+        monkeypatch.setattr(kp, "oracle_marks", lambda frame, mark: frames.append(frame) or marks(frame, mark))
+        return pushed, compiled, frames
 
     def _assert_prepare_once_then_marks(self, recorded, instance):
-        pushed, compiled = recorded
+        pushed, compiled, frames = recorded
         prepare = compile_prepare(instance, plan_registers(instance))
         assert pushed[0] == prepare
-        assert pushed[1:] == [oracle.mark for oracle in compiled]
-        assert all(oracle.frame is compiled[0].frame for oracle in compiled)
+        assert pushed[1:] == compiled
+        assert len(frames) == len(compiled) and all(frame is frames[0] for frame in frames)
 
     def test_maximize(self, demo_instance, recorded):
         trace = maximize(demo_instance, seed=1, confirmation_count=2)
@@ -566,13 +565,13 @@ class TestComputeOnce:
         # one compile per distinct threshold: the confirmation round reuses the marks
         assert len(set(thresholds)) == len(thresholds) == trace.rounds - 1 > 1
         plan = plan_registers(demo_instance)
-        assert [oracle.mark for oracle in recorded[1]] == [compile_mark(plan, t) for t in thresholds]
+        assert recorded[1] == [compile_oracle(plan, t) for t in thresholds]
         self._assert_prepare_once_then_marks(recorded, demo_instance)
 
     def test_confirmation_rounds_reuse_the_marks(self, monkeypatch, capsys):
         calls = []
         marks = kp.oracle_marks
-        monkeypatch.setattr(kp, "oracle_marks", lambda oracle: calls.append(oracle) or marks(oracle))
+        monkeypatch.setattr(kp, "oracle_marks", lambda *oracle: calls.append(oracle) or marks(*oracle))
         argv = ["solve", str(DEMO_INSTANCE_FILE), "--confirmations", "3", "--format", "machine"]
         assert cli.main(argv + ["--seed", "5"]) == 0
         records = [dict(field.split("=") for field in line.split())
@@ -749,9 +748,9 @@ class TestGroverIntegration:
 
     def _one_iteration_state(self, instance, threshold):
         plan = plan_registers(instance)
-        oracle = compile_oracle(plan, compile_frame(instance, plan), threshold)
-        state = prepare_search_state(oracle)
-        grover_iteration(state, oracle, build_diffusion(plan.q))
+        frame = compile_frame(instance, plan)
+        state = prepare_search_state(frame)
+        grover_iteration(state, frame, compile_oracle(plan, threshold), build_diffusion(plan.q))
         return plan, state
 
     def test_one_iteration_total_marked_probability(self, demo_instance):

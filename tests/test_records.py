@@ -14,14 +14,12 @@ import pytest
 
 from conftest import DEMO_CAPACITY, DEMO_ITEMS, REPO_ROOT
 from qsmax.arithmetic import RegisterRef, SignedEncoding
-from qsmax.cli import RunConfig
 from qsmax.grover import BoyerResult, BoyerStep
 from qsmax.knapsack import (
     CapacityError,
     KnapsackInstance,
     classical_evaluate,
     compile_frame,
-    compile_oracle,
     estimate_resources,
     maximize,
     plan_registers,
@@ -43,9 +41,8 @@ RECORDS = {
     "RegisterRef": lambda: RegisterRef("w", 4, 5),
     "SignedEncoding": lambda: SignedEncoding(6),
     "BoyerStep": lambda: BoyerStep(m=1.2, j=1, candidate=14, passed=True),
-    "BoyerResult": lambda: BoyerResult(14, (BoyerStep(1.0, 0, 14, True),), 0),
+    "BoyerResult": lambda: BoyerResult(14, (BoyerStep(1.0, 0, 14, True),)),
     "PreparedFrame": _demo_frame,
-    "OracleCircuit": lambda: compile_oracle(plan_registers(_demo()), _demo_frame(), 12),
     "KnapsackInstance": _demo,
     "RegisterPlan": lambda: plan_registers(_demo()),
     "CandidateEvaluation": lambda: classical_evaluate(_demo(), "0111"),
@@ -53,10 +50,9 @@ RECORDS = {
     "SearchTrace": lambda: maximize(_demo(), seed=1),
     "ResourceEstimate": lambda: estimate_resources(_demo()),
     "VerifyReport": lambda: verify_instance(_demo()),
-    "RunConfig": lambda: RunConfig(seed=1, output_format="machine"),
 }
 # A record holding a dict cannot be hashed; circuits are tuples of frozen
-# Gates, so frames and oracles hash by value.
+# Gates, so frames hash by value.
 UNHASHABLE = {"ResourceEstimate"}
 
 record_builders = pytest.mark.parametrize("name", sorted(RECORDS))
