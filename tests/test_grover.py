@@ -319,7 +319,8 @@ class TestPlaneReads:
             assert bits.tolist() == [(plane >> i) & 1 for i in range(n)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    @pytest.mark.parametrize("width", [62, 63, 70])
+    # 62 is one int64 limb; 124 is two full limbs and 125 the first of three.
+    @pytest.mark.parametrize("width", [62, 63, 70, 124, 125])
     def test_column(self, n, width):
         rng = np.random.default_rng(100 * n + width)
         size = 1 << n
@@ -692,6 +693,26 @@ class TestBoyerSearch:
         result = self._run(oracle, lambda c: True, seed=5)
         assert result.found is not None
         assert result.steps[0].j == 0  # m starts at 1, so the first draw is 0
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 10])
+    def test_size_comes_from_the_marks(self, n):
+        # No frame is passed: N is marks.size, a position in the kickback-1
+        # half folds back onto q (position & (N - 1)), and m caps at sqrt(N).
+        size = 1 << n
+        marks = np.zeros(size, dtype=bool)
+        marks[size - 1] = True
+
+        def run(check):
+            sched_rng, meas_rng = [
+                np.random.default_rng(s) for s in np.random.SeedSequence(n).spawn(2)
+            ]
+            return boyer_search(marks, check, 40, sched_rng, meas_rng)
+
+        missed = run(lambda c: False)
+        assert all(0 <= step.candidate < size for step in missed.steps)
+        assert missed.steps[-1].m == math.sqrt(size)
+        found = run(lambda c: c == size - 1)
+        assert found.found == found.steps[-1].candidate == size - 1
 
     def test_reproducible(self):
         oracle = toy_oracle(4, {7})

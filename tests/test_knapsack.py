@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,23 @@ class TestOracleCompilation:
             compile_oracle(plan, 32)
         with pytest.raises(ValueError, match="representable"):
             compile_oracle(plan, -33)
+
+    def test_marks_follow_the_signed_fitness_at_every_threshold(self, demo_instance):
+        # The circuit holds the negated fitness for invalid candidates, so a
+        # candidate is marked where that signed fitness exceeds the threshold;
+        # from 0 up that is exactly the valid candidates above it.
+        plan = plan_registers(demo_instance)
+        frame = compile_frame(demo_instance, plan)
+        evaluations = [classical_evaluate(demo_instance, c) for c in all_candidates(4)]
+        indices = [candidate_to_index(ev.candidate, 4) for ev in evaluations]
+        enc = plan.fitness_encoding
+        for threshold in range(enc.min_value, enc.max_value + 1):
+            marks = grover.oracle_marks(frame, compile_oracle(plan, threshold))
+            for i, ev in zip(indices, evaluations):
+                signed = ev.fitness if ev.valid else -ev.fitness
+                assert marks[i] == (signed > threshold), (threshold, ev)
+                if threshold >= 0:
+                    assert marks[i] == (ev.valid and ev.fitness > threshold)
 
     def test_uncompute_hygiene_on_uniform_state(self, demo_instance):
         plan = plan_registers(demo_instance)
@@ -733,6 +751,18 @@ class TestMaximize:
             maximize(demo_instance, seed=0, max_rounds=0)
         with pytest.raises(ValueError):
             maximize(demo_instance, seed=0, initial_threshold=99)
+
+    @pytest.mark.parametrize("threshold", [32, -33, 99])
+    def test_unrepresentable_initial_threshold_raises_before_any_search(
+        self, demo_instance, monkeypatch, threshold
+    ):
+        def no_search(*args):
+            raise AssertionError("boyer_search ran")
+
+        monkeypatch.setattr(kp, "boyer_search", no_search)
+        message = f"threshold {threshold} not representable in 6-bit two's complement [-32, 31]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            maximize(demo_instance, seed=0, initial_threshold=threshold)
 
     def test_trace_records_initial_draw(self, demo_instance):
         trace = maximize(demo_instance, seed=13)
