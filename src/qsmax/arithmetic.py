@@ -43,13 +43,28 @@ _BUILDER_CACHE_SIZE = 256
 _memoize = functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE)
 
 
+class CheckedRecord:
+    """Base of the NamedTuple records whose ``__new__`` checks their fields:
+    ``_make``, and so ``_replace``, and unpickling build through it too,
+    under every pickle protocol. List it before the fields class."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+
 class _RegisterRefFields(NamedTuple):
     name: str
     offset: int
     width: int
 
 
-class RegisterRef(_RegisterRefFields):
+class RegisterRef(CheckedRecord, _RegisterRefFields):
     """Named contiguous range of qubit indices."""
 
     __slots__ = ()
@@ -60,15 +75,6 @@ class RegisterRef(_RegisterRefFields):
         if offset < 0:
             raise ValueError(f"register {name!r}: negative offset")
         return tuple.__new__(cls, (name, offset, width))
-
-    @classmethod
-    def _make(cls, iterable) -> "RegisterRef":
-        """Build through ``__new__``, so ``_replace`` validates as well."""
-        return cls(*iterable)
-
-    def __reduce__(self):
-        """Unpickle through ``__new__`` too, under every pickle protocol."""
-        return type(self), tuple(self)
 
     def bit(self, i: int) -> int:
         """Qubit index of bit ``i`` (bit 0 = least significant)."""

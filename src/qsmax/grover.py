@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arithmetic import RegisterRef
+from .arithmetic import CheckedRecord, RegisterRef
 from .statevector import (
     Gate,
     IntegrityError,
@@ -87,7 +87,14 @@ def iteration_count(n_items: int, n_solutions: int) -> int:
     return math.ceil(math.pi / 4.0 * math.sqrt(n_items / n_solutions))
 
 
-class PreparedFrame(NamedTuple):
+class _PreparedFrameFields(NamedTuple):
+    prepare: tuple[Gate, ...]
+    q_register: RegisterRef
+    kickback_qubit: int
+    planes: tuple[int, ...]
+
+
+class PreparedFrame(CheckedRecord, _PreparedFrameFields):
     """The oracle frame pushed through the compute stage, once per instance.
 
     The frame is 2N basis states for N candidates: entry i < N is q value i
@@ -95,14 +102,18 @@ class PreparedFrame(NamedTuple):
     every other qubit is 0. ``planes`` holds ``prepare``'s image of the
     frame as bit planes (see ``statevector.permute_planes``), one 2N-bit int
     per qubit: P0 in the low N bits, P1 in the high N. The kickback qubit
-    sits above q, so this is sorted full-register order. ``columns`` reads
-    registers off P0 as integer columns.
+    must sit above q and below ``num_qubits``, so this is sorted
+    full-register order; any other layout raises ValueError, also through
+    ``_replace`` and unpickling. ``columns`` reads registers off P0 as
+    integer columns.
     """
 
-    prepare: tuple[Gate, ...]
-    q_register: RegisterRef
-    kickback_qubit: int
-    planes: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, prepare, q_register, kickback_qubit, planes) -> "PreparedFrame":
+        if not q_register.offset + q_register.width <= kickback_qubit < len(planes):
+            raise ValueError("kickback qubit out of range: it must sit above q, below num_qubits")
+        return tuple.__new__(cls, (prepare, q_register, kickback_qubit, planes))
 
     @property
     def candidates(self) -> int:
@@ -111,10 +122,6 @@ class PreparedFrame(NamedTuple):
     @property
     def num_qubits(self) -> int:
         return len(self.planes)
-
-    def column(self, register: RegisterRef) -> np.ndarray:
-        """Unsigned value of ``register`` in P0, in q-value order (see ``columns``)."""
-        return self.columns(register)[0]
 
     def columns(self, *registers: RegisterRef) -> tuple[np.ndarray, ...]:
         """Unsigned value of each register in P0, in q-value order, read in
@@ -150,11 +157,10 @@ def prepare_frame(
     q bit b of entry i is bit b of i: blocks of 2^b zeros then 2^b ones, so
     its plane is one such pair of blocks repeated over the 2N bits, written
     by shift-doubling in O(N) bit operations. The kickback plane is the
-    high N bits; every other plane is 0. The kickback qubit must sit above
-    q, so that the frame's entries are in sorted full-register order.
+    high N bits; every other plane is 0. A layout ``PreparedFrame`` refuses
+    is refused before any plane is written.
     """
-    if not q_register.offset + q_register.width <= kickback_qubit < num_qubits:
-        raise ValueError("kickback qubit out of range: it must sit above q, below num_qubits")
+    frame = PreparedFrame(prepare, q_register, kickback_qubit, (0,) * num_qubits)
     candidates = 1 << q_register.width
     planes = [0] * num_qubits
     for b, qubit in enumerate(q_register.bits):
@@ -165,8 +171,7 @@ def prepare_frame(
             period *= 2
         planes[qubit] = plane
     planes[kickback_qubit] = ((1 << candidates) - 1) << candidates
-    images = permute_planes(planes, prepare, 2 * candidates)
-    return PreparedFrame(prepare, q_register, kickback_qubit, tuple(images))
+    return frame._replace(planes=tuple(permute_planes(planes, prepare, 2 * candidates)))
 
 
 def oracle_marks(frame: PreparedFrame, mark: tuple[Gate, ...]) -> np.ndarray:

@@ -9,7 +9,7 @@ verification suite and the search never simulate the full register: they
 push the candidate basis states through the compiled stages as bit planes
 (``statevector.permute_planes``) and read registers and kickback flips off
 the images exactly, at any register width. The compute stage does not
-depend on the threshold, so each of ``enumerate_table``,
+depend on the threshold, so each of ``table_columns``,
 ``verify_instance`` and ``maximize`` compiles it and pushes every
 candidate through it once per instance
 (``compile_frame``); the table reads w, f and v off those images in one
@@ -20,15 +20,17 @@ marked set. Only the item count is bounded (``MAX_ITEMS``): the frame holds
 2^(n+1) basis states.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
-table order, whose q values and strings are built once per item count
-(``candidate_indices``, read-only). The circuit side is read off the images
-(``_circuit_columns``); the brute-force side is built by subset doubling
-(``_classical_columns``), and ``classical_max`` is one ``argmax`` over it.
-``verify_instance`` compares the columns at once, and each threshold's
-marks against the classical predicate column. The per-string
-``classical_evaluate`` stays the independent reference: ``maximize``
-checks each measured candidate with it, and a verify mismatch report
-states its row.
+q order: entry i is q value i, the frame's own order. The circuit side is
+read off the images (``_circuit_columns``); the brute-force side is built
+by subset doubling (``_classical_columns``). ``verify_instance`` compares
+the columns at once, and each threshold's marks against the classical
+predicate column, with no permutation and no candidate string. Table
+order appears only where rows leave the package: ``enumerate_table``,
+``cli.cmd_table``, the tie-break of ``classical_max`` and a mismatch
+report gather by ``candidate_indices``, an int64 bit reversal built once
+per item count. The per-string ``classical_evaluate`` stays the
+independent reference: ``maximize`` checks each measured candidate with
+it, and a verify mismatch report states its row.
 
 Register file (in qubit order): ``q`` candidate bits (item k is qubit k-1,
 so item 1 is the least significant), ``w`` accumulated weight, ``g`` shared
@@ -52,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arithmetic import (
+    CheckedRecord,
     RegisterRef,
     SignedEncoding,
     build_comparator,
@@ -83,7 +86,7 @@ class _KnapsackInstanceFields(NamedTuple):
     capacity: int
 
 
-class KnapsackInstance(_KnapsackInstanceFields):
+class KnapsackInstance(CheckedRecord, _KnapsackInstanceFields):
     """Item list (weight, value) plus a weight capacity, all unsigned ints.
 
     Every field must be an integer (anything with ``__index__``, so numpy
@@ -112,15 +115,6 @@ class KnapsackInstance(_KnapsackInstanceFields):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         return tuple.__new__(cls, (items, capacity))
-
-    @classmethod
-    def _make(cls, iterable) -> "KnapsackInstance":
-        """Build through ``__new__``, so ``_replace`` validates as well."""
-        return cls(*iterable)
-
-    def __reduce__(self):
-        """Unpickle through ``__new__`` too, under every pickle protocol."""
-        return type(self), tuple(self)
 
     @property
     def n(self) -> int:
@@ -224,16 +218,20 @@ def index_to_candidate(index: int, n: int) -> str:
 
 
 @functools.cache
-def _table_order(n: int) -> tuple[bytes, tuple[str, ...]]:
-    """Every candidate's q value (as int64 bytes) and string, in table order.
-    Built once per n; both are immutable, so all callers can share them."""
-    strings = tuple(format(d, f"0{n}b") for d in range(1 << n))
-    return np.array([int(s[::-1], 2) for s in strings], dtype=np.int64).tobytes(), strings
+def _table_order(n: int) -> bytes:
+    """Every candidate's q value in table order, as int64 bytes: d with its n
+    bits reversed, in n shift-and-or passes over ``arange(2^n)``. Built once
+    per n; bytes are immutable, so all callers can share them."""
+    rows = np.arange(1 << n, dtype=np.int64)
+    q_values = np.zeros_like(rows)
+    for b in range(n):
+        q_values |= ((rows >> b) & 1) << (n - 1 - b)
+    return q_values.tobytes()
 
 
 def all_candidates(n: int) -> list[str]:
     """All candidate strings in table order (string read as a binary number)."""
-    return list(_table_order(n)[1])
+    return [format(d, f"0{n}b") for d in range(1 << n)]
 
 
 def candidate_indices(n: int) -> np.ndarray:
@@ -243,7 +241,7 @@ def candidate_indices(n: int) -> np.ndarray:
     string as a binary number, so entry d is d with its n bits reversed.
     The array is a view of cached bytes, so it can never be made writeable.
     """
-    return np.frombuffer(_table_order(n)[0], np.int64)
+    return np.frombuffer(_table_order(n), np.int64)
 
 
 def plan_registers(instance: KnapsackInstance) -> RegisterPlan:
@@ -288,18 +286,18 @@ def classical_evaluate(instance: KnapsackInstance, candidate: str) -> CandidateE
 def _classical_columns(
     instance: KnapsackInstance,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weight, fitness and validity of every candidate, in table order.
+    """Weight, fitness and validity of every candidate, in q order.
 
     Built by subset doubling over a 2-row (weight, fitness) array, items
-    last to first: each item appends a copy of the array with its weight
-    and value added, as the new most significant table bit, so item 1 ends
-    up the most significant one, as in the table. O(2^n) additions, no 2^n
-    x n bit matrix. int64 while both sums fit in it; object arrays otherwise.
+    first to last: item k appends a copy of the array with its weight and
+    value added, as q bit k-1, so entry i is q value i. O(2^n) additions,
+    no 2^n x n bit matrix. int64 while both sums fit in it; object arrays
+    otherwise.
     """
     total_weight = sum(instance.weights)
     dtype = np.int64 if max(total_weight, sum(instance.values)) < 1 << 63 else object
     columns = np.zeros((2, 1), dtype=dtype)
-    for item in np.array(instance.items, dtype=dtype)[::-1, :, None]:
+    for item in np.array(instance.items, dtype=dtype)[:, :, None]:
         columns = np.concatenate((columns, columns + item), axis=1)
     weight, fitness = columns
     # No selection outweighs the total, so clamping keeps the comparison
@@ -307,22 +305,25 @@ def _classical_columns(
     return weight, fitness, weight <= min(instance.capacity, total_weight)
 
 
+def _first_in_table_order(mask: np.ndarray, n: int) -> int:
+    """q value of the first set entry of a q-order mask, in table order."""
+    order = candidate_indices(n)
+    return int(order[np.argmax(mask[order])])
+
+
 def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
     """Best valid candidate by brute force over whole columns.
 
-    Ties break toward the smallest candidate in table order: ``argmax``
-    returns the first maximum, and invalid candidates score -1 (the empty
-    selection is always valid with fitness 0, so a best candidate always
-    exists). Sums of 2^63 or more are added as Python ints, so they cannot
-    overflow.
+    Invalid candidates score -1 (the empty selection is always valid with
+    fitness 0, so a best candidate always exists), and ties break toward
+    the smallest candidate in table order (``_first_in_table_order``).
+    Sums of 2^63 or more are added as Python ints, so they cannot overflow.
     """
     weight, fitness, valid = _classical_columns(instance)
-    best = int(np.argmax(np.where(valid, fitness, -1)))
+    score = np.where(valid, fitness, -1)
+    best = _first_in_table_order(score == score.max(), instance.n)
     return CandidateEvaluation(
-        candidate=format(best, f"0{instance.n}b"),
-        weight=int(weight[best]),
-        fitness=int(fitness[best]),
-        valid=True,
+        index_to_candidate(best, instance.n), int(weight[best]), int(fitness[best]), True
     )
 
 
@@ -384,39 +385,39 @@ def compile_oracle(plan: RegisterPlan, threshold: int) -> tuple[Gate, ...]:
 
 
 def _circuit_columns(
-    plan: RegisterPlan, frame: PreparedFrame, q_values: np.ndarray
+    plan: RegisterPlan, frame: PreparedFrame
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weight, fitness and validity read off the frame's kickback-0 images.
 
-    ``q_values`` is ``candidate_indices(n)``, so the columns are in table
-    order; one ``PreparedFrame.columns`` pass reads w, f and v, with Python
-    ints from 63 bits on. Fitness is sign-extended from f and reported
-    pre-negation (the circuit stores the negated fitness for invalid ones).
+    The columns are in q order, the frame's own; one
+    ``PreparedFrame.columns`` pass reads w, f and v, with Python ints from
+    63 bits on. Fitness is sign-extended from f and reported pre-negation
+    (the circuit stores the negated fitness for invalid ones).
     """
-    weight, stored, flag = (
-        column[q_values] for column in frame.columns(plan.w, plan.f, RegisterRef("v", plan.v, 1))
-    )
+    weight, stored, flag = frame.columns(plan.w, plan.f, RegisterRef("v", plan.v, 1))
     stored -= (stored >> (plan.f.width - 1)) << plan.f.width
     valid = flag == 0
     return weight, np.where(valid, stored, -stored), valid
 
 
-def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
-    """Evaluate every candidate through the oracle's compute stage.
+def table_columns(instance: KnapsackInstance) -> tuple[np.ndarray, ...]:
+    """Weight, fitness and validity of every candidate through the oracle's
+    compute stage, in table order.
 
     All candidate basis states go through ``prepare`` once as bit planes;
-    w, f and v are read off the images as whole columns.
+    w, f and v are read off the images as whole columns, then gathered by
+    ``candidate_indices``.
     """
     plan = plan_registers(instance)
-    n = instance.n
-    frame = compile_frame(instance, plan)
-    columns = _circuit_columns(plan, frame, candidate_indices(n))
-    return [
-        CandidateEvaluation(candidate, weight, fitness, valid)
-        for candidate, weight, fitness, valid in zip(
-            _table_order(n)[1], *(column.tolist() for column in columns)
-        )
-    ]
+    order = candidate_indices(instance.n)
+    return tuple(column[order] for column in _circuit_columns(plan, compile_frame(instance, plan)))
+
+
+def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
+    """Evaluate every candidate through the oracle's compute stage: one
+    record per ``table_columns`` row, in table order."""
+    columns = (column.tolist() for column in table_columns(instance))
+    return [CandidateEvaluation(*row) for row in zip(all_candidates(instance.n), *columns)]
 
 
 def _draw_thresholds(rng: np.random.Generator, top: int, count: int) -> tuple[int, ...]:
@@ -438,10 +439,12 @@ def verify_instance(
     fitness strictly above threshold) at 5 sampled thresholds. The compute
     stage runs once; the table is read off its images, and each threshold
     pushes them through its marking stage only.
-    Both sides are whole columns in table order (``_circuit_columns``,
-    ``_classical_columns``), compared at once; only the first disagreeing
-    candidate is evaluated per string, by ``classical_evaluate``, for the
-    report. The oracle check is exact integer equality on both kickback
+    Both sides are whole columns in q order (``_circuit_columns``,
+    ``_classical_columns``), compared at once with no permutation; a
+    passing instance builds no candidate string. A report names the first
+    disagreeing candidate in table order (``_first_in_table_order``), and
+    only that candidate is evaluated per string, by ``classical_evaluate``.
+    The oracle check is exact integer equality on both kickback
     branches, equivalent to
     ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)`` (see
     ``oracle_marks``), so any ancilla left dirty or any wrong mark is a
@@ -449,17 +452,14 @@ def verify_instance(
     """
     plan = plan_registers(instance)
     n = instance.n
-    q_values = candidate_indices(n)
     frame = compile_frame(instance, plan)
-    circuit_weight, circuit_fitness, circuit_valid = _circuit_columns(plan, frame, q_values)
+    circuit_weight, circuit_fitness, circuit_valid = _circuit_columns(plan, frame)
     weight, fitness, valid = _classical_columns(instance)
 
-    disagree = np.flatnonzero(
-        (circuit_weight != weight) | (circuit_fitness != fitness) | (circuit_valid != valid)
-    )
-    if disagree.size:
-        first = int(disagree[0])
-        classical = classical_evaluate(instance, format(first, f"0{n}b"))
+    disagree = (circuit_weight != weight) | (circuit_fitness != fitness) | (circuit_valid != valid)
+    if disagree.any():
+        first = _first_in_table_order(disagree, n)
+        classical = classical_evaluate(instance, index_to_candidate(first, n))
         return VerifyReport(
             ok=False,
             candidates_checked=1 << n,
@@ -487,15 +487,15 @@ def verify_instance(
                 mismatch=f"threshold {threshold}: {err}",
             )
         expected = valid & (fitness > threshold)
-        wrong = np.flatnonzero(marks[q_values] != expected)
-        if wrong.size:
-            first = int(wrong[0])
+        wrong = marks != expected
+        if wrong.any():
+            first = _first_in_table_order(wrong, n)
             return VerifyReport(
                 ok=False,
                 candidates_checked=1 << n,
                 thresholds_checked=thresholds,
                 mismatch=(
-                    f"candidate {format(first, f'0{n}b')} at threshold {threshold}: "
+                    f"candidate {index_to_candidate(first, n)} at threshold {threshold}: "
                     f"kickback phase disagrees with the classical predicate "
                     f"(expected marked={bool(expected[first])})"
                 ),

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import DEMO_INSTANCE_FILE
+from conftest import DEMO_INSTANCE_FILE, REPO_ROOT
 from qsmax import cli, grover, statevector
 from qsmax.cli import (
     EXIT_CAPACITY,
@@ -359,6 +359,18 @@ class TestTableCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
 
+    def test_tie_stars_the_first_row_in_table_order(self, tmp_path, capsys):
+        # "01" and "10" tie at fitness 1; "10" is q value 1, "01" q value 2.
+        path = write_instance(tmp_path, "capacity 1\nitem 1 1\nitem 1 1\n")
+        assert cli.main(["table", path]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "candidate  fitness  weight  validity\n"
+            "       00        0       0  valid\n"
+            "       01        1       1  valid  *\n"
+            "       10        1       1  valid\n"
+            "       11        2       2  invalid\n"
+        )
+
 
 class TestEstimateCommand:
     def test_demo_reports_23_qubits(self, capsys):
@@ -614,6 +626,27 @@ class TestWideInstanceFile:
 
 class TestTwelveItemFile:
     """The checked-in 12-item instance: an 8,192-entry frame, 4,096 rows."""
+
+    # ``sha256sum -c`` lines for the stdout of ``table`` and ``verify`` on it.
+    DIGESTS = REPO_ROOT / "tests" / "data" / "knapsack12.sha256"
+
+    def digest(self, name):
+        lines = self.DIGESTS.read_text(encoding="ascii").splitlines()
+        return dict(reversed(line.split()) for line in lines)[name]
+
+    @pytest.mark.parametrize("chunk_rows", [None, 100])
+    def test_table_bytes(self, capsys, monkeypatch, chunk_rows):
+        # 100 rows a chunk splits the 4,096 rows into 40 full chunks and a part.
+        if chunk_rows is not None:
+            monkeypatch.setattr(cli, "TABLE_CHUNK_ROWS", chunk_rows)
+        assert cli.main(["table", TWELVE]) == EXIT_OK
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == self.digest("table12.txt")
+
+    def test_verify_bytes(self, capsys):
+        assert cli.main(["verify", TWELVE]) == EXIT_OK
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == self.digest("verify12.txt")
 
     def test_table_agrees_with_brute_force(self, capsys):
         assert cli.main(["table", TWELVE]) == EXIT_OK

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -275,6 +276,32 @@ class TestOracleContract:
             prepare_frame((), RegisterRef("q", 0, 3), 1, 4)
         assert prepare_frame((), q, 3, 4).num_qubits == 4
 
+    def test_frame_record_refuses_what_prepare_frame_refuses(self):
+        # Direct construction, _make, _replace and unpickling all go through
+        # the same check as prepare_frame.
+        q = RegisterRef("q", 1, 2)
+        planes = (0,) * 4
+        for kickback in (-1, 0, 1, 2, 4, 5):  # below q, inside q, at and past num_qubits
+            with pytest.raises(ValueError, match="kickback qubit out of range"):
+                PreparedFrame((), q, kickback, planes)
+            with pytest.raises(ValueError, match="kickback qubit out of range"):
+                PreparedFrame._make(((), q, kickback, planes))
+        frame = PreparedFrame((), q, 3, planes)
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            frame._replace(kickback_qubit=1)
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            frame._replace(planes=(0,) * 3)
+        data = pickle.dumps(frame, protocol=4)
+        assert pickle.loads(data) == frame
+        # The kickback, 3, is the only BININT1 3 (b"K\x03") in the pickle.
+        assert data.count(b"K\x03") == 1
+        tampered = data.replace(b"K\x03", b"K\x02")
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            pickle.loads(tampered)
+        # The layout test_column once used: kickback 1, inside a 3-bit q.
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            PreparedFrame((), RegisterRef("q", 0, 3), 1, planes)
+
     @pytest.mark.parametrize("width", range(1, 13))
     def test_frame_planes_equal_a_frame_built_bit_by_bit(self, width):
         # q sits at qubit 0, the kickback right above it, one spare qubit on top.
@@ -324,12 +351,13 @@ class TestPlaneReads:
     def test_column(self, n, width):
         rng = np.random.default_rng(100 * n + width)
         size = 1 << n
+        # The register's planes and, above them, the kickback's.
         planes = tuple(
-            int.from_bytes(rng.bytes(size // 4 + 1), "little") for _ in range(width + 2)
+            int.from_bytes(rng.bytes(size // 4 + 1), "little") for _ in range(width + 3)
         )
-        frame = PreparedFrame((), RegisterRef("q", 0, n), 1, planes)
+        frame = PreparedFrame((), RegisterRef("q", 0, n), width + 2, planes)
         register = RegisterRef("w", 2, width)
-        column = frame.column(register)
+        column = frame.columns(register)[0]
         expected = [
             sum(((planes[k] >> i) & 1) << t for t, k in enumerate(register.bits))
             for i in range(size)
@@ -364,7 +392,7 @@ class TestPlaneReads:
             assert column.dtype == (np.int64 if register.width < 63 else object)
             assert column.tolist() == expected
             assert all(type(value) is int for value in column.tolist())
-            assert frame.column(register).tolist() == expected
+            assert frame.columns(register)[0].tolist() == expected
 
 
 class TestGroverIteration:

@@ -372,6 +372,52 @@ class TestVerify:
             "the classical predicate (expected marked=True)"
         )
 
+    # Items 1 and 2 tie at fitness 1: "10" is q value 1 and "01" is q value
+    # 2, so table order meets "01" first and q order "10".
+    TWO_ORDERS = KnapsackInstance(((1, 1), (2, 1)), 3)
+
+    def test_wrong_marks_report_the_first_candidate_in_table_order(self, monkeypatch):
+        compile_clean = kp.compile_oracle
+
+        def compile_off_by_one(plan, threshold):
+            return compile_clean(plan, threshold + 1)
+
+        monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
+        report = verify_instance(self.TWO_ORDERS, threshold_seed=2)
+        assert report.thresholds_checked == (2, 0, 0, 0, 1)
+        # At threshold 0 both "01" and "10" (fitness 1) lose their mark.
+        assert report.mismatch == (
+            "candidate 01 at threshold 0: kickback phase disagrees with "
+            "the classical predicate (expected marked=True)"
+        )
+
+    def test_wrong_table_reports_the_first_candidate_in_table_order(self, monkeypatch):
+        prepare_clean = kp.compile_prepare
+
+        def prepare_with_stray_bits(instance, plan):
+            # w bit 0 flips where exactly one item is packed: "10" and "01".
+            strays = (cnot(plan.q.bit(0), plan.w.bit(0)), cnot(plan.q.bit(1), plan.w.bit(0)))
+            return prepare_clean(instance, plan) + strays
+
+        monkeypatch.setattr(kp, "compile_prepare", prepare_with_stray_bits)
+        report = verify_instance(self.TWO_ORDERS)
+        assert report.thresholds_checked == ()
+        assert report.mismatch == (
+            "candidate 01: circuit computed (weight=3, fitness=1, valid=True), "
+            "classical reference (weight=2, fitness=1, valid=True)"
+        )
+
+    def test_a_passing_verify_never_leaves_q_order(self, demo_instance, monkeypatch):
+        # No table order and no candidate string on a passing instance.
+        def refuse(*args):
+            raise AssertionError("verify_instance left q order")
+
+        for name in ("candidate_indices", "all_candidates", "index_to_candidate"):
+            monkeypatch.setattr(kp, name, refuse)
+        report = verify_instance(demo_instance)
+        assert report.ok, report.mismatch
+        assert report.candidates_checked == 16
+
     @pytest.mark.parametrize(
         "register, computed",
         [
@@ -446,7 +492,9 @@ def edge_instances(draw, max_items=6, field=st.integers(0, 15), huge=(20, 40, 63
 
 
 def column_rows(instance):
-    weight, fitness, valid = kp._classical_columns(instance)
+    """The brute-force columns' rows, gathered from q order into table order."""
+    order = candidate_indices(instance.n)
+    weight, fitness, valid = (column[order] for column in kp._classical_columns(instance))
     return list(zip(weight.tolist(), fitness.tolist(), valid.tolist()))
 
 
@@ -480,6 +528,15 @@ class TestThreeWayAgreement:
     def test_sums_past_int64_do_not_overflow(self, instance):
         assert_columns_match_reference(instance)
         assert_circuit_matches_reference(instance)
+
+    @pytest.mark.parametrize(
+        "items, capacity", [(((1, 1), (1, 1)), 1), (((1, 1), (2, 1)), 2)], ids=["equal", "unequal"]
+    )
+    def test_ties_break_in_table_order_not_q_order(self, items, capacity):
+        # "01" and "10" tie at fitness 1; "10" is q value 1 and "01" q value
+        # 2, so an argmax in q order would pick "10".
+        instance = KnapsackInstance(items, capacity)
+        assert classical_max(instance) == classical_evaluate(instance, "01")
 
     def test_sums_past_int64_use_python_ints(self):
         instance = KnapsackInstance(((1 << 62, 1 << 62), (1 << 62, 1 << 62)), 1 << 63)
@@ -531,11 +588,12 @@ class TestGateLevelReference:
         np.testing.assert_allclose(np.abs(kickback_0), 1 / math.sqrt(2 * size), rtol=0, atol=1e-12)
         np.testing.assert_allclose(kickback_1, -kickback_0, rtol=0, atol=1e-12)
         assert (kickback_0.real < 0).tolist() == marks.tolist()
-        # ... and both agree with brute force. The circuit compares the stored
-        # fitness, negated where invalid, so below 0 invalid candidates count.
+        # ... and both agree with brute force, in q order. The circuit compares
+        # the stored fitness, negated where invalid, so below 0 invalid
+        # candidates count.
         _, fitness, valid = kp._classical_columns(instance)
         stored = np.where(valid, fitness, -fitness)
-        assert marks[candidate_indices(instance.n)].tolist() == (stored > threshold).tolist()
+        assert marks.tolist() == (stored > threshold).tolist()
 
 
 def searched_thresholds(trace) -> list[int]:
