@@ -37,10 +37,10 @@ from .knapsack import (
     KnapsackInstance,
     SearchTrace,
     classical_max,
+    enumerate_table,
     estimate_resources,
     maximize,
     plan_registers,
-    table_columns,
     verify_instance,
 )
 from .statevector import GateKind, IntegrityError
@@ -49,9 +49,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAPACITY = 2
 EXIT_MISMATCH = 3
-
-# Rows ``table`` formats and writes at a time.
-TABLE_CHUNK_ROWS = 4096
 
 
 class InstanceParseError(Exception):
@@ -217,25 +214,18 @@ def cmd_verify(path: str, out=None) -> int:
 
 
 def cmd_table(path: str, out=None) -> int:
-    """Print every candidate's fitness/weight/validity, best row starred.
-
-    Rows are formatted straight from the table-order columns and written
-    ``TABLE_CHUNK_ROWS`` at a time, so no row record or whole-table string
-    is built."""
+    """Print every candidate's fitness/weight/validity, best row starred."""
     out = out or sys.stdout
     instance = parse_instance(path)
-    n = instance.n
-    columns = table_columns(instance)
-    best = int(classical_max(instance).candidate, 2)
-    out.write("candidate  fitness  weight  validity\n")
-    for start in range(0, 1 << n, TABLE_CHUNK_ROWS):
-        chunk = (column[start : start + TABLE_CHUNK_ROWS].tolist() for column in columns)
-        out.write("".join(
-            "%9s  %7d  %6d  %s%s\n" % (
-                format(d, f"0{n}b"), f, w, "valid" if v else "invalid", "  *" if d == best else "",
-            )
-            for d, (w, f, v) in enumerate(zip(*chunk), start)
-        ))
+    rows = enumerate_table(instance)
+    best = classical_max(instance)
+    out.write("candidate  fitness  weight  validity\n" + "".join(
+        "%9s  %7d  %6d  %s%s\n" % (
+            row.candidate, row.fitness, row.weight, "valid" if row.valid else "invalid",
+            "  *" if row.candidate == best.candidate else "",
+        )
+        for row in rows
+    ))
     return EXIT_OK
 
 

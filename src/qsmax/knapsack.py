@@ -9,7 +9,7 @@ verification suite and the search never simulate the full register: they
 push the candidate basis states through the compiled stages as bit planes
 (``statevector.permute_planes``) and read registers and kickback flips off
 the images exactly, at any register width. The compute stage does not
-depend on the threshold, so each of ``table_columns``,
+depend on the threshold, so each of ``enumerate_table``,
 ``verify_instance`` and ``maximize`` compiles it and pushes every
 candidate through it once per instance
 (``compile_frame``); the table reads w, f and v off those images in one
@@ -25,8 +25,8 @@ read off the images (``_circuit_columns``); the brute-force side is built
 by subset doubling (``_classical_columns``). ``verify_instance`` compares
 the columns at once, and each threshold's marks against the classical
 predicate column, with no permutation and no candidate string. Table
-order appears only where rows leave the package: ``enumerate_table``,
-``cli.cmd_table``, the tie-break of ``classical_max`` and a mismatch
+order appears only where rows leave the package: ``enumerate_table``
+(which ``table`` prints), the tie-break of ``classical_max`` and a mismatch
 report gather by ``candidate_indices``, an int64 bit reversal built once
 per item count. The per-string ``classical_evaluate`` stays the
 independent reference: ``maximize`` checks each measured candidate with
@@ -400,24 +400,20 @@ def _circuit_columns(
     return weight, np.where(valid, stored, -stored), valid
 
 
-def table_columns(instance: KnapsackInstance) -> tuple[np.ndarray, ...]:
-    """Weight, fitness and validity of every candidate through the oracle's
-    compute stage, in table order.
+def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
+    """Evaluate every candidate through the oracle's compute stage.
 
     All candidate basis states go through ``prepare`` once as bit planes;
-    w, f and v are read off the images as whole columns, then gathered by
-    ``candidate_indices``.
+    w, f and v are read off the images as whole columns, then gathered into
+    table order by ``candidate_indices``.
     """
     plan = plan_registers(instance)
     order = candidate_indices(instance.n)
-    return tuple(column[order] for column in _circuit_columns(plan, compile_frame(instance, plan)))
-
-
-def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
-    """Evaluate every candidate through the oracle's compute stage: one
-    record per ``table_columns`` row, in table order."""
-    columns = (column.tolist() for column in table_columns(instance))
-    return [CandidateEvaluation(*row) for row in zip(all_candidates(instance.n), *columns)]
+    columns = _circuit_columns(plan, compile_frame(instance, plan))
+    return [
+        CandidateEvaluation(*row)
+        for row in zip(all_candidates(instance.n), *(column[order].tolist() for column in columns))
+    ]
 
 
 def _draw_thresholds(rng: np.random.Generator, top: int, count: int) -> tuple[int, ...]:

@@ -634,11 +634,7 @@ class TestTwelveItemFile:
         lines = self.DIGESTS.read_text(encoding="ascii").splitlines()
         return dict(reversed(line.split()) for line in lines)[name]
 
-    @pytest.mark.parametrize("chunk_rows", [None, 100])
-    def test_table_bytes(self, capsys, monkeypatch, chunk_rows):
-        # 100 rows a chunk splits the 4,096 rows into 40 full chunks and a part.
-        if chunk_rows is not None:
-            monkeypatch.setattr(cli, "TABLE_CHUNK_ROWS", chunk_rows)
+    def test_table_bytes(self, capsys):
         assert cli.main(["table", TWELVE]) == EXIT_OK
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(stdout).hexdigest() == self.digest("table12.txt")
