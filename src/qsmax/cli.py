@@ -11,7 +11,7 @@ Exit codes: 0 success; 1 parse, I/O or command-line usage error (including a
 flag value not in ASCII digits or out of range: ``--seed`` below 0,
 ``--max-rounds`` or ``--confirmations`` below 1, an ``--initial-threshold``
 the fitness register cannot hold); 2 instance too big to run (more than 12
-items: the oracle frame holds 2^(n+1) basis states; register width never
+items: the oracle frame holds 2^n basis states; register width never
 refuses one); 3 quantum/classical verification mismatch or a failed integrity
 check (an oracle whose uncompute leaves an ancilla dirty). Errors are reported
 on stderr in a line containing ``error:``; a verification mismatch prints a

@@ -16,11 +16,13 @@ capped at sqrt(N).
 The search needs only the oracle's phase pattern. Every oracle stage is a
 permutation circuit, so its effect on basis states is an integer map. Once
 per instance, ``prepare_frame`` writes the frame (every q value with the
-kickback at 0 and at 1) as bit planes and pushes them through the
+kickback at 0) as bit planes and pushes them through the
 threshold-independent compute stage. ``oracle_marks`` pushes the frame's
-images through one threshold's ``mark`` only, reads the marked set off them
-and checks the uncompute (``inverse(prepare)``) exactly, by big-int XOR/OR
-over the planes. The marked set is all the search reads of the oracle.
+images through one threshold's ``mark`` only, reads the marked set off the
+kickback plane and checks the uncompute (``inverse(prepare)``) exactly, by
+big-int XOR/OR over the planes. No plane holds the kickback-1 branch: no
+stage reads the kickback, so it is the kickback-0 one with the kickback
+flipped. The marked set is all the search reads of the oracle.
 Nothing here caches a circuit: the uncompute is built, uncached, only to
 name the basis states of a failed check.
 
@@ -29,9 +31,10 @@ A Grover iteration is a sign flip on the marked set followed by
 marked of N, every marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M)
 and every other one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed
 form). A measurement is one uniform draw and an exact inverse CDF over the
-frame: a bisection over the 2M marked entries, then a closed-form index
-into a run of unmarked ones. Nothing here holds a state vector; the tests
-check this path against a gate-by-gate engine.
+register's 2N positions, N per kickback branch: a bisection over the 2M
+marked positions, then a closed-form index into a run of unmarked ones.
+Nothing here holds a state vector; the tests check this path against a
+gate-by-gate engine.
 """
 
 from __future__ import annotations
@@ -97,22 +100,20 @@ class _PreparedFrameFields(NamedTuple):
 class PreparedFrame(CheckedRecord, _PreparedFrameFields):
     """The oracle frame pushed through the compute stage, once per instance.
 
-    The frame is 2N basis states for N candidates: entry i < N is q value i
-    with the kickback qubit at 0, entry N + i is q value i with it at 1, and
-    every other qubit is 0. ``planes`` holds ``prepare``'s image of the
-    frame as bit planes (see ``statevector.permute_planes``), one 2N-bit int
-    per qubit: P0 in the low N bits, P1 in the high N. The kickback qubit
-    must sit above q and below ``num_qubits``, so this is sorted
-    full-register order; any other layout raises ValueError, also through
-    ``_replace`` and unpickling. ``columns`` reads registers off P0 as
-    integer columns.
+    The frame is N basis states for N candidates: entry i is q value i with
+    every other qubit, the kickback included, at 0. ``planes`` holds
+    ``prepare``'s image of the frame as bit planes (see
+    ``statevector.permute_planes``), one N-bit int per qubit. q must sit
+    below the kickback, and the kickback must be the top qubit; any other
+    layout raises ValueError, also through ``_replace`` and unpickling.
+    ``columns`` reads registers off the planes as integer columns.
     """
 
     __slots__ = ()
 
     def __new__(cls, prepare, q_register, kickback_qubit, planes) -> "PreparedFrame":
-        if not q_register.offset + q_register.width <= kickback_qubit < len(planes):
-            raise ValueError("kickback qubit out of range: it must sit above q, below num_qubits")
+        if not q_register.offset + q_register.width <= kickback_qubit == len(planes) - 1:
+            raise ValueError("kickback qubit out of range: it must sit above q, as the top qubit")
         return tuple.__new__(cls, (prepare, q_register, kickback_qubit, planes))
 
     @property
@@ -124,12 +125,12 @@ class PreparedFrame(CheckedRecord, _PreparedFrameFields):
         return len(self.planes)
 
     def columns(self, *registers: RegisterRef) -> tuple[np.ndarray, ...]:
-        """Unsigned value of each register in P0, in q-value order, read in
+        """Unsigned value of each register, in q-value order, read in
         one pass: the planes are unpacked together into a bit matrix, and each
         register is summed in 62-bit limbs. int64 up to 62 bits; Python ints in
         an object array from 63 bits on, so any width reads exactly."""
         n = self.candidates
-        planes = [self.planes[k] & ((1 << n) - 1) for register in registers for k in register.bits]
+        planes = [self.planes[k] for register in registers for k in register.bits]
         data = np.frombuffer(b"".join(p.to_bytes((n + 7) // 8, "little") for p in planes), np.uint8)
         rows = np.unpackbits(data.reshape(len(planes), -1), axis=1, count=n, bitorder="little")
         values, stop = [], 0
@@ -144,8 +145,8 @@ class PreparedFrame(CheckedRecord, _PreparedFrameFields):
 
 
 def _plane_bits(plane: int, n: int) -> np.ndarray:
-    """Bits 0 to n-1 of a bit plane as a uint8 array of 0s and 1s, bit i at i."""
-    data = (plane & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
+    """An n-bit plane as a uint8 array of 0s and 1s, bit i at i."""
+    data = plane.to_bytes((n + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(data, np.uint8), count=n, bitorder="little")
 
 
@@ -155,62 +156,61 @@ def prepare_frame(
     """Write the frame's bit planes in closed form and push them through ``prepare``.
 
     q bit b of entry i is bit b of i: blocks of 2^b zeros then 2^b ones, so
-    its plane is one such pair of blocks repeated over the 2N bits, written
-    by shift-doubling in O(N) bit operations. The kickback plane is the
-    high N bits; every other plane is 0. A layout ``PreparedFrame`` refuses
-    is refused before any plane is written.
+    its plane is one such pair of blocks repeated over the N bits, written
+    by shift-doubling in O(N) bit operations; every other plane is 0.
+    ``prepare`` is pushed over the planes below the kickback only, so a gate
+    on the kickback (or past it) raises ValueError at no cost per gate. A
+    layout ``PreparedFrame`` refuses is refused before any plane is written.
     """
     frame = PreparedFrame(prepare, q_register, kickback_qubit, (0,) * num_qubits)
     candidates = 1 << q_register.width
-    planes = [0] * num_qubits
+    planes = [0] * kickback_qubit
     for b, qubit in enumerate(q_register.bits):
         block = 1 << b
         plane, period = ((1 << block) - 1) << block, 2 * block
-        while period < 2 * candidates:
+        while period < candidates:
             plane |= plane << period
             period *= 2
         planes[qubit] = plane
-    planes[kickback_qubit] = ((1 << candidates) - 1) << candidates
-    return frame._replace(planes=tuple(permute_planes(planes, prepare, 2 * candidates)))
+    try:
+        planes = permute_planes(planes, prepare, candidates)
+    except IndexError:
+        raise ValueError(f"prepare acts on kickback qubit {kickback_qubit} or above it") from None
+    return frame._replace(planes=(*planes, 0))
 
 
 def oracle_marks(frame: PreparedFrame, mark: tuple[Gate, ...]) -> np.ndarray:
     """Boolean mask over q-register values: True where the oracle flips the phase.
 
-    The oracle is ``frame.prepare``, ``mark`` and ``inverse(frame.prepare)``.
-    ``frame`` holds prepare's images P = (P0, P1) of every candidate with
-    the kickback at 0 and at 1, computed once per instance; only ``mark``
-    runs per call: Y = mark(P). The phase-kickback contract is
-    ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on both kickback
-    branches with the same b. The uncompute is ``inverse(prepare)``, and a
-    reversed permutation circuit inverts the original on basis states, so
-    it sends P back to the frame and the contract is equivalent to: where
-    b = (Y0 != P0), Y equals P with its two branches swapped; elsewhere
-    Y == P. Both sides are read as big-int XOR/OR over the planes. Any other
-    image raises IntegrityError naming the first offending candidate and the
-    basis states its two branches end in after the uncompute.
+    The oracle is ``frame.prepare``, ``mark`` and ``inverse(frame.prepare)``,
+    with the contract ``unprepare(mark(prepare(x))) == x ^ (b << r)`` on
+    both kickback branches with the same b. ``mark`` may hold the kickback
+    only as the sole target of an X, CNOT, TOFFOLI or MCX, else
+    IntegrityError, and ``prepare`` never touches it (``prepare_frame``).
+    So the kickback-1 branch is the kickback-0 one with the kickback
+    flipped, and as the uncompute inverts ``prepare`` on basis states, the
+    contract holds iff Y = mark(P), for the frame's images P, has b as its
+    kickback plane and P's planes elsewhere. Any other image raises
+    IntegrityError naming the first offending candidate and the basis
+    states its two branches end in after the uncompute.
     """
-    n = frame.candidates
-    low = (1 << n) - 1
-    marked = permute_planes(frame.planes, mark, 2 * n)
-    changed = swapped = 0  # bit i: entry i's image differs from P, from swapped P
-    for p, y in zip(frame.planes, marked):
+    n, r = frame.candidates, frame.kickback_qubit
+    if any(r in gate.controls or (r in gate.targets and len(gate.targets) > 1) for gate in mark):
+        raise IntegrityError(f"ancilla contamination: the mark reads kickback qubit {r}")
+    marked = permute_planes(frame.planes, mark, n)
+    changed = 0  # bit i: entry i's image differs from P below the kickback
+    for p, y in zip(frame.planes, marked[:r]):
         changed |= p ^ y
-        swapped |= ((p >> n) | ((p & low) << n)) ^ y
-    flips = changed & low
-    both = flips | (flips << n)
-    bad = (swapped & both) | (changed & ~both)
-    bad = (bad | (bad >> n)) & low
-    if bad:
-        candidate = (bad & -bad).bit_length() - 1
-        pair = [((y >> candidate) & 1) | (((y >> (n + candidate)) & 1) << 1) for y in marked]
-        image = permute_planes(pair, inverse(frame.prepare), 2)
-        states = [sum(((p >> e) & 1) << k for k, p in enumerate(image)) for e in (0, 1)]
+    if changed:
+        candidate = (changed & -changed).bit_length() - 1
+        entry = [(y >> candidate) & 1 for y in marked]
+        image = permute_planes(entry, inverse(frame.prepare), 1)
+        state = sum(bit << k for k, bit in enumerate(image))
         raise IntegrityError(
             f"ancilla contamination after uncompute: q value {candidate} maps "
-            f"to basis states {states[0]} and {states[1]}"
+            f"to basis states {state} and {state ^ (1 << r)}"
         )
-    return _plane_bits(flips, n).view(bool)
+    return _plane_bits(marked[r], n).view(bool)
 
 
 def _amplitude_pair(n_marked: int, n_candidates: int, iterations: int) -> tuple[float, float]:
@@ -228,7 +228,7 @@ def _probabilities(n_marked: int, n_candidates: int, iterations: int) -> tuple[f
     """Probability of one marked and of one unmarked frame entry, and their total.
 
     A candidate's probability is split evenly over its two kickback
-    branches, so the frame's 2N entries carry the distribution. Refuses a
+    branches, so the register's 2N positions carry the distribution. Refuses a
     total more than 1e-6 from 1 in norm.
     """
     a_marked, a_unmarked = _amplitude_pair(n_marked, n_candidates, iterations)
@@ -300,9 +300,10 @@ def boyer_search(
     gate-level iterations, in sorted order of full-register indices, the
     way ``Generator.choice`` samples it from one ``random()`` draw, so a
     seeded ``measure_rng`` draws the outcomes a gate-by-gate simulation
-    sampled with ``choice`` would. With the kickback above q
+    sampled with ``choice`` would. With the kickback the top qubit
     (``prepare_frame``), that order is the kickback-0 branch then the
-    kickback-1 branch, so position p is q value p mod N. Only the 2M marked
+    kickback-1 branch, so position p is q value p mod N: the 2N positions
+    imply the kickback-1 branch, which no frame holds. Only the 2M marked
     positions in that order are kept, and a step costs O(log M) whatever j
     is, O(1) at M = 0.
     """

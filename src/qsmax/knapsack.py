@@ -17,7 +17,7 @@ pass (``PreparedFrame.columns``). Each distinct search threshold and each verify
 threshold compiles only its marking stage (``compile_oracle``) and pushes
 the images through it (``grover.oracle_marks``); the search reads only the
 marked set. Only the item count is bounded (``MAX_ITEMS``): the frame holds
-2^(n+1) basis states.
+2^n basis states.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
 q order: entry i is q value i, the frame's own order. The circuit side is
@@ -73,7 +73,7 @@ from .grover import (
 )
 from .statevector import Gate, GateKind, IntegrityError, inverse
 
-# The oracle frame holds 2^(n+1) basis states, 8,192 at this bound.
+# The oracle frame holds 2^n basis states, 4,096 at this bound.
 MAX_ITEMS = 12
 
 
@@ -108,7 +108,7 @@ class KnapsackInstance(CheckedRecord, _KnapsackInstanceFields):
         if len(items) > MAX_ITEMS:
             raise CapacityError(
                 f"item count {len(items)} exceeds {MAX_ITEMS}: the oracle frame "
-                f"would hold 2^{len(items) + 1} basis states"
+                f"would hold 2^{len(items)} basis states"
             )
         if any(w < 0 or v < 0 for w, v in items):
             raise ValueError("weights and values must be >= 0")
@@ -440,11 +440,10 @@ def verify_instance(
     passing instance builds no candidate string. A report names the first
     disagreeing candidate in table order (``_first_in_table_order``), and
     only that candidate is evaluated per string, by ``classical_evaluate``.
-    The oracle check is exact integer equality on both kickback
-    branches, equivalent to
-    ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)`` (see
-    ``oracle_marks``), so any ancilla left dirty or any wrong mark is a
-    mismatch. The thresholds are drawn uniformly from [0, sum of values].
+    The oracle check is exact integer equality on the frame's images,
+    equivalent to ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)``
+    on both kickback branches (see ``oracle_marks``), so any ancilla left
+    dirty or any wrong mark is a mismatch. The thresholds are drawn uniformly from [0, sum of values].
     """
     plan = plan_registers(instance)
     n = instance.n

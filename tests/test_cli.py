@@ -564,7 +564,7 @@ class TestExitCodeContract:
         result = self._run("solve", write_instance(tmp_path, THIRTEEN_ITEMS_BODY))
         assert result.returncode == EXIT_CAPACITY
         assert result.stderr == (
-            "error: item count 13 exceeds 12: the oracle frame would hold 2^14 basis states\n"
+            "error: item count 13 exceeds 12: the oracle frame would hold 2^13 basis states\n"
         )
 
     def test_verify_mismatch(self):
@@ -625,7 +625,7 @@ class TestWideInstanceFile:
 
 
 class TestTwelveItemFile:
-    """The checked-in 12-item instance: an 8,192-entry frame, 4,096 rows."""
+    """The checked-in 12-item instance: a 4,096-entry frame, 4,096 rows."""
 
     # ``sha256sum -c`` lines for the stdout of ``table`` and ``verify`` on it.
     DIGESTS = REPO_ROOT / "tests" / "data" / "knapsack12.sha256"

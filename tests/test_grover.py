@@ -45,6 +45,8 @@ from qsmax.statevector import (
     h,
     inverse,
     mcx,
+    peres,
+    peres_inv,
     toffoli,
     x,
 )
@@ -68,16 +70,17 @@ Oracle = tuple[PreparedFrame, tuple[Gate, ...]]
 
 
 def toy_oracle(n: int, marked: set[int], extra_ancillas: int = 0) -> Oracle:
-    """Frame and mark of an oracle flipping the kickback qubit, right above
-    q, exactly on the marked q values."""
+    """Frame and mark of an oracle flipping the kickback qubit, the top one,
+    above q and any extra ancillas, exactly on the marked q values."""
     q = RegisterRef("q", 0, n)
+    kickback = n + extra_ancillas
     gates = []
     for target in marked:
         off = [x(q.bit(i)) for i in range(n) if not (target >> i) & 1]
         gates.extend(off)
-        gates.append(mcx(q.bits, n))
+        gates.append(mcx(q.bits, kickback))
         gates.extend(off)
-    return prepare_frame((), q, n, n + 1 + extra_ancillas), tuple(gates)
+    return prepare_frame((), q, kickback, kickback + 1), tuple(gates)
 
 
 def demo_oracle(threshold: int) -> Oracle:
@@ -87,7 +90,8 @@ def demo_oracle(threshold: int) -> Oracle:
 
 
 def dirty_oracle(leak) -> Oracle:
-    """toy_oracle with one extra gate in ``mark`` that breaks the uncompute."""
+    """toy_oracle with one extra gate in ``mark`` that breaks the uncompute:
+    q is qubits 0-2, the ancilla 3, the kickback 4."""
     frame, mark = toy_oracle(3, {5}, extra_ancillas=1)
     return frame, mark + (leak,)
 
@@ -265,16 +269,37 @@ class TestIterationCount:
 
 class TestOracleContract:
     def test_kickback_outside_the_plan_is_refused(self):
-        # The kickback must sit above q and below num_qubits: inside q it
-        # would overwrite a q plane, below q the frame would not be in
-        # sorted full-register order.
+        # The kickback must sit above q, as the top qubit: inside q it would
+        # overwrite a q plane, below q the frame would not be in sorted
+        # full-register order, and only the top plane is left out of the push.
         q = RegisterRef("q", 1, 2)
         for kickback in (-1, 0, 1, 2, 4, 5):  # below q, inside q, at and past num_qubits
             with pytest.raises(ValueError, match="kickback qubit out of range"):
                 prepare_frame((), q, kickback, 4)
         with pytest.raises(ValueError, match="kickback qubit out of range"):
             prepare_frame((), RegisterRef("q", 0, 3), 1, 4)
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            prepare_frame((), q, 3, 5)  # above q, but not the top qubit
         assert prepare_frame((), q, 3, 4).num_qubits == 4
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            pytest.param(x(3), id="x-target"),
+            pytest.param(cnot(0, 3), id="cnot-target"),
+            pytest.param(cnot(3, 2), id="cnot-control"),
+            pytest.param(toffoli(0, 3, 2), id="toffoli-control"),
+            pytest.param(mcx([0, 1, 3], 2), id="mcx-control"),
+            pytest.param(peres(3, 0, 2), id="peres-a"),
+            pytest.param(peres(0, 3, 2), id="peres-b"),
+            pytest.param(peres_inv(0, 2, 3), id="peres-inv-c"),
+            pytest.param(x(4), id="past-the-top-qubit"),
+        ],
+    )
+    def test_prepare_on_the_kickback_is_refused(self, gate):
+        # q = qubits 0-1, ancilla 2, kickback 3: prepare may not touch the kickback.
+        with pytest.raises(ValueError, match="prepare acts on kickback qubit 3 or above it$"):
+            prepare_frame((cnot(0, 2), gate, cnot(0, 2)), RegisterRef("q", 0, 2), 3, 4)
 
     def test_frame_record_refuses_what_prepare_frame_refuses(self):
         # Direct construction, _make, _replace and unpickling all go through
@@ -301,17 +326,25 @@ class TestOracleContract:
         # The layout test_column once used: kickback 1, inside a 3-bit q.
         with pytest.raises(ValueError, match="kickback qubit out of range"):
             PreparedFrame((), RegisterRef("q", 0, 3), 1, planes)
+        # A kickback above q that is not the top qubit.
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            PreparedFrame((), q, 3, (0,) * 5)
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            frame._replace(planes=(0,) * 5)
+        data = pickle.dumps(PreparedFrame((), q, 4, (0,) * 5), protocol=4)
+        assert data.count(b"K\x04") == 1  # the kickback, 4
+        with pytest.raises(ValueError, match="kickback qubit out of range"):
+            pickle.loads(data.replace(b"K\x04", b"K\x03"))
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_frame_planes_equal_a_frame_built_bit_by_bit(self, width):
-        # q sits at qubit 0, the kickback right above it, one spare qubit on top.
+        # q sits at qubit 0, one spare qubit right above it, the kickback on top.
         n = 1 << width
         q = RegisterRef("q", 0, width)
-        frame = prepare_frame((), q, width, width + 2)
-        entries = range(2 * n)  # entry e is q value e mod N, kickback e >= N
-        expected = [sum(1 << e for e in entries if (e % n) >> b & 1) for b in range(width)]
-        expected += [sum(1 << e for e in entries if e >= n)]
-        assert list(frame.planes) == expected + [0]
+        frame = prepare_frame((), q, width + 1, width + 2)
+        # Entry e is q value e; the spare and kickback planes stay 0.
+        expected = [sum(1 << e for e in range(n) if e >> b & 1) for b in range(width)]
+        assert list(frame.planes) == expected + [0, 0]
 
     def test_phase_kickback_exhaustive(self):
         n = 4
@@ -338,9 +371,7 @@ class TestPlaneReads:
     def test_plane_bits(self, n):
         rng = np.random.default_rng(40 + n)
         for _ in range(20):
-            # bits above n (the kickback-1 half of a frame plane) are ignored
-            plane = int(rng.integers(0, 1 << 62)) << 1 | int(rng.integers(0, 2))
-            plane |= plane << 62
+            plane = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
             bits = grover._plane_bits(plane, n)
             assert bits.dtype == np.uint8
             assert bits.tolist() == [(plane >> i) & 1 for i in range(n)]
@@ -353,7 +384,8 @@ class TestPlaneReads:
         size = 1 << n
         # The register's planes and, above them, the kickback's.
         planes = tuple(
-            int.from_bytes(rng.bytes(size // 4 + 1), "little") for _ in range(width + 3)
+            int.from_bytes(rng.bytes((size + 7) // 8), "little") & ((1 << size) - 1)
+            for _ in range(width + 3)
         )
         frame = PreparedFrame((), RegisterRef("q", 0, n), width + 2, planes)
         register = RegisterRef("w", 2, width)
@@ -372,11 +404,13 @@ class TestPlaneReads:
         data=st.data(),
     )
     def test_columns_match_per_bit_reference(self, n, widths, data):
-        # Registers at drawn offsets, overlapping or not, read in one pass;
-        # the planes' high (kickback-1) half is random too and must be ignored.
+        # Registers at drawn offsets, overlapping or not, read in one pass.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         size, count = 1 << n, 128
-        planes = tuple(int.from_bytes(rng.bytes(size // 4 + 1), "little") for _ in range(count))
+        planes = tuple(
+            int.from_bytes(rng.bytes((size + 7) // 8), "little") & ((1 << size) - 1)
+            for _ in range(count)
+        )
         registers = [
             RegisterRef(f"r{i}", data.draw(st.integers(0, count - width)), width)
             for i, width in enumerate(widths)
@@ -444,7 +478,7 @@ class TestGroverIteration:
             assert iteration_count(big_n, m) - k_floor in (0, 1)
 
     def test_dirty_ancilla_raises_integrity_error(self):
-        frame, mark = dirty_oracle(cnot(0, 4))  # leaks candidate bit 0 into the ancilla
+        frame, mark = dirty_oracle(cnot(0, 3))  # leaks candidate bit 0 into the ancilla
         state = prepare_search_state(frame)
         with pytest.raises(IntegrityError, match="contamination"):
             grover_iteration(state, frame, mark, build_diffusion(frame.q_register))
@@ -637,22 +671,44 @@ class TestFusedSearch:
     @pytest.mark.parametrize(
         "leak",
         [
-            pytest.param(cnot(0, 4), id="q-bit-into-ancilla"),
-            pytest.param(cnot(3, 4), id="kickback-into-ancilla"),
+            pytest.param(cnot(0, 3), id="q-bit-into-ancilla"),
+            pytest.param(cnot(4, 3), id="kickback-into-ancilla"),
             pytest.param(x(0), id="q-bit-flipped"),
-            # fires only where the kickback started at 1: the kickback-0 branch is clean
-            pytest.param(toffoli(3, 1, 4), id="kickback-1-branch-only"),
+            # fires only where the kickback started at 1: the kickback-0 branch
+            # is clean, and the mark is refused for reading the kickback
+            pytest.param(toffoli(4, 1, 3), id="kickback-1-branch-only"),
         ],
     )
     def test_dirty_uncompute_raises_integrity_error(self, leak):
         with pytest.raises(IntegrityError, match="contamination"):
             oracle_marks(*dirty_oracle(leak))
 
+    @pytest.mark.parametrize(
+        "reads",
+        [
+            pytest.param((cnot(4, 3), cnot(4, 3)), id="cnot-control-twice"),
+            pytest.param((peres(4, 1, 3), peres_inv(4, 1, 3)), id="peres-a"),
+            pytest.param((peres(1, 4, 3), peres_inv(1, 4, 3)), id="peres-b"),
+            pytest.param((peres(1, 3, 4), peres_inv(1, 3, 4)), id="peres-c"),
+        ],
+    )
+    def test_a_mark_reading_the_kickback_is_refused_even_when_clean(self, reads):
+        # q = qubits 0-2, ancilla 3, kickback 4. Each pair undoes itself, so
+        # the whole oracle keeps its contract, yet the mark reads the kickback.
+        frame, mark = dirty_oracle(reads[0])
+        mark += reads[1:]
+        assert whole_oracle_marks(frame, mark)[1] is None
+        expected = "^ancilla contamination: the mark reads kickback qubit 4$"
+        with pytest.raises(IntegrityError, match=expected):
+            oracle_marks(frame, mark)
+
 
     def test_check_equals_the_whole_oracle_contract_on_random_oracles(self):
         # q = qubits 0-2, ancillas 3-4, kickback 5. prepare never touches the
         # kickback; mark flips it under random controls, and half the time
-        # one more random gate follows, which may break the uncompute.
+        # one more random gate follows, which may break the uncompute. A mark
+        # that holds qubit 5 other than as the sole target of a gate reads the
+        # kickback and is refused, whether or not the whole oracle is clean.
         rng = np.random.default_rng(23)
         q = RegisterRef("q", 0, 3)
         outcomes = set()
@@ -664,15 +720,20 @@ class TestFusedSearch:
                 mark += (random_gate(rng, 6, permutation_kinds()),)
             frame = prepare_frame(prepare, q, 5, 6)
             marks, bad = whole_oracle_marks(frame, mark)
-            if bad is None:
+            if any(5 in gate.qubits and gate.targets != (5,) for gate in mark):
+                with pytest.raises(IntegrityError, match="the mark reads kickback qubit 5$"):
+                    oracle_marks(frame, mark)
+                outcomes.add("reads the kickback")
+            elif bad is None:
                 assert oracle_marks(frame, mark).tolist() == marks.tolist()
+                outcomes.add("clean")
             else:
                 c, image0, image1 = bad
                 expected = f"q value {c} maps to basis states {image0} and {image1}$"
                 with pytest.raises(IntegrityError, match=expected):
                     oracle_marks(frame, mark)
-            outcomes.add(bad is None)
-        assert outcomes == {True, False}
+                outcomes.add("dirty")
+        assert outcomes == {"clean", "dirty", "reads the kickback"}
 
 
 class TestBoyerSearch:

@@ -576,7 +576,7 @@ class TestGateLevelReference:
             apply_sequence(state, stage)
         size = 1 << instance.n
         # Every ancilla is back at 0: only q and kickback bits are set, on
-        # exactly the 2N frame states.
+        # exactly the 2N states of the two kickback branches.
         frame_bits = sum(1 << q for q in plan.q.bits) | (1 << plan.r)
         assert state.indices.size == 2 * size
         assert not np.any(state.indices & ~frame_bits)

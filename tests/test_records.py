@@ -132,7 +132,7 @@ BAD_INPUTS = [
     ),
     pytest.param(
         _demo(), {"items": ((1, 1),) * 13}, CapacityError,
-        "item count 13 exceeds 12: the oracle frame would hold 2^14 basis states",
+        "item count 13 exceeds 12: the oracle frame would hold 2^13 basis states",
         id="thirteen-items",
     ),
     pytest.param(
