@@ -125,15 +125,11 @@ def _emit_machine(trace: SearchTrace, seed: int, out) -> None:
         f"initial_threshold={trace.initial_threshold} "
         f"initial_candidate={trace.initial_candidate or '-'}"
     ]
-    lines += [
-        f"round={s.round} m={s.m:.6f} j={s.j} "
-        f"grover_iterations_cumulative={s.grover_iterations_cumulative} "
-        f"measured_candidate={s.measured_candidate} "
-        f"measured_fitness={s.measured_fitness} "
-        f"valid={int(s.valid)} accepted={int(s.accepted)} "
-        f"threshold_after={s.threshold_after}"
-        for s in trace.steps
-    ]
+    step = (
+        "round=%d m=%.6f j=%d grover_iterations_cumulative=%d measured_candidate=%s "
+        "measured_fitness=%d valid=%d accepted=%d threshold_after=%d"
+    )
+    lines += [step % s for s in trace.steps]
     lines.append(
         f"final_candidate={trace.final_candidate or '-'} "
         f"final_fitness={trace.final_fitness} rounds={trace.rounds} "

@@ -20,9 +20,10 @@ kickback at 0) as bit planes and pushes them through the
 threshold-independent compute stage. ``oracle_marks`` pushes the frame's
 images through one threshold's ``mark`` only, reads the marked set off the
 kickback plane and checks the uncompute (``inverse(prepare)``) exactly, by
-big-int XOR/OR over the planes. No plane holds the kickback-1 branch: no
-stage reads the kickback, so it is the kickback-0 one with the kickback
-flipped. The marked set is all the search reads of the oracle.
+big-int XOR/OR over the planes the mark replaces. No plane holds the
+kickback-1 branch: no stage reads the kickback, so it is the kickback-0
+one with the kickback flipped. The marked set is all the search reads of
+the oracle.
 Nothing here caches a circuit: the uncompute is built, uncached, only to
 name the basis states of a failed check.
 
@@ -32,7 +33,8 @@ marked of N, every marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M)
 and every other one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed
 form). A measurement is one uniform draw and an exact inverse CDF over the
 register's 2N positions, N per kickback branch: a bisection over the 2M
-marked positions, then a closed-form index into a run of unmarked ones.
+marked positions, read in place off the M marked q values, then a
+closed-form index into a run of unmarked ones.
 Nothing here holds a state vector; the tests check this path against a
 gate-by-gate engine.
 """
@@ -200,7 +202,8 @@ def oracle_marks(frame: PreparedFrame, mark: tuple[Gate, ...]) -> np.ndarray:
     marked = permute_planes(frame.planes, mark, n)
     changed = 0  # bit i: entry i's image differs from P below the kickback
     for p, y in zip(frame.planes, marked[:r]):
-        changed |= p ^ y
+        if y is not p:  # a plane no gate touched is P's own int
+            changed |= p ^ y
     if changed:
         candidate = (changed & -changed).bit_length() - 1
         entry = [(y >> candidate) & 1 for y in marked]
@@ -239,26 +242,34 @@ def _probabilities(n_marked: int, n_candidates: int, iterations: int) -> tuple[f
     return p_marked, p_unmarked, total
 
 
-def _position(marked: list[int], size: int, p_marked: float, p_unmarked: float, draw: float) -> int:
-    """First position below ``size`` whose cumulative probability exceeds
-    ``draw``, capped at ``size - 1``, as ``Generator.choice`` picks it.
+def _position(hits: list[int], n: int, p_marked: float, p_unmarked: float, draw: float) -> int:
+    """First of the register's 2N positions whose cumulative probability
+    exceeds ``draw``, capped at ``2N - 1``, as ``Generator.choice`` picks it.
 
-    ``marked`` lists the marked positions in ascending order. The
-    cumulative at position i is ``p_marked * below + p_unmarked * (i + 1 -
-    below)``, ``below`` counting the marked positions up to i. Only the
-    marked positions are bisected; the index inside the unmarked run that
-    follows is guessed in closed form and checked with that same float
-    expression, bisecting the run only if the guess is off.
+    ``hits`` lists the M marked q values in ascending order. Position p is
+    q value p mod N, kickback-0 branch first, so the t-th of the 2M marked
+    positions is ``hits[t]`` below M and ``hits[t - M] + N`` from M on; it
+    is read in place, never listed. The cumulative at position i is
+    ``p_marked * below + p_unmarked * (i + 1 - below)``, ``below`` counting
+    the marked positions up to i. Only the marked positions are bisected;
+    the index inside the unmarked run that follows is guessed in closed
+    form and checked with that same float expression, bisecting the run
+    only if the guess is off.
     """
+    m, size = len(hits), 2 * n
+
+    def marked(t: int) -> int:  # the t-th marked position, 0 <= t < 2M
+        return hits[t] if t < m else hits[t - m] + n
+
     k = 0  # marked positions whose cumulative is at most draw
-    if marked:
+    if hits:
         k = bisect.bisect_right(
-            range(len(marked)), draw, key=lambda t: p_marked * (t + 1) + p_unmarked * (marked[t] - t)
+            range(2 * m), draw, key=lambda t: p_marked * (t + 1) + p_unmarked * (marked(t) - t)
         )
-    # The outcome is in the unmarked run [start, end) or is end: marked[k],
+    # The outcome is in the unmarked run [start, end) or is end: marked(k),
     # or size past the last marked position.
-    start = marked[k - 1] + 1 if k else 0
-    end = marked[k] if k < len(marked) else size
+    start = marked(k - 1) + 1 if k else 0
+    end = marked(k) if k < 2 * m else size
     if p_unmarked and start < end:
         base = p_marked * k  # the cumulative in the run is base + p_unmarked * (i + 1 - k)
         t = (draw - base) / p_unmarked
@@ -303,14 +314,12 @@ def boyer_search(
     sampled with ``choice`` would. With the kickback the top qubit
     (``prepare_frame``), that order is the kickback-0 branch then the
     kickback-1 branch, so position p is q value p mod N: the 2N positions
-    imply the kickback-1 branch, which no frame holds. Only the 2M marked
-    positions in that order are kept, and a step costs O(log M) whatever j
-    is, O(1) at M = 0.
+    imply the kickback-1 branch, which no frame holds. Only the M marked q
+    values are kept; ``_position`` reads the 2M marked positions off them
+    in place, and a step costs O(log M) whatever j is, O(1) at M = 0.
     """
     hits = np.flatnonzero(marks).tolist()
-    n = marks.size
-    marked = hits + [h + n for h in hits]
-    size, n_marked, cap = 2 * n, len(hits), math.sqrt(n)
+    n, n_marked, cap = marks.size, len(hits), math.sqrt(marks.size)
     table: dict[int, tuple[float, float, float]] = {}
     steps: list[BoyerStep] = []
     m = 1.0
@@ -319,7 +328,7 @@ def boyer_search(
         if j not in table:
             table[j] = _probabilities(n_marked, n, j)
         p_marked, p_unmarked, total = table[j]
-        position = _position(marked, size, p_marked, p_unmarked, measure_rng.random() * total)
+        position = _position(hits, n, p_marked, p_unmarked, measure_rng.random() * total)
         candidate = position & (n - 1)
         passed = bool(classical_check(candidate))
         steps.append(BoyerStep(m, j, candidate, passed))

@@ -161,6 +161,27 @@ def reference_position(marked, size, p_marked, p_unmarked, draw):
     return min(bisect.bisect_right(range(size), draw, key=cumulative), size - 1)
 
 
+def reference_list_search(marks, classical_check, max_steps, schedule_rng, measure_rng):
+    """``boyer_search`` over the explicit list of the 2M marked positions,
+    each measurement a key bisection over all 2N positions."""
+    hits = np.flatnonzero(marks).tolist()
+    n = marks.size
+    marked = hits + [h + n for h in hits]
+    steps = []
+    m = 1.0
+    for _ in range(max_steps):
+        j = int(schedule_rng.integers(0, math.ceil(m)))
+        p_marked, p_unmarked, total = grover._probabilities(len(hits), n, j)
+        draw = measure_rng.random() * total
+        candidate = reference_position(marked, 2 * n, p_marked, p_unmarked, draw) % n
+        passed = bool(classical_check(candidate))
+        steps.append(BoyerStep(m, j, candidate, passed))
+        if passed:
+            return BoyerResult(candidate, tuple(steps))
+        m = min(6 / 5 * m, math.sqrt(n))
+    return BoyerResult(None, tuple(steps))
+
+
 def search_amplitudes(marks: np.ndarray, iterations: int) -> np.ndarray:
     """Candidate amplitudes after ``iterations`` Grover iterations, in closed form.
 
@@ -553,7 +574,7 @@ class TestFusedSearch:
             marks[rng.choice(size, m, replace=False)] = True
             frame_marks = np.concatenate((marks, marks))[order]
             assert frame_marks.tolist() == np.tile(marks, 2).tolist()
-            marked = np.flatnonzero(frame_marks).tolist()
+            hits = np.flatnonzero(marks).tolist()
             old_rng, new_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             for _ in range(5):
                 j = int(rng.integers(0, math.ceil(math.sqrt(size)) + 1))
@@ -562,14 +583,15 @@ class TestFusedSearch:
                 expected = sample_basis(sorted_basis, probs, old_rng)
                 p_marked, p_unmarked, total = grover._probabilities(m, size, j)
                 draw = new_rng.random() * total
-                got = int(sorted_basis[grover._position(marked, 2 * size, p_marked, p_unmarked, draw)])
+                got = int(sorted_basis[grover._position(hits, size, p_marked, p_unmarked, draw)])
                 draws += 1
                 disagreements += got != expected
             assert old_rng.random() == new_rng.random()
         assert (draws, disagreements) == (3000, 0)
 
-    @pytest.mark.parametrize("interleaved", [False, True], ids=["concatenated", "interleaved"])
-    def test_position_lookup_equals_key_bisection(self, interleaved):
+    def test_position_lookup_equals_key_bisection(self):
+        # _position reads the 2M marked positions off the M hits in place;
+        # the reference bisects every position over the explicit 2M list.
         # Draws sit exactly on a position's cumulative probability and one
         # float step either side of it, where the closed-form guess inside
         # an unmarked run is most likely off by one. Every position is a
@@ -582,8 +604,9 @@ class TestFusedSearch:
             for m in sorted({0, 1, int(rng.integers(0, size + 1)), size - 1, size}):
                 marks = np.zeros(size, dtype=bool)
                 marks[rng.choice(size, m, replace=False)] = True
-                layout = np.repeat(marks, 2) if interleaved else np.tile(marks, 2)
-                marked = np.flatnonzero(layout).tolist()
+                hits = np.flatnonzero(marks).tolist()
+                marked = np.flatnonzero(np.tile(marks, 2)).tolist()
+                assert marked == hits + [h + size for h in hits]
                 positions = set(range(2 * size)) if size <= 64 else {0, 2 * size - 1}
                 if size > 64:
                     positions.update(rng.choice(2 * size, 40, replace=False).tolist())
@@ -595,11 +618,41 @@ class TestFusedSearch:
                     for i in sorted(positions):
                         edge = cumulative(i)
                         for draw in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)):
-                            args = (marked, 2 * size, p_marked, p_unmarked, draw)
-                            got, expected = grover._position(*args), reference_position(*args)
+                            got = grover._position(hits, size, p_marked, p_unmarked, draw)
+                            expected = reference_position(marked, 2 * size, p_marked, p_unmarked, draw)
                             assert got == expected, f"N={size} M={m} j={j} i={i} draw={draw!r}"
                             lookups += 1
         assert lookups > 100_000
+
+    def test_boyer_search_equals_a_search_over_the_listed_positions(self):
+        # No frame: random marks up to N = 2^16, and a reference loop that
+        # lists the 2M marked positions and bisects all 2N of them, as the
+        # sampler did before it read the hits in place. Each check accepts a
+        # random fifth of the marked q values, so some runs find one and
+        # others exhaust with j grown to the cap.
+        rng = np.random.default_rng(37)
+        steps = 0
+        for n in range(1, 17):
+            size = 1 << n
+            for m in sorted({0, 1, int(rng.integers(0, size + 1)), size}):
+                marks = np.zeros(size, dtype=bool)
+                marks[rng.choice(size, m, replace=False)] = True
+                accept = set(rng.choice(size, m // 5, replace=False).tolist()) & set(
+                    np.flatnonzero(marks).tolist()
+                )
+                max_steps = 2 * math.ceil(math.sqrt(size)) + 4
+                seed = int(rng.integers(1 << 32))
+
+                def run(search):
+                    sched_rng, meas_rng = [
+                        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+                    ]
+                    return search(marks, accept.__contains__, max_steps, sched_rng, meas_rng)
+
+                got = run(boyer_search)
+                assert got == run(reference_list_search), f"N={size} M={m}"
+                steps += len(got.steps)
+        assert steps > 2_000
 
     def test_norm_check_refuses_to_sample(self, monkeypatch):
         closed_form = grover._amplitude_pair
@@ -682,6 +735,18 @@ class TestFusedSearch:
     def test_dirty_uncompute_raises_integrity_error(self, leak):
         with pytest.raises(IntegrityError, match="contamination"):
             oracle_marks(*dirty_oracle(leak))
+
+    def test_a_mark_that_restores_a_plane_is_clean(self):
+        # X then X on a g qubit leaves a new int equal to the frame's plane:
+        # the check compares it and finds nothing, alone or after a real mark.
+        instance = KnapsackInstance(DEMO_ITEMS, DEMO_CAPACITY)
+        plan = plan_registers(instance)
+        frame = compile_frame(instance, plan)
+        restore = (x(plan.g.bit(0)), x(plan.g.bit(0)))
+        assert whole_oracle_marks(frame, restore)[1] is None
+        assert not oracle_marks(frame, restore).any()
+        marks = oracle_marks(frame, compile_oracle(plan, 13) + restore)
+        assert np.flatnonzero(marks).tolist() == [6, 14]
 
     @pytest.mark.parametrize(
         "reads",
