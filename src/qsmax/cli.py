@@ -5,17 +5,21 @@ Instance file grammar (line oriented; ``#`` starts a comment to the end of its l
     capacity <uint>          exactly once
     item <weight> <value>    one line per item, in item order
 
-Every field is a ``<uint>``: one or more ASCII decimal digits.
+Every field is a ``<uint>``: one or more ASCII decimal digits, at most
+``sys.get_int_max_str_digits()`` of them (4,300 by default; 0 lifts the
+limit), and the total weight and the total value may not have more digits
+than that either, as the outputs print them in decimal.
 
 Exit codes: 0 success; 1 parse, I/O or command-line usage error (including a
-flag value not in ASCII digits or out of range: ``--seed`` below 0,
-``--max-rounds`` or ``--confirmations`` below 1, an ``--initial-threshold``
-the fitness register cannot hold); 2 instance too big to run (more than 12
-items: the oracle frame holds 2^n basis states; register width never
-refuses one); 3 quantum/classical verification mismatch or a failed integrity
-check (an oracle whose uncompute leaves an ancilla dirty). Errors are reported
-on stderr in a line containing ``error:``; a verification mismatch prints a
-``MISMATCH:`` line on stdout instead. Any other exception is a bug and is not
+number past the digit limit above, a flag value not in ASCII digits or out
+of range: ``--seed`` below 0, ``--max-rounds`` or ``--confirmations`` below
+1, an ``--initial-threshold`` the fitness register cannot hold); 2 instance
+too big to run (more than 12 items: the oracle frame holds 2^n basis
+states; register width never refuses one); 3 quantum/classical
+verification mismatch or a failed integrity check (an oracle whose
+uncompute leaves an ancilla dirty). Errors are reported on stderr in a line
+containing ``error:``; a verification mismatch prints a ``MISMATCH:`` line
+on stdout instead. Any other exception is a bug and is not
 mapped to a code: it propagates out of ``main`` as a traceback.
 
 Candidate bitstrings are printed most-significant-item-first (item 1 is the
@@ -104,9 +108,20 @@ def parse_instance(path: str) -> KnapsackInstance:
     if not items:
         raise InstanceParseError("no item lines")
     try:
-        return KnapsackInstance(tuple(items), capacity)
+        instance = KnapsackInstance(tuple(items), capacity)
     except ValueError as err:
         raise InstanceParseError(str(err)) from None
+    # Python's int-string limit also binds the outputs, which print weights
+    # and fitness values up to the totals in decimal. Below 2^(3 limit) <
+    # 10^limit a total has at most ``limit`` digits, so only a total that
+    # wide pays for 10**limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    for what, total in zip(("weight", "value"), map(sum, zip(*items))):
+        if limit and total.bit_length() > 3 * limit and total >= 10**limit:
+            raise InstanceParseError(
+                f"total {what} has more than {limit} digits, past Python's int-string limit"
+            )
+    return instance
 
 
 def _parse_uint(fields: list[str], position: int, lineno: int, what: str) -> int:
@@ -116,7 +131,13 @@ def _parse_uint(fields: list[str], position: int, lineno: int, what: str) -> int
         raise InstanceParseError(
             f"line {lineno}: {what} must be an unsigned integer, got {text!r}"
         )
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # on ASCII digits, only Python's int-string limit refuses
+        raise InstanceParseError(
+            f"line {lineno}: {what} has {len(text)} digits, past Python's "
+            f"{sys.get_int_max_str_digits()}-digit int-string limit"
+        ) from None
 
 
 def _emit_machine(trace: SearchTrace, seed: int, out) -> None:

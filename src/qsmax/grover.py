@@ -33,8 +33,8 @@ marked of N, every marked candidate holds (-1)^j sin((2j+1) theta)/sqrt(M)
 and every other one (-1)^j cos((2j+1) theta)/sqrt(N-M) (BBHT's closed
 form). A measurement is one uniform draw and an exact inverse CDF over the
 register's 2N positions, N per kickback branch: a bisection over the 2M
-marked positions, read in place off the M marked q values, then a
-closed-form index into a run of unmarked ones.
+marked positions, read in place off the M marked q values, then a walk
+from a closed-form guess to the outcome inside a run of unmarked ones.
 Nothing here holds a state vector; the tests check this path against a
 gate-by-gate engine.
 """
@@ -252,9 +252,12 @@ def _position(hits: list[int], n: int, p_marked: float, p_unmarked: float, draw:
     is read in place, never listed. The cumulative at position i is
     ``p_marked * below + p_unmarked * (i + 1 - below)``, ``below`` counting
     the marked positions up to i. Only the marked positions are bisected;
-    the index inside the unmarked run that follows is guessed in closed
-    form and checked with that same float expression, bisecting the run
-    only if the guess is off.
+    the k whose cumulative is at most ``draw`` end before the unmarked run
+    that follows, so the outcome is the run's first position whose
+    cumulative, in that same float expression, exceeds ``draw``, or the
+    run's end. A closed-form guess is walked down, then up, to it: the walk
+    stops there from any start in the run, so a guess that float rounding
+    puts off costs steps, never a different outcome.
     """
     m, size = len(hits), 2 * n
 
@@ -270,22 +273,15 @@ def _position(hits: list[int], n: int, p_marked: float, p_unmarked: float, draw:
     # or size past the last marked position.
     start = marked(k - 1) + 1 if k else 0
     end = marked(k) if k < 2 * m else size
-    if p_unmarked and start < end:
-        base = p_marked * k  # the cumulative in the run is base + p_unmarked * (i + 1 - k)
-        t = (draw - base) / p_unmarked
-        guess = k + int(t) if t < end else end
-        guess = end if guess > end else start if guess < start else guess
-        if guess < end and base + p_unmarked * (guess + 1 - k) <= draw:
-            start = guess + 1
-        elif guess > start and base + p_unmarked * (guess - k) > draw:
-            end = guess
-        else:
-            start = end = guess
-        if start < end:
-            end = start + bisect.bisect_right(
-                range(start, end), draw, key=lambda i: base + p_unmarked * (i + 1 - k)
-            )
-    return min(end, size - 1)
+    base = p_marked * k  # the cumulative at run position i is base + p_unmarked * (i + 1 - k)
+    i = end
+    if p_unmarked and (t := (draw - base) / p_unmarked) < end - k:  # else past the run, or inf
+        i = max(k + int(t), start)
+    while i > start and base + p_unmarked * (i - k) > draw:
+        i -= 1
+    while i < end and base + p_unmarked * (i + 1 - k) <= draw:
+        i += 1
+    return min(i, size - 1)
 
 
 def boyer_search(
@@ -316,7 +312,10 @@ def boyer_search(
     kickback-1 branch, so position p is q value p mod N: the 2N positions
     imply the kickback-1 branch, which no frame holds. Only the M marked q
     values are kept; ``_position`` reads the 2M marked positions off them
-    in place, and a step costs O(log M) whatever j is, O(1) at M = 0.
+    in place and walks from a closed-form guess inside the unmarked run, so
+    a step costs O(log M) plus the guess's error whatever j is, O(1) at
+    M = 0. The error is at most the run's length, and 0 or 1 positions
+    unless the unmarked probability is float rounding away from 0.
     """
     hits = np.flatnonzero(marks).tolist()
     n, n_marked, cap = marks.size, len(hits), math.sqrt(marks.size)

@@ -47,6 +47,15 @@ def write_instance(tmp_path, text, name="case.txt"):
     return str(path)
 
 
+@pytest.fixture
+def default_int_string_limit():
+    """Python's default int-string limit, 4,300 digits, whatever the host sets."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 def assert_table_is_brute_force(stdout, path):
     """``table`` rows equal the per-string reference, in table order."""
     instance = parse_instance(path)
@@ -231,6 +240,29 @@ class TestExitCodes:
             assert f"line 2: item weight must be an unsigned integer, got {token!r}" in (
                 capsys.readouterr().err
             )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # A field int() refuses to convert.
+            ("capacity 10\nitem %s 1\nitem 1 2\n" % ("9" * 5000), "error: line 2: item weight"),
+            # Fields int() converts, whose total the outputs could not print.
+            ("capacity 10\n" + "item 1 %s\n" % ("9" * 4300) * 2, "error: total value"),
+        ],
+        ids=["field", "total"],
+    )
+    @pytest.mark.usefixtures("default_int_string_limit")
+    def test_numbers_past_the_int_string_limit(self, tmp_path, capsys, body, message):
+        path = write_instance(tmp_path, body)
+        machine = ["solve", "--format", "machine"]
+        for args in (["solve"], machine, ["verify"], ["table"], ["estimate"]):
+            assert cli.main([*args, path]) == EXIT_INPUT
+            assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.usefixtures("default_int_string_limit")
+    def test_totals_at_the_int_string_limit_parse(self, tmp_path):
+        path = write_instance(tmp_path, "capacity 1\nitem 1 %s\nitem 1 0\n" % ("9" * 4300))
+        assert str(sum(parse_instance(path).values)) == "9" * 4300
 
     def test_capacity_error(self, tmp_path, capsys):
         path = write_instance(tmp_path, THIRTEEN_ITEMS_BODY)
@@ -541,7 +573,7 @@ class TestExitCodeContract:
     def test_help_exits_zero(self):
         assert self._run("--help").returncode == EXIT_OK
 
-    def test_table_takes_qubit_cap(self, tmp_path):
+    def test_wide_registers_verify_and_table(self, tmp_path):
         # 36 qubits but a four-entry frame: the width costs only gates
         path = write_instance(tmp_path, "capacity 1000\nitem 1000 1\nitem 1 1000\n")
         assert self._run("verify", path).returncode == EXIT_OK
@@ -627,7 +659,8 @@ class TestWideInstanceFile:
 class TestTwelveItemFile:
     """The checked-in 12-item instance: a 4,096-entry frame, 4,096 rows."""
 
-    # ``sha256sum -c`` lines for the stdout of ``table`` and ``verify`` on it.
+    # ``sha256sum -c`` lines for the stdout of ``table``, ``verify`` and
+    # ``solve --format machine --seed 0`` on it.
     DIGESTS = REPO_ROOT / "tests" / "data" / "knapsack12.sha256"
 
     def digest(self, name):
@@ -643,6 +676,12 @@ class TestTwelveItemFile:
         assert cli.main(["verify", TWELVE]) == EXIT_OK
         stdout = capsys.readouterr().out.encode()
         assert hashlib.sha256(stdout).hexdigest() == self.digest("verify12.txt")
+
+    def test_solve_bytes(self, capsys):
+        # A whole search over the 4,096-entry frame, where M reaches the hundreds.
+        assert cli.main(["solve", TWELVE, "--format", "machine", "--seed", "0"]) == EXIT_OK
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == self.digest("solve12.txt")
 
     def test_table_agrees_with_brute_force(self, capsys):
         assert cli.main(["table", TWELVE]) == EXIT_OK

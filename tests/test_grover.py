@@ -624,6 +624,46 @@ class TestFusedSearch:
                             lookups += 1
         assert lookups > 100_000
 
+    @pytest.mark.parametrize(
+        "case", ["unmarked_zero", "unmarked_subnormal", "marked_zero"]
+    )
+    def test_position_at_degenerate_probabilities(self, case):
+        # Probabilities _probabilities never yields for 0 < M < N: an
+        # unmarked run of probability 0, one of the smallest subnormal (the
+        # run's guess is inf, and int(inf) raises), and marked positions of
+        # probability 0. Draws are 0, the subnormal, every cumulative
+        # boundary and one float step either side, random interior values,
+        # the total and past it.
+        rng = np.random.default_rng(41)
+        lookups = 0
+        for n in range(7):
+            size = 1 << n
+            for m in sorted({0, 1, size // 2, size - 1, size}):
+                if case == "unmarked_zero" and m == size:
+                    continue
+                p_marked, p_unmarked = {
+                    "unmarked_zero": (1.0 / (2 * max(m, 1)), 0.0),
+                    "unmarked_subnormal": (1.0 / (2 * max(m, 1)), 5e-324),
+                    "marked_zero": (0.0, 1.0 / (2 * max(size - m, 1))),
+                }[case]
+                marks = np.zeros(size, dtype=bool)
+                marks[rng.choice(size, m, replace=False)] = True
+                hits = np.flatnonzero(marks).tolist()
+                marked = hits + [h + size for h in hits]
+                cumulative = reference_cumulative(marked, p_marked, p_unmarked)
+                total = cumulative(2 * size - 1)
+                draws = {0.0, 5e-324, total, math.nextafter(total, 2.0), 2.0 * total + 1.0}
+                draws.update((rng.random(8) * total).tolist())
+                for i in range(2 * size):
+                    edge = cumulative(i)
+                    draws.update((math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)))
+                for draw in sorted(d for d in draws if d >= 0.0):
+                    got = grover._position(hits, size, p_marked, p_unmarked, draw)
+                    expected = reference_position(marked, 2 * size, p_marked, p_unmarked, draw)
+                    assert got == expected, f"N={size} M={m} draw={draw!r}"
+                    lookups += 1
+        assert lookups > 1_000
+
     def test_boyer_search_equals_a_search_over_the_listed_positions(self):
         # No frame: random marks up to N = 2^16, and a reference loop that
         # lists the 2M marked positions and bisects all 2N of them, as the
