@@ -18,7 +18,8 @@ The ``build_*`` functions are memoized (``functools.lru_cache``, at most
 ``_BUILDER_CACHE_SIZE`` circuits each), so a block is built once per process
 and shared: the mark stage's signed comparator across every round and
 threshold, the adders across every instance with the same register layout.
-This is the package's only cache of gates. Sharing is safe because the
+This is the package's only cache of circuit blocks (``knapsack``'s search
+memo keeps one compiled compute stage, inside its frame). Sharing is safe because the
 arguments (ints and RegisterRefs, which are immutable NamedTuples) are
 hashable values and the result is a tuple of frozen Gates. A builder that
 raises is retried on the next call, since lru_cache stores no exceptions.

@@ -19,6 +19,15 @@ the images through it (``grover.oracle_marks``); the search reads only the
 marked set. Only the item count is bounded (``MAX_ITEMS``): the frame holds
 2^n basis states.
 
+``maximize`` keeps what it compiles for the last instance it solved in the
+process (``_compiled``, one entry): the plan, the frame, the read-only
+marks of up to 256 searched thresholds (2^n bytes each, 1 MiB at
+``MAX_ITEMS``) and the ``classical_evaluate`` row of each candidate it drew
+or measured (at most 2^n). Solving an equal instance again, under any seed,
+reuses them. ``verify_instance``, ``enumerate_table`` and
+``estimate_resources`` are the checks, so they keep nothing: each call
+compiles and pushes afresh.
+
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
 q order: entry i is q value i, the frame's own order. The circuit side is
 read off the images (``_circuit_columns``); the brute-force side is built
@@ -54,6 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arithmetic import (
+    _BUILDER_CACHE_SIZE,
     CheckedRecord,
     RegisterRef,
     SignedEncoding,
@@ -498,6 +508,32 @@ def verify_instance(
     return VerifyReport(ok=True, candidates_checked=1 << n, thresholds_checked=thresholds)
 
 
+@functools.lru_cache(maxsize=1)
+def _compiled(instance: KnapsackInstance):
+    """What ``maximize`` reads of an instance, kept for the last instance
+    solved in this process: its plan, and two memoized functions over its
+    frame. ``marks_at(threshold)`` is the threshold's read-only marks,
+    shared by every call (the last ``_BUILDER_CACHE_SIZE`` thresholds are
+    kept; typed, so a threshold equal to a cached one but of another type
+    compiles as it would cold). ``evaluate(q_value)`` is that candidate's
+    ``classical_evaluate`` row. None of it depends on the seed, and a call
+    that raises leaves nothing cached."""
+    plan = plan_registers(instance)
+    frame = compile_frame(instance, plan)
+
+    @functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE, typed=True)
+    def marks_at(threshold: int) -> np.ndarray:
+        marks = oracle_marks(frame, compile_oracle(plan, threshold))
+        marks.flags.writeable = False
+        return marks
+
+    @functools.cache
+    def evaluate(candidate_index: int) -> CandidateEvaluation:
+        return classical_evaluate(instance, index_to_candidate(candidate_index, instance.n))
+
+    return plan, marks_at, evaluate
+
+
 def maximize(
     instance: KnapsackInstance,
     *,
@@ -508,29 +544,33 @@ def maximize(
 ) -> SearchTrace:
     """Find the maximum-fitness valid candidate by threshold-raising search.
 
-    The compute stage is compiled and pushed through once, the marking
-    stage once per distinct threshold; each round runs the unknown-count
-    search on the current threshold's marks, for at most 3 * ceil(sqrt(N))
-    measurements; a found candidate raises the threshold to its fitness.
-    Each distinct measured candidate is evaluated classically once.
-    ``confirmation_count`` consecutive exhausted rounds (default 1) end the
-    run. The seed fully determines the run: it spawns independent
+    The compute stage is compiled and pushed through once per instance, the
+    marking stage once per distinct threshold; each round runs the
+    unknown-count search on the current threshold's marks, for at most
+    3 * ceil(sqrt(N)) measurements; a found candidate raises the threshold
+    to its fitness. Each distinct drawn or measured candidate is evaluated
+    classically once. "Once" is per instance per process: the frame, the
+    marks and the evaluations are kept for the last instance solved
+    (``_compiled``), so solving an equal instance again, under any seed,
+    compiles and evaluates only what earlier solves did not, with the same
+    trace. ``confirmation_count`` consecutive exhausted rounds (default 1)
+    end the run. The seed fully determines the run: it spawns independent
     streams for the initial threshold draw, the schedule's j draws, and
     measurement sampling. An ``initial_threshold`` the fitness register
-    cannot hold raises ValueError (``compile_oracle``) before any step.
+    cannot hold raises ValueError (``compile_oracle``) before any step, on
+    every call.
     """
     if confirmation_count < 1:
         raise ValueError("confirmation_count must be >= 1")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    plan = plan_registers(instance)
+    plan, marks_at, evaluate = _compiled(instance)
     n = instance.n
     big_n = 1 << n
     init_rng, schedule_rng, measure_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     ]
 
-    zero_candidate = "0" * n
     if initial_threshold is not None:
         threshold = initial_threshold
         initial_candidate: str | None = None
@@ -538,21 +578,14 @@ def maximize(
     else:
         # Fitness of one uniformly drawn candidate if valid, else 0 (the
         # empty selection): guarantees an achievable starting threshold.
-        drawn = index_to_candidate(int(init_rng.integers(0, big_n)), n)
-        ev = classical_evaluate(instance, drawn)
+        ev = evaluate(int(init_rng.integers(0, big_n)))
         if ev.valid:
-            threshold, initial_candidate = ev.fitness, drawn
+            threshold, initial_candidate = ev.fitness, ev.candidate
         else:
-            threshold, initial_candidate = 0, zero_candidate
+            threshold, initial_candidate = 0, "0" * n
         best_candidate = initial_candidate
 
     max_steps = 3 * math.ceil(math.sqrt(big_n))
-    frame = compile_frame(instance, plan)
-
-    @functools.cache
-    def evaluate(candidate_index: int) -> CandidateEvaluation:
-        return classical_evaluate(instance, index_to_candidate(candidate_index, n))
-
     starting_threshold = threshold
     steps: list[TraceStep] = []
     cumulative_j = 0
@@ -560,15 +593,13 @@ def maximize(
     consecutive_exhausted = 0
     while rounds < max_rounds and consecutive_exhausted < confirmation_count:
         rounds += 1
-        if not consecutive_exhausted:  # the first round, or the threshold just rose
-            marks = oracle_marks(frame, compile_oracle(plan, threshold))
         current = threshold
 
         def check(candidate_index: int, t: int = current) -> bool:
             ev = evaluate(candidate_index)
             return ev.valid and ev.fitness > t
 
-        result = boyer_search(marks, check, max_steps, schedule_rng, measure_rng)
+        result = boyer_search(marks_at(current), check, max_steps, schedule_rng, measure_rng)
         for step in result.steps:
             cumulative_j += step.j
             candidate, _, fitness, valid = evaluate(step.candidate)

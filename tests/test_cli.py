@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from conftest import DEMO_INSTANCE_FILE, REPO_ROOT
-from qsmax import cli, grover, statevector
+from qsmax import cli, grover, knapsack, statevector
 from qsmax.cli import (
     EXIT_CAPACITY,
     EXIT_INPUT,
@@ -516,6 +516,51 @@ class TestRepeatedMain:
         assert exc.value.code == EXIT_INPUT
         assert cli.main(["verify", DEMO]) == EXIT_OK
         assert capsys.readouterr().out.startswith("OK")
+
+class TestSearchMemo:
+    """Solves in one process share the last instance's compiled search;
+    the output never shows it."""
+
+    @staticmethod
+    def _run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == EXIT_OK
+        return out.getvalue()
+
+    def test_warm_and_cold_output_are_byte_identical(self, monkeypatch):
+        # 200 demo seeds, with a 12-item and a wide solve after every 25, so
+        # the one-instance memo is dropped and refilled: first in one warm
+        # pass, then each command again with the memo cleared before it.
+        commands = []
+        for seed in range(200):
+            flags = ["--seed", str(seed), "--format", "machine"]
+            commands.append(["solve", DEMO, "--confirmations", "2", *flags])
+            if seed % 25 == 24:
+                commands += [["solve", path, *flags] for path in (TWELVE, WIDE)]
+        frames = []
+        compile_frame = knapsack.compile_frame
+        monkeypatch.setattr(
+            knapsack, "compile_frame", lambda *args: frames.append(1) or compile_frame(*args)
+        )
+        warm = [self._run(argv) for argv in commands]
+        changes = sum(1 for a, b in zip([None] + commands, commands) if a is None or a[1] != b[1])
+        assert len(frames) == changes == 24  # a frame per change of instance
+        cold = []
+        for argv in commands:
+            knapsack._compiled.cache_clear()
+            cold.append(self._run(argv))
+        assert len(frames) == changes + len(commands)
+        assert warm == cold
+
+    def test_verify_reports_a_faulty_mark_after_a_solve(self, monkeypatch, capsys):
+        assert cli.main(["solve", DEMO, "--seed", "1"]) == EXIT_OK
+        capsys.readouterr()
+        compile_clean = knapsack.compile_oracle
+        monkeypatch.setattr(knapsack, "compile_oracle", lambda plan, t: compile_clean(plan, t + 1))
+        assert cli.main(["verify", DEMO]) == EXIT_MISMATCH
+        assert capsys.readouterr().out.startswith("MISMATCH:")
+
 
 # Run in a fresh interpreter: replaces the oracle compiler with one whose
 # mark stage leaks a candidate bit into the g register, then runs the CLI.

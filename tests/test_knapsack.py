@@ -603,8 +603,28 @@ def searched_thresholds(trace) -> list[int]:
     return [trace.initial_threshold] + accepted
 
 
+MEMO_STAGES = ("compile_frame", "compile_oracle", "oracle_marks", "classical_evaluate")
+
+
+def record_memo_stages(monkeypatch) -> list[str]:
+    """From now on, the name of each ``MEMO_STAGES`` function ``knapsack``
+    calls, in call order: the work the search memo saves a warm solve."""
+    called: list[str] = []
+    for name in MEMO_STAGES:
+        stage = getattr(kp, name)
+        monkeypatch.setattr(
+            kp, name, lambda *args, _name=name, _stage=stage: called.append(_name) or _stage(*args)
+        )
+    return called
+
+
 class TestComputeOnce:
-    """The compute stage goes through the index map once per instance."""
+    """The compute stage goes through the index map once per instance.
+
+    Each solve test checks a cold solve (the autouse fixture clears the
+    search memo), then that a warm solve of the same instance repeats the
+    trace and calls none of ``MEMO_STAGES``.
+    """
 
     @pytest.fixture
     def recorded(self, monkeypatch):
@@ -635,7 +655,7 @@ class TestComputeOnce:
         assert pushed[1:] == compiled
         assert len(frames) == len(compiled) and all(frame is frames[0] for frame in frames)
 
-    def test_maximize(self, demo_instance, recorded):
+    def test_maximize(self, demo_instance, recorded, monkeypatch):
         trace = maximize(demo_instance, seed=1, confirmation_count=2)
         thresholds = searched_thresholds(trace)
         # one compile per distinct threshold: the confirmation round reuses the marks
@@ -644,14 +664,19 @@ class TestComputeOnce:
         assert recorded[1] == [compile_oracle(plan, t) for t in thresholds]
         self._assert_prepare_once_then_marks(recorded, demo_instance)
 
+        before = [len(calls) for calls in recorded]
+        called = record_memo_stages(monkeypatch)
+        assert maximize(demo_instance, seed=1, confirmation_count=2) == trace
+        assert called == [] and [len(calls) for calls in recorded] == before
+
     def test_confirmation_rounds_reuse_the_marks(self, monkeypatch, capsys):
         calls = []
         marks = kp.oracle_marks
         monkeypatch.setattr(kp, "oracle_marks", lambda *oracle: calls.append(oracle) or marks(*oracle))
         argv = ["solve", str(DEMO_INSTANCE_FILE), "--confirmations", "3", "--format", "machine"]
         assert cli.main(argv + ["--seed", "5"]) == 0
-        records = [dict(field.split("=") for field in line.split())
-                   for line in capsys.readouterr().out.splitlines()]
+        cold = capsys.readouterr().out
+        records = [dict(field.split("=") for field in line.split()) for line in cold.splitlines()]
         steps = records[1:-1]
         thresholds = [records[0]["initial_threshold"]]
         thresholds += [step["threshold_after"] for step in steps if step["accepted"] == "1"]
@@ -659,6 +684,11 @@ class TestComputeOnce:
         assert len(set(thresholds)) == len(thresholds) == rounds - 2
         assert len(calls) == len(thresholds)
         assert rounds == int(steps[-1]["round"]) and len({s["round"] for s in steps}) == rounds
+
+        called = record_memo_stages(monkeypatch)
+        assert cli.main(argv + ["--seed", "5"]) == 0
+        assert capsys.readouterr().out == cold
+        assert called == [] and len(calls) == len(thresholds)
 
     def test_verify(self, demo_instance, recorded):
         report = verify_instance(demo_instance)
@@ -678,12 +708,20 @@ class TestComputeOnce:
         trace = maximize(demo_instance, seed=1, confirmation_count=2)
         measured = [step.measured_candidate for step in trace.steps]
         assert len(set(measured)) < len(measured)  # some candidate is measured twice
-        # the initial threshold draw, then each distinct measured candidate once
-        assert evaluated[1:] == list(dict.fromkeys(measured))
+        # the initial threshold draw, then each distinct measured candidate
+        # once; the drawn one is measured later and not evaluated again
+        assert evaluated[0] in measured
+        assert evaluated == list(dict.fromkeys(evaluated[:1] + measured))
+
+        called = record_memo_stages(monkeypatch)
+        assert maximize(demo_instance, seed=1, confirmation_count=2) == trace
+        assert called == [] and len(evaluated) == len(set(measured))
 
 
 class TestBuiltOnce:
-    """Circuit blocks are cached; the compiled stages are not."""
+    """Circuit blocks are cached. A compiled stage is kept only by the search
+    memo, for the last instance ``maximize`` solved; ``compile_prepare`` and
+    ``compile_oracle`` themselves build afresh on each call."""
 
     def test_compile_prepare_returns_a_fresh_equal_sequence(self, demo_instance):
         plan = plan_registers(demo_instance)
@@ -693,13 +731,102 @@ class TestBuiltOnce:
         # the memoized builders' blocks are shared, so both hold the same gate objects
         assert all(a is b for a, b in zip(first, second))
 
-    def test_signed_comparator_is_built_once_per_run(self, demo_instance):
+    def test_signed_comparator_is_built_once_per_run(self, demo_instance, monkeypatch):
         kp.build_signed_comparator.cache_clear()
         trace = maximize(demo_instance, seed=1, confirmation_count=2)
         info = kp.build_signed_comparator.cache_info()
         assert info.misses <= 1
         # compiled once per distinct threshold, not once per round
         assert info.hits + info.misses == len(searched_thresholds(trace)) == trace.rounds - 1 > 1
+
+        called = record_memo_stages(monkeypatch)
+        assert maximize(demo_instance, seed=1, confirmation_count=2) == trace
+        assert called == [] and kp.build_signed_comparator.cache_info() == info
+
+
+class TestSearchMemo:
+    """``maximize`` keeps the last instance's frame, marks and evaluations;
+    the checks (``verify_instance``, ``enumerate_table``) keep nothing."""
+
+    def test_equal_instance_is_warm_and_the_checks_stay_cold(self, demo_instance, monkeypatch):
+        trace = maximize(demo_instance, seed=7)
+        called = record_memo_stages(monkeypatch)
+        equal = KnapsackInstance(tuple(demo_instance.items), demo_instance.capacity)
+        assert equal is not demo_instance
+        assert maximize(equal, seed=7) == trace
+        assert called == []
+        for _ in range(2):
+            assert verify_instance(demo_instance).ok
+            assert called[:1] == ["compile_frame"] and called.count("compile_oracle") == 5
+            called.clear()
+            enumerate_table(demo_instance)
+            assert called == ["compile_frame"]
+            called.clear()
+
+    def test_marks_are_shared_and_read_only(self, demo_instance, monkeypatch):
+        searched = []
+        search = kp.boyer_search
+        monkeypatch.setattr(
+            kp, "boyer_search", lambda marks, *args: searched.append(marks) or search(marks, *args)
+        )
+        for seed in (1, 2):
+            maximize(demo_instance, seed=seed, initial_threshold=13, max_rounds=1)
+        assert len(searched) == 2 and searched[0] is searched[1]
+        _, marks_at, _ = kp._compiled(demo_instance)
+        assert marks_at(13) is searched[0]
+        with pytest.raises(ValueError, match="read-only"):
+            searched[0][0] = not searched[0][0]
+
+    def test_unrepresentable_initial_threshold_raises_on_every_call(self, demo_instance):
+        maximize(demo_instance, seed=0, initial_threshold=13)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not representable"):
+                maximize(demo_instance, seed=0, initial_threshold=32)
+        # The memo is typed: 13.0 is not served the int threshold's marks,
+        # it fails as it does cold.
+        with pytest.raises(TypeError):
+            maximize(demo_instance, seed=0, initial_threshold=13.0)
+
+    def test_at_most_256_thresholds_are_kept(self, monkeypatch):
+        instance = KnapsackInstance(((1, 300), (1, 1)), 2)  # f holds [-512, 511]
+        _, marks_at, _ = kp._compiled(instance)
+        for threshold in range(300):
+            marks_at(threshold)
+        info = marks_at.cache_info()
+        assert (info.maxsize, info.currsize) == (256, 256)
+        called = record_memo_stages(monkeypatch)
+        marks_at(299)  # kept
+        marks_at(0)  # dropped, so compiled and pushed again
+        assert called == ["compile_oracle", "oracle_marks"]
+
+    def test_a_faulty_prepare_reaches_verify_and_table_after_a_solve(
+        self, demo_instance, monkeypatch
+    ):
+        maximize(demo_instance, seed=1)
+        prepare_clean = kp.compile_prepare
+
+        def prepare_with_stray_bit(instance, plan):
+            return prepare_clean(instance, plan) + (x(plan.w.bit(0)),)
+
+        monkeypatch.setattr(kp, "compile_prepare", prepare_with_stray_bit)
+        assert verify_instance(demo_instance).mismatch == (
+            "candidate 0000: circuit computed (weight=1, fitness=0, valid=True), "
+            "classical reference (weight=0, fitness=0, valid=True)"
+        )
+        assert enumerate_table(demo_instance)[0].weight == 1
+
+    def test_a_faulty_mark_reaches_verify_after_a_solve(self, demo_instance, monkeypatch):
+        maximize(demo_instance, seed=1)
+        compile_clean = kp.compile_oracle
+
+        def compile_off_by_one(plan, threshold):
+            return compile_clean(plan, threshold + 1)
+
+        monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
+        assert verify_instance(demo_instance).mismatch == (
+            "candidate 0001 at threshold 2: kickback phase disagrees with "
+            "the classical predicate (expected marked=True)"
+        )
 
 
 class TestWideRegisters:
