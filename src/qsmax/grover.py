@@ -41,9 +41,8 @@ gate-by-gate engine.
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -242,16 +241,17 @@ def _probabilities(n_marked: int, n_candidates: int, iterations: int) -> tuple[f
     return p_marked, p_unmarked, total
 
 
-def _position(hits: list[int], n: int, p_marked: float, p_unmarked: float, draw: float) -> int:
+def _position(hits: Sequence[int], n: int, p_marked: float, p_unmarked: float, draw: float) -> int:
     """First of the register's 2N positions whose cumulative probability
     exceeds ``draw``, capped at ``2N - 1``, as ``Generator.choice`` picks it.
 
-    ``hits`` lists the M marked q values in ascending order. Position p is
+    ``hits`` holds the M marked q values in ascending order. Position p is
     q value p mod N, kickback-0 branch first, so the t-th of the 2M marked
     positions is ``hits[t]`` below M and ``hits[t - M] + N`` from M on; it
     is read in place, never listed. The cumulative at position i is
     ``p_marked * below + p_unmarked * (i + 1 - below)``, ``below`` counting
-    the marked positions up to i. Only the marked positions are bisected;
+    the marked positions up to i. Only the marked positions are bisected,
+    in a ``bisect_right`` loop over that key with no key function or list;
     the k whose cumulative is at most ``draw`` end before the unmarked run
     that follows, so the outcome is the run's first position whose
     cumulative, in that same float expression, exceeds ``draw``, or the
@@ -260,19 +260,17 @@ def _position(hits: list[int], n: int, p_marked: float, p_unmarked: float, draw:
     puts off costs steps, never a different outcome.
     """
     m, size = len(hits), 2 * n
-
-    def marked(t: int) -> int:  # the t-th marked position, 0 <= t < 2M
-        return hits[t] if t < m else hits[t - m] + n
-
-    k = 0  # marked positions whose cumulative is at most draw
-    if hits:
-        k = bisect.bisect_right(
-            range(2 * m), draw, key=lambda t: p_marked * (t + 1) + p_unmarked * (marked(t) - t)
-        )
-    # The outcome is in the unmarked run [start, end) or is end: marked(k),
-    # or size past the last marked position.
-    start = marked(k - 1) + 1 if k else 0
-    end = marked(k) if k < 2 * m else size
+    k, hi = 0, 2 * m  # k ends as the marked positions whose cumulative is at most draw
+    while k < hi:
+        t = (k + hi) // 2
+        if draw < p_marked * (t + 1) + p_unmarked * ((hits[t] if t < m else hits[t - m] + n) - t):
+            hi = t
+        else:
+            k = t + 1
+    # The outcome is in the unmarked run [start, end) or is end: the k-th
+    # marked position, or size past the last one.
+    start = (hits[k - 1] if k <= m else hits[k - 1 - m] + n) + 1 if k else 0
+    end = (hits[k] if k < m else hits[k - m] + n) if k < 2 * m else size
     base = p_marked * k  # the cumulative at run position i is base + p_unmarked * (i + 1 - k)
     i = end
     if p_unmarked and (t := (draw - base) / p_unmarked) < end - k:  # else past the run, or inf
@@ -311,13 +309,15 @@ def boyer_search(
     (``prepare_frame``), that order is the kickback-0 branch then the
     kickback-1 branch, so position p is q value p mod N: the 2N positions
     imply the kickback-1 branch, which no frame holds. Only the M marked q
-    values are kept; ``_position`` reads the 2M marked positions off them
-    in place and walks from a closed-form guess inside the unmarked run, so
-    a step costs O(log M) plus the guess's error whatever j is, O(1) at
-    M = 0. The error is at most the run's length, and 0 or 1 positions
-    unless the unmarked probability is float rounding away from 0.
+    values are kept, as one int64 array read through a ``memoryview`` (its
+    items are Python ints, and no list is built); ``_position`` reads the
+    2M marked positions off them in place and walks from a closed-form
+    guess inside the unmarked run, so a step costs O(log M) plus the
+    guess's error whatever j is, O(1) at M = 0. The error is at most the
+    run's length, and 0 or 1 positions unless the unmarked probability is
+    float rounding away from 0.
     """
-    hits = np.flatnonzero(marks).tolist()
+    hits = memoryview(np.flatnonzero(marks))
     n, n_marked, cap = marks.size, len(hits), math.sqrt(marks.size)
     table: dict[int, tuple[float, float, float]] = {}
     steps: list[BoyerStep] = []

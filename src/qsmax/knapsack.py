@@ -426,15 +426,6 @@ def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
     ]
 
 
-def _draw_thresholds(rng: np.random.Generator, top: int, count: int) -> tuple[int, ...]:
-    """``count`` uniform draws from [0, top]: one ``rng.integers`` call while
-    ``top + 1`` fits int64, else ``random.Random.randint``, seeded from ``rng``."""
-    if top < 1 << 63:
-        return tuple(int(t) for t in rng.integers(0, top + 1, size=count))
-    draw = random.Random(int(rng.integers(1 << 63))).randint
-    return tuple(draw(0, top) for _ in range(count))
-
-
 def verify_instance(
     instance: KnapsackInstance, *, threshold_seed: int = 2024
 ) -> VerifyReport:
@@ -453,7 +444,11 @@ def verify_instance(
     The oracle check is exact integer equality on the frame's images,
     equivalent to ``unprepare(mark(prepare(x))) == x ^ (marked(x) << r)``
     on both kickback branches (see ``oracle_marks``), so any ancilla left
-    dirty or any wrong mark is a mismatch. The thresholds are drawn uniformly from [0, sum of values].
+    dirty or any wrong mark is a mismatch. The thresholds are five
+    ``randint`` draws from [0, sum of values] of one ``random.Random``
+    seeded with ``threshold_seed``, at any width; the seed must be a
+    non-negative integer, since ``random.Random`` would take a negative
+    seed for its absolute value.
     """
     plan = plan_registers(instance)
     n = instance.n
@@ -478,9 +473,11 @@ def verify_instance(
             ),
         )
 
-    thresholds = _draw_thresholds(
-        np.random.default_rng(threshold_seed), sum(instance.values), 5
-    )
+    seed = operator.index(threshold_seed)
+    if seed < 0:
+        raise ValueError(f"threshold_seed must be non-negative, got {seed}")
+    draw, top = random.Random(seed).randint, sum(instance.values)
+    thresholds = tuple(draw(0, top) for _ in range(5))
     for threshold in thresholds:
         try:
             marks = oracle_marks(frame, compile_oracle(plan, threshold))

@@ -6,6 +6,7 @@ import bisect
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -693,6 +694,21 @@ class TestFusedSearch:
                 assert got == run(reference_list_search), f"N={size} M={m}"
                 steps += len(got.steps)
         assert steps > 2_000
+
+    def test_a_round_reads_its_hits_in_place(self):
+        # 2^15 marked of 2^16: the hits are one int64 array (8 bytes each),
+        # not a list of Python ints (about 48 traced bytes each).
+        marks = np.zeros(1 << 16, dtype=bool)
+        marks[::2] = True
+        sched_rng, meas_rng = np.random.default_rng(5), np.random.default_rng(6)
+        tracemalloc.start()
+        try:
+            result = boyer_search(marks, lambda q: False, 8, sched_rng, meas_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.found is None and len(result.steps) == 8
+        assert peak < 16 * (1 << 15), f"{peak / (1 << 15):.1f} traced bytes per marked entry"
 
     def test_norm_check_refuses_to_sample(self, monkeypatch):
         closed_form = grover._amplitude_pair

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 
 import numpy as np
@@ -365,10 +366,12 @@ class TestVerify:
         monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
         report = verify_instance(demo_instance)
         assert not report.ok
-        assert report.thresholds_checked == (5, 15, 2, 4, 7)  # one rng.integers call below 2^63
-        # First threshold in draw order, first candidate in table order.
+        assert report.thresholds_checked == (15, 5, 18, 9, 6)
+        # First threshold in draw order, first candidate in table order:
+        # 15, 5 and 18 mark alike (no valid fitness of 16, 6 or 19), and 9
+        # ("0100", fitness 10) is drawn before 6 ("1001", fitness 7).
         assert report.mismatch == (
-            "candidate 0001 at threshold 2: kickback phase disagrees with "
+            "candidate 0100 at threshold 9: kickback phase disagrees with "
             "the classical predicate (expected marked=True)"
         )
 
@@ -384,12 +387,30 @@ class TestVerify:
 
         monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
         report = verify_instance(self.TWO_ORDERS, threshold_seed=2)
-        assert report.thresholds_checked == (2, 0, 0, 0, 1)
+        assert report.thresholds_checked == (0, 0, 0, 1, 0)
         # At threshold 0 both "01" and "10" (fitness 1) lose their mark.
         assert report.mismatch == (
             "candidate 01 at threshold 0: kickback phase disagrees with "
             "the classical predicate (expected marked=True)"
         )
+
+    def test_thresholds_are_five_draws_of_one_seeded_random(self, demo_instance):
+        # One random.Random(seed).randint(0, sum of values) per threshold,
+        # below 2^63 and past it alike.
+        wide = KnapsackInstance(((1, 1 << 80), (2, (1 << 80) + 7), (3, 5)), 3)
+        for instance in (demo_instance, wide):
+            top = sum(instance.values)
+            for seed in (0, 2024, 1 << 70):
+                draw = random.Random(seed).randint
+                expected = tuple(draw(0, top) for _ in range(5))
+                assert verify_instance(instance, threshold_seed=seed).thresholds_checked == expected
+            assert verify_instance(instance, threshold_seed=np.int64(2024)) == verify_instance(
+                instance
+            )
+        # random.Random(-1) would draw as seed 1, so a negative seed is refused.
+        for seed, error in ((2024.0, TypeError), (-1, ValueError), (np.int64(-1), ValueError)):
+            with pytest.raises(error):
+                verify_instance(demo_instance, threshold_seed=seed)
 
     def test_wrong_table_reports_the_first_candidate_in_table_order(self, monkeypatch):
         prepare_clean = kp.compile_prepare
@@ -824,7 +845,7 @@ class TestSearchMemo:
 
         monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
         assert verify_instance(demo_instance).mismatch == (
-            "candidate 0001 at threshold 2: kickback phase disagrees with "
+            "candidate 0100 at threshold 9: kickback phase disagrees with "
             "the classical predicate (expected marked=True)"
         )
 
