@@ -9,24 +9,23 @@ verification suite and the search never simulate the full register: they
 push the candidate basis states through the compiled stages as bit planes
 (``statevector.permute_planes``) and read registers and kickback flips off
 the images exactly, at any register width. The compute stage does not
-depend on the threshold, so each of ``enumerate_table``,
-``verify_instance`` and ``maximize`` compiles it and pushes every
-candidate through it once per instance
-(``compile_frame``); the table reads w, f and v off those images in one
-pass (``PreparedFrame.columns``). Each distinct search threshold and each verify
-threshold compiles only its marking stage (``compile_oracle``) and pushes
-the images through it (``grover.oracle_marks``); the search reads only the
-marked set. Only the item count is bounded (``MAX_ITEMS``): the frame holds
-2^n basis states.
+depend on the threshold, so it is compiled and every candidate pushed
+through it once per instance (``compile_frame``); the table reads w, f and
+v off those images in one pass (``PreparedFrame.columns``). Each distinct
+threshold, searched or verified, compiles only its marking stage
+(``compile_oracle``) and pushes the images through it
+(``grover.oracle_marks``); the search reads only the marked set. Only the
+item count is bounded (``MAX_ITEMS``): the frame holds 2^n basis states.
 
-``maximize`` keeps what it compiles for the last instance it solved in the
-process (``_compiled``, one entry): the plan, the frame, the read-only
-marks of up to 256 searched thresholds (2^n bytes each, 1 MiB at
-``MAX_ITEMS``) and the ``classical_evaluate`` row of each candidate it drew
-or measured (at most 2^n). Solving an equal instance again, under any seed,
-reuses them. ``verify_instance``, ``enumerate_table`` and
-``estimate_resources`` are the checks, so they keep nothing: each call
-compiles and pushes afresh.
+``_compiled`` is the one place that builds the frame and the marks, and it
+keeps them for the last instance that ``maximize``, ``verify_instance`` or
+``enumerate_table`` ran on in the process (one entry): the plan, the frame,
+the read-only marks of up to 256 thresholds (2^n bytes each, 1 MiB at
+``MAX_ITEMS``) and the ``classical_evaluate`` row of each candidate a
+search drew or measured (at most 2^n). Any of the three on an equal
+instance, under any seed, reuses them, so ``verify_instance`` checks the
+very frame and marks the search reads. ``estimate_resources`` pushes
+nothing, so it compiles the stages alone and keeps nothing.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
 q order: entry i is q value i, the frame's own order. The circuit side is
@@ -394,6 +393,32 @@ def compile_oracle(plan: RegisterPlan, threshold: int) -> tuple[Gate, ...]:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _compiled(instance: KnapsackInstance):
+    """The one compile of an instance, kept for the last instance solved,
+    verified or tabled in this process: its plan, its frame, and two
+    memoized functions over them. ``marks_at(threshold)`` is the
+    threshold's read-only marks, shared by every call (the last
+    ``_BUILDER_CACHE_SIZE`` thresholds are kept; typed, so a threshold
+    equal to a cached one but of another type compiles as it would cold). ``evaluate(q_value)`` is that candidate's
+    ``classical_evaluate`` row. None of it depends on the seed, and a call
+    that raises leaves nothing cached."""
+    plan = plan_registers(instance)
+    frame = compile_frame(instance, plan)
+
+    @functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE, typed=True)
+    def marks_at(threshold: int) -> np.ndarray:
+        marks = oracle_marks(frame, compile_oracle(plan, threshold))
+        marks.flags.writeable = False
+        return marks
+
+    @functools.cache
+    def evaluate(candidate_index: int) -> CandidateEvaluation:
+        return classical_evaluate(instance, index_to_candidate(candidate_index, instance.n))
+
+    return plan, frame, marks_at, evaluate
+
+
 def _circuit_columns(
     plan: RegisterPlan, frame: PreparedFrame
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,13 +438,14 @@ def _circuit_columns(
 def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
     """Evaluate every candidate through the oracle's compute stage.
 
-    All candidate basis states go through ``prepare`` once as bit planes;
-    w, f and v are read off the images as whole columns, then gathered into
-    table order by ``candidate_indices``.
+    The candidate basis states' images under ``prepare`` are the frame
+    ``maximize`` and ``verify_instance`` read (``_compiled``); w, f and v
+    are read off them as whole columns, then gathered into table order by
+    ``candidate_indices``.
     """
-    plan = plan_registers(instance)
+    plan, frame, _, _ = _compiled(instance)
     order = candidate_indices(instance.n)
-    columns = _circuit_columns(plan, compile_frame(instance, plan))
+    columns = _circuit_columns(plan, frame)
     return [
         CandidateEvaluation(*row)
         for row in zip(all_candidates(instance.n), *(column[order].tolist() for column in columns))
@@ -433,9 +459,12 @@ def verify_instance(
 
     Checks the circuit-computed table against brute force for all
     candidates, then the oracle against the classical predicate (valid and
-    fitness strictly above threshold) at 5 sampled thresholds. The compute
-    stage runs once; the table is read off its images, and each threshold
-    pushes them through its marking stage only.
+    fitness strictly above threshold) at 5 sampled thresholds. The frame
+    and each threshold's marks are the ones ``maximize`` searches
+    (``_compiled``), so a fault in them shows here; an ``IntegrityError``
+    is never kept, so it is reported on every call. The references,
+    ``_classical_columns`` and ``classical_evaluate``, share nothing with
+    the memo.
     Both sides are whole columns in q order (``_circuit_columns``,
     ``_classical_columns``), compared at once with no permutation; a
     passing instance builds no candidate string. A report names the first
@@ -448,11 +477,14 @@ def verify_instance(
     ``randint`` draws from [0, sum of values] of one ``random.Random``
     seeded with ``threshold_seed``, at any width; the seed must be a
     non-negative integer, since ``random.Random`` would take a negative
-    seed for its absolute value.
+    seed for its absolute value. It is checked before anything is compiled,
+    so a refused seed leaves the memo as it was.
     """
-    plan = plan_registers(instance)
+    seed = operator.index(threshold_seed)
+    if seed < 0:
+        raise ValueError(f"threshold_seed must be non-negative, got {seed}")
+    plan, frame, marks_at, _ = _compiled(instance)
     n = instance.n
-    frame = compile_frame(instance, plan)
     circuit_weight, circuit_fitness, circuit_valid = _circuit_columns(plan, frame)
     weight, fitness, valid = _classical_columns(instance)
 
@@ -473,14 +505,11 @@ def verify_instance(
             ),
         )
 
-    seed = operator.index(threshold_seed)
-    if seed < 0:
-        raise ValueError(f"threshold_seed must be non-negative, got {seed}")
     draw, top = random.Random(seed).randint, sum(instance.values)
     thresholds = tuple(draw(0, top) for _ in range(5))
     for threshold in thresholds:
         try:
-            marks = oracle_marks(frame, compile_oracle(plan, threshold))
+            marks = marks_at(threshold)
         except IntegrityError as err:
             return VerifyReport(
                 ok=False,
@@ -505,32 +534,6 @@ def verify_instance(
     return VerifyReport(ok=True, candidates_checked=1 << n, thresholds_checked=thresholds)
 
 
-@functools.lru_cache(maxsize=1)
-def _compiled(instance: KnapsackInstance):
-    """What ``maximize`` reads of an instance, kept for the last instance
-    solved in this process: its plan, and two memoized functions over its
-    frame. ``marks_at(threshold)`` is the threshold's read-only marks,
-    shared by every call (the last ``_BUILDER_CACHE_SIZE`` thresholds are
-    kept; typed, so a threshold equal to a cached one but of another type
-    compiles as it would cold). ``evaluate(q_value)`` is that candidate's
-    ``classical_evaluate`` row. None of it depends on the seed, and a call
-    that raises leaves nothing cached."""
-    plan = plan_registers(instance)
-    frame = compile_frame(instance, plan)
-
-    @functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE, typed=True)
-    def marks_at(threshold: int) -> np.ndarray:
-        marks = oracle_marks(frame, compile_oracle(plan, threshold))
-        marks.flags.writeable = False
-        return marks
-
-    @functools.cache
-    def evaluate(candidate_index: int) -> CandidateEvaluation:
-        return classical_evaluate(instance, index_to_candidate(candidate_index, instance.n))
-
-    return plan, marks_at, evaluate
-
-
 def maximize(
     instance: KnapsackInstance,
     *,
@@ -547,11 +550,11 @@ def maximize(
     3 * ceil(sqrt(N)) measurements; a found candidate raises the threshold
     to its fitness. Each distinct drawn or measured candidate is evaluated
     classically once. "Once" is per instance per process: the frame, the
-    marks and the evaluations are kept for the last instance solved
-    (``_compiled``), so solving an equal instance again, under any seed,
-    compiles and evaluates only what earlier solves did not, with the same
-    trace. ``confirmation_count`` consecutive exhausted rounds (default 1)
-    end the run. The seed fully determines the run: it spawns independent
+    marks and the evaluations are kept for the last instance solved,
+    verified or tabled (``_compiled``), so solving an equal instance again,
+    under any seed, compiles and evaluates only what earlier commands did
+    not, with the same trace. ``confirmation_count`` consecutive exhausted
+    rounds (default 1) end the run. The seed fully determines the run: it spawns independent
     streams for the initial threshold draw, the schedule's j draws, and
     measurement sampling. An ``initial_threshold`` the fitness register
     cannot hold raises ValueError (``compile_oracle``) before any step, on
@@ -561,7 +564,7 @@ def maximize(
         raise ValueError("confirmation_count must be >= 1")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    plan, marks_at, evaluate = _compiled(instance)
+    plan, _, marks_at, evaluate = _compiled(instance)
     n = instance.n
     big_n = 1 << n
     init_rng, schedule_rng, measure_rng = [

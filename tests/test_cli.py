@@ -518,7 +518,7 @@ class TestRepeatedMain:
         assert capsys.readouterr().out.startswith("OK")
 
 class TestSearchMemo:
-    """Solves in one process share the last instance's compiled search;
+    """Commands in one process share the last instance's compiled search;
     the output never shows it."""
 
     @staticmethod
@@ -529,15 +529,23 @@ class TestSearchMemo:
         return out.getvalue()
 
     def test_warm_and_cold_output_are_byte_identical(self, monkeypatch):
-        # 200 demo seeds, with a 12-item and a wide solve after every 25, so
-        # the one-instance memo is dropped and refilled: first in one warm
-        # pass, then each command again with the memo cleared before it.
+        # 200 demo seeds, with a demo verify and table after every 5 and a
+        # 12-item and a wide verify, solve and table after every 25, so the
+        # one-instance memo is dropped and refilled by each command: first
+        # in one warm pass, then each command again with the memo cleared
+        # before it.
         commands = []
         for seed in range(200):
             flags = ["--seed", str(seed), "--format", "machine"]
             commands.append(["solve", DEMO, "--confirmations", "2", *flags])
             if seed % 25 == 24:
-                commands += [["solve", path, *flags] for path in (TWELVE, WIDE)]
+                commands += [
+                    ["verify", TWELVE], ["solve", TWELVE, *flags], ["table", TWELVE],
+                    ["table", WIDE], ["solve", WIDE, *flags], ["verify", WIDE],
+                    ["verify", DEMO],
+                ]
+            elif seed % 5 == 4:
+                commands += [["verify", DEMO], ["table", DEMO]]
         frames = []
         compile_frame = knapsack.compile_frame
         monkeypatch.setattr(
@@ -545,7 +553,7 @@ class TestSearchMemo:
         )
         warm = [self._run(argv) for argv in commands]
         changes = sum(1 for a, b in zip([None] + commands, commands) if a is None or a[1] != b[1])
-        assert len(frames) == changes == 24  # a frame per change of instance
+        assert len(frames) == changes == 25  # a frame per change of instance
         cold = []
         for argv in commands:
             knapsack._compiled.cache_clear()
@@ -554,10 +562,10 @@ class TestSearchMemo:
         assert warm == cold
 
     def test_verify_reports_a_faulty_mark_after_a_solve(self, monkeypatch, capsys):
-        assert cli.main(["solve", DEMO, "--seed", "1"]) == EXIT_OK
-        capsys.readouterr()
         compile_clean = knapsack.compile_oracle
         monkeypatch.setattr(knapsack, "compile_oracle", lambda plan, t: compile_clean(plan, t + 1))
+        assert cli.main(["solve", DEMO, "--seed", "1"]) == EXIT_OK
+        capsys.readouterr()
         assert cli.main(["verify", DEMO]) == EXIT_MISMATCH
         assert capsys.readouterr().out.startswith("MISMATCH:")
 

@@ -355,6 +355,8 @@ class TestVerify:
         report = verify_instance(demo_instance)
         assert not report.ok
         assert "contamination" in report.mismatch
+        # A failed check is never kept in the search memo, so it fails again.
+        assert verify_instance(demo_instance) == report
 
 
     def test_wrong_marks_are_a_mismatch(self, demo_instance, monkeypatch):
@@ -411,6 +413,24 @@ class TestVerify:
         for seed, error in ((2024.0, TypeError), (-1, ValueError), (np.int64(-1), ValueError)):
             with pytest.raises(error):
                 verify_instance(demo_instance, threshold_seed=seed)
+
+    @pytest.mark.parametrize("stray", [False, True])
+    def test_a_refused_seed_compiles_nothing(self, demo_instance, monkeypatch, stray):
+        # The seed is checked before the table, so it is refused alike on a
+        # clean instance and on one whose compute stage disagrees with brute
+        # force (a stray X on w bit 0), and the search memo stays empty.
+        if stray:
+            prepare_clean = kp.compile_prepare
+            monkeypatch.setattr(
+                kp, "compile_prepare",
+                lambda instance, plan: prepare_clean(instance, plan) + (x(plan.w.bit(0)),),
+            )
+        called = record_memo_stages(monkeypatch)
+        for seed, error in ((-1, ValueError), (1.5, TypeError), (None, TypeError)):
+            with pytest.raises(error):
+                verify_instance(demo_instance, threshold_seed=seed)
+        assert called == [] and kp._compiled.cache_info().currsize == 0
+        assert verify_instance(demo_instance).ok is not stray
 
     def test_wrong_table_reports_the_first_candidate_in_table_order(self, monkeypatch):
         prepare_clean = kp.compile_prepare
@@ -741,8 +761,9 @@ class TestComputeOnce:
 
 class TestBuiltOnce:
     """Circuit blocks are cached. A compiled stage is kept only by the search
-    memo, for the last instance ``maximize`` solved; ``compile_prepare`` and
-    ``compile_oracle`` themselves build afresh on each call."""
+    memo, for the last instance solved, verified or tabled;
+    ``compile_prepare`` and ``compile_oracle`` themselves build afresh on
+    each call."""
 
     def test_compile_prepare_returns_a_fresh_equal_sequence(self, demo_instance):
         plan = plan_registers(demo_instance)
@@ -766,23 +787,45 @@ class TestBuiltOnce:
 
 
 class TestSearchMemo:
-    """``maximize`` keeps the last instance's frame, marks and evaluations;
-    the checks (``verify_instance``, ``enumerate_table``) keep nothing."""
+    """``maximize``, ``verify_instance`` and ``enumerate_table`` read one
+    compile of the last instance: its frame, marks and evaluations."""
 
-    def test_equal_instance_is_warm_and_the_checks_stay_cold(self, demo_instance, monkeypatch):
-        trace = maximize(demo_instance, seed=7)
+    COMMANDS = {
+        "maximize": lambda instance: maximize(instance, seed=7),
+        "verify_instance": verify_instance,
+        "enumerate_table": enumerate_table,
+    }
+
+    @pytest.mark.parametrize("first", COMMANDS)
+    def test_any_command_leaves_the_frame_for_the_other_two(
+        self, demo_instance, monkeypatch, first
+    ):
+        cold = {}
+        for name, command in self.COMMANDS.items():
+            kp._compiled.cache_clear()
+            cold[name] = command(demo_instance)
+        kp._compiled.cache_clear()
+        assert self.COMMANDS[first](demo_instance) == cold[first]
         called = record_memo_stages(monkeypatch)
         equal = KnapsackInstance(tuple(demo_instance.items), demo_instance.capacity)
         assert equal is not demo_instance
-        assert maximize(equal, seed=7) == trace
+        for name, command in self.COMMANDS.items():
+            assert command(equal) == cold[name]
+        assert "compile_frame" not in called
+        # Once all three have run, running them again compiles nothing.
+        called.clear()
+        for name, command in self.COMMANDS.items():
+            assert command(demo_instance) == cold[name]
         assert called == []
-        for _ in range(2):
-            assert verify_instance(demo_instance).ok
-            assert called[:1] == ["compile_frame"] and called.count("compile_oracle") == 5
-            called.clear()
-            enumerate_table(demo_instance)
-            assert called == ["compile_frame"]
-            called.clear()
+
+    def test_verify_checks_the_marks_the_search_read(self, demo_instance, monkeypatch):
+        maximize(demo_instance, seed=1, initial_threshold=13, max_rounds=1)
+        called = record_memo_stages(monkeypatch)
+        report = verify_instance(demo_instance, threshold_seed=10)
+        assert report.ok and report.thresholds_checked == (18, 1, 13, 15, 18)
+        # Only 18, 1 and 15 are compiled: 13 is the search's own marks, and
+        # the second 18 is the first one's.
+        assert called == ["compile_oracle", "oracle_marks"] * 3
 
     def test_marks_are_shared_and_read_only(self, demo_instance, monkeypatch):
         searched = []
@@ -793,7 +836,7 @@ class TestSearchMemo:
         for seed in (1, 2):
             maximize(demo_instance, seed=seed, initial_threshold=13, max_rounds=1)
         assert len(searched) == 2 and searched[0] is searched[1]
-        _, marks_at, _ = kp._compiled(demo_instance)
+        _, _, marks_at, _ = kp._compiled(demo_instance)
         assert marks_at(13) is searched[0]
         with pytest.raises(ValueError, match="read-only"):
             searched[0][0] = not searched[0][0]
@@ -810,7 +853,7 @@ class TestSearchMemo:
 
     def test_at_most_256_thresholds_are_kept(self, monkeypatch):
         instance = KnapsackInstance(((1, 300), (1, 1)), 2)  # f holds [-512, 511]
-        _, marks_at, _ = kp._compiled(instance)
+        _, _, marks_at, _ = kp._compiled(instance)
         for threshold in range(300):
             marks_at(threshold)
         info = marks_at.cache_info()
@@ -823,31 +866,37 @@ class TestSearchMemo:
     def test_a_faulty_prepare_reaches_verify_and_table_after_a_solve(
         self, demo_instance, monkeypatch
     ):
-        maximize(demo_instance, seed=1)
         prepare_clean = kp.compile_prepare
 
         def prepare_with_stray_bit(instance, plan):
             return prepare_clean(instance, plan) + (x(plan.w.bit(0)),)
 
         monkeypatch.setattr(kp, "compile_prepare", prepare_with_stray_bit)
+        maximize(demo_instance, seed=1)
+        called = record_memo_stages(monkeypatch)
         assert verify_instance(demo_instance).mismatch == (
             "candidate 0000: circuit computed (weight=1, fitness=0, valid=True), "
             "classical reference (weight=0, fitness=0, valid=True)"
         )
         assert enumerate_table(demo_instance)[0].weight == 1
+        # Both read the frame the solve searched; only the report's row is new.
+        assert called == ["classical_evaluate"]
 
     def test_a_faulty_mark_reaches_verify_after_a_solve(self, demo_instance, monkeypatch):
-        maximize(demo_instance, seed=1)
         compile_clean = kp.compile_oracle
 
         def compile_off_by_one(plan, threshold):
             return compile_clean(plan, threshold + 1)
 
         monkeypatch.setattr(kp, "compile_oracle", compile_off_by_one)
+        maximize(demo_instance, seed=1, initial_threshold=9, max_rounds=1)
+        called = record_memo_stages(monkeypatch)
         assert verify_instance(demo_instance).mismatch == (
             "candidate 0100 at threshold 9: kickback phase disagrees with "
             "the classical predicate (expected marked=True)"
         )
+        # 15, 5 and 18 are compiled; 9 is the marks the solve searched.
+        assert called == ["compile_oracle", "oracle_marks"] * 3
 
 
 class TestWideRegisters:
