@@ -40,8 +40,8 @@ from .knapsack import (
     CapacityError,
     KnapsackInstance,
     SearchTrace,
+    _table_columns,
     classical_max,
-    enumerate_table,
     estimate_resources,
     maximize,
     plan_registers,
@@ -231,17 +231,23 @@ def cmd_verify(path: str, out=None) -> int:
 
 
 def cmd_table(path: str, out=None) -> int:
-    """Print every candidate's fitness/weight/validity, best row starred."""
+    """Print every candidate's fitness/weight/validity, best row starred.
+
+    Rows are formatted straight from the table-order columns
+    (``_table_columns``); the star marks row d, the best candidate read as
+    a binary number. At most 2^``MAX_ITEMS`` = 4,096 rows, so the table is
+    written as one string."""
     out = out or sys.stdout
     instance = parse_instance(path)
-    rows = enumerate_table(instance)
-    best = classical_max(instance)
+    candidates, weights, fitnesses, valids = _table_columns(instance)
+    best = int(classical_max(instance).candidate, 2)
     out.write("candidate  fitness  weight  validity\n" + "".join(
         "%9s  %7d  %6d  %s%s\n" % (
-            row.candidate, row.fitness, row.weight, "valid" if row.valid else "invalid",
-            "  *" if row.candidate == best.candidate else "",
+            candidate, fitness, weight, "valid" if valid else "invalid", "  *" if d == best else "",
         )
-        for row in rows
+        for d, (candidate, weight, fitness, valid) in enumerate(
+            zip(candidates, weights, fitnesses, valids)
+        )
     ))
     return EXIT_OK
 
@@ -277,7 +283,8 @@ def _ascii_int(minimum: int | None = None):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser and each subcommand's parser, by command name."""
     parser = _ArgumentParser(
         prog="qsmax",
         description=(
@@ -316,17 +323,38 @@ def build_parser() -> argparse.ArgumentParser:
     estimate = sub.add_parser("estimate", help="print gate and qubit counts")
     estimate.add_argument("instance")
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses: built on its first call, not at import."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers ``main`` uses: built on its first call, not at import."""
+    return _build_parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the top parser would. A known command is handed
+    straight to its own parser, which is what the top parser does after
+    reading the command name, with stray arguments reported by the top
+    parser as it reports them; anything else (no arguments, ``-h``, an
+    unknown command) goes through the top parser."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "solve":
             return cmd_solve(

@@ -17,26 +17,32 @@ threshold, searched or verified, compiles only its marking stage
 (``grover.oracle_marks``); the search reads only the marked set. Only the
 item count is bounded (``MAX_ITEMS``): the frame holds 2^n basis states.
 
-``_compiled`` is the one place that builds the frame and the marks, and it
-keeps them for the last instance that ``maximize``, ``verify_instance`` or
-``enumerate_table`` ran on in the process (one entry): the plan, the frame,
-the read-only marks of up to 256 thresholds (2^n bytes each, 1 MiB at
-``MAX_ITEMS``) and the ``classical_evaluate`` row of each candidate a
-search drew or measured (at most 2^n). Any of the three on an equal
-instance, under any seed, reuses them, so ``verify_instance`` checks the
-very frame and marks the search reads. ``estimate_resources`` pushes
-nothing, so it compiles the stages alone and keeps nothing.
+``_compiled`` is the one place that builds the frame, the marks and the
+circuit columns, and it keeps them for the last instance that
+``maximize``, ``verify_instance`` or ``enumerate_table`` ran on in the
+process (one entry): the plan, the frame, the read-only marks of up to 256
+thresholds (2^n bytes each, 1 MiB at ``MAX_ITEMS``), the read-only circuit
+columns once a check reads them (17 x 2^n bytes, 68 KiB at ``MAX_ITEMS``;
+object arrays from 63 bits on) and the
+``classical_evaluate`` row of each candidate a search drew or measured (at
+most 2^n). Any of the three on an equal instance, under any seed, reuses
+them, so ``verify_instance`` checks the very frame, columns and marks the
+search and the table read. ``estimate_resources`` pushes nothing, so it
+compiles the stages alone and keeps nothing.
 
 ``table`` and ``verify`` handle all 2^n candidates as integer columns in
 q order: entry i is q value i, the frame's own order. The circuit side is
-read off the images (``_circuit_columns``); the brute-force side is built
-by subset doubling (``_classical_columns``). ``verify_instance`` compares
-the columns at once, and each threshold's marks against the classical
-predicate column, with no permutation and no candidate string. Table
-order appears only where rows leave the package: ``enumerate_table``
-(which ``table`` prints), the tie-break of ``classical_max`` and a mismatch
-report gather by ``candidate_indices``, an int64 bit reversal built once
-per item count. The per-string ``classical_evaluate`` stays the
+read off the images (``_circuit_columns``, once per instance, in the
+memo); the brute-force side is built by subset doubling
+(``_classical_columns``, once per instance, in a one-entry cache of its
+own). ``verify_instance`` compares the columns at once, and each
+threshold's marks against the classical predicate column, with no
+permutation and no candidate string. Table order appears only where rows
+leave the package: the table (``_table_columns``, which ``enumerate_table``
+zips into rows and ``table`` prints), the tie-break of ``classical_max``
+and a mismatch report gather by ``candidate_indices``, an int64 bit
+reversal built once per item count; the table's candidate strings are
+formatted once per item count. The per-string ``classical_evaluate`` stays the
 independent reference: ``maximize`` checks each measured candidate with
 it, and a verify mismatch report states its row.
 
@@ -238,9 +244,15 @@ def _table_order(n: int) -> bytes:
     return q_values.tobytes()
 
 
+@functools.cache
+def _candidate_strings(n: int) -> tuple[str, ...]:
+    """Every candidate string in table order, formatted once per n."""
+    return tuple(format(d, f"0{n}b") for d in range(1 << n))
+
+
 def all_candidates(n: int) -> list[str]:
     """All candidate strings in table order (string read as a binary number)."""
-    return [format(d, f"0{n}b") for d in range(1 << n)]
+    return list(_candidate_strings(n))
 
 
 def candidate_indices(n: int) -> np.ndarray:
@@ -292,6 +304,13 @@ def classical_evaluate(instance: KnapsackInstance, candidate: str) -> CandidateE
     return CandidateEvaluation(candidate, weight, fitness, weight <= instance.capacity)
 
 
+def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+@functools.lru_cache(maxsize=1)
 def _classical_columns(
     instance: KnapsackInstance,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,7 +320,10 @@ def _classical_columns(
     first to last: item k appends a copy of the array with its weight and
     value added, as q bit k-1, so entry i is q value i. O(2^n) additions,
     no 2^n x n bit matrix. int64 while both sums fit in it; object arrays
-    otherwise.
+    otherwise. Kept, read-only, for the last instance (one entry), so
+    ``verify_instance`` and ``classical_max`` on one instance build it once.
+    It is its own cache, apart from ``_compiled``, so the reference shares
+    nothing with the search memo.
     """
     total_weight = sum(instance.weights)
     dtype = np.int64 if max(total_weight, sum(instance.values)) < 1 << 63 else object
@@ -311,7 +333,7 @@ def _classical_columns(
     weight, fitness = columns
     # No selection outweighs the total, so clamping keeps the comparison
     # within the column's range.
-    return weight, fitness, weight <= min(instance.capacity, total_weight)
+    return _read_only(weight, fitness, weight <= min(instance.capacity, total_weight))
 
 
 def _first_in_table_order(mask: np.ndarray, n: int) -> int:
@@ -396,15 +418,24 @@ def compile_oracle(plan: RegisterPlan, threshold: int) -> tuple[Gate, ...]:
 @functools.lru_cache(maxsize=1)
 def _compiled(instance: KnapsackInstance):
     """The one compile of an instance, kept for the last instance solved,
-    verified or tabled in this process: its plan, its frame, and two
-    memoized functions over them. ``marks_at(threshold)`` is the
-    threshold's read-only marks, shared by every call (the last
+    verified or tabled in this process: its plan and three memoized
+    functions over its frame, which is compiled here and read nowhere
+    else. ``columns()`` is the circuit's weight, fitness and validity
+    columns (``_circuit_columns``), read on first use, so a search never
+    reads them: two int64 columns and one bool, 17 x 2^n bytes (68 KiB at
+    ``MAX_ITEMS``), with object arrays of Python ints from 63 bits on.
+    ``marks_at(threshold)`` is the threshold's marks (the last
     ``_BUILDER_CACHE_SIZE`` thresholds are kept; typed, so a threshold
-    equal to a cached one but of another type compiles as it would cold). ``evaluate(q_value)`` is that candidate's
-    ``classical_evaluate`` row. None of it depends on the seed, and a call
-    that raises leaves nothing cached."""
+    equal to a cached one but of another type compiles as it would cold).
+    Both are read-only and shared by every call. ``evaluate(q_value)`` is that candidate's ``classical_evaluate``
+    row. None of it depends on the seed, and a call that raises leaves
+    nothing cached."""
     plan = plan_registers(instance)
     frame = compile_frame(instance, plan)
+
+    @functools.cache
+    def columns() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _read_only(*_circuit_columns(plan, frame))
 
     @functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE, typed=True)
     def marks_at(threshold: int) -> np.ndarray:
@@ -416,7 +447,7 @@ def _compiled(instance: KnapsackInstance):
     def evaluate(candidate_index: int) -> CandidateEvaluation:
         return classical_evaluate(instance, index_to_candidate(candidate_index, instance.n))
 
-    return plan, frame, marks_at, evaluate
+    return plan, columns, marks_at, evaluate
 
 
 def _circuit_columns(
@@ -435,21 +466,26 @@ def _circuit_columns(
     return weight, np.where(valid, stored, -stored), valid
 
 
+def _table_columns(instance: KnapsackInstance) -> tuple[tuple[str, ...], list, list, list]:
+    """Candidate strings and the circuit's weight, fitness and validity
+    lists, all in table order: the memo's columns (``_compiled``) gathered
+    by ``candidate_indices``. The one table path, for ``enumerate_table``
+    and the ``table`` command."""
+    _, columns, _, _ = _compiled(instance)
+    order = candidate_indices(instance.n)
+    return (_candidate_strings(instance.n), *(column[order].tolist() for column in columns()))
+
+
 def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:
     """Evaluate every candidate through the oracle's compute stage.
 
     The candidate basis states' images under ``prepare`` are the frame
-    ``maximize`` and ``verify_instance`` read (``_compiled``); w, f and v
-    are read off them as whole columns, then gathered into table order by
-    ``candidate_indices``.
+    ``maximize`` and ``verify_instance`` read (``_compiled``), and w, f and
+    v are the columns ``verify_instance`` compares, read once per instance;
+    they are gathered into table order (``_table_columns``) and zipped into
+    rows.
     """
-    plan, frame, _, _ = _compiled(instance)
-    order = candidate_indices(instance.n)
-    columns = _circuit_columns(plan, frame)
-    return [
-        CandidateEvaluation(*row)
-        for row in zip(all_candidates(instance.n), *(column[order].tolist() for column in columns))
-    ]
+    return [CandidateEvaluation(*row) for row in zip(*_table_columns(instance))]
 
 
 def verify_instance(
@@ -459,14 +495,15 @@ def verify_instance(
 
     Checks the circuit-computed table against brute force for all
     candidates, then the oracle against the classical predicate (valid and
-    fitness strictly above threshold) at 5 sampled thresholds. The frame
-    and each threshold's marks are the ones ``maximize`` searches
-    (``_compiled``), so a fault in them shows here; an ``IntegrityError``
-    is never kept, so it is reported on every call. The references,
-    ``_classical_columns`` and ``classical_evaluate``, share nothing with
-    the memo.
-    Both sides are whole columns in q order (``_circuit_columns``,
-    ``_classical_columns``), compared at once with no permutation; a
+    fitness strictly above threshold) at 5 sampled thresholds. The frame,
+    its circuit columns and each threshold's marks are the ones
+    ``maximize`` searches and ``enumerate_table`` prints (``_compiled``),
+    so a fault in them shows here; an ``IntegrityError`` is never kept, so
+    it is reported on every call. The references, ``_classical_columns``
+    (kept apart for the last instance, so ``classical_max`` reuses it) and
+    ``classical_evaluate``, share nothing with the memo.
+    Both sides are whole columns in q order, each read once per instance
+    and compared at once with no permutation; a
     passing instance builds no candidate string. A report names the first
     disagreeing candidate in table order (``_first_in_table_order``), and
     only that candidate is evaluated per string, by ``classical_evaluate``.
@@ -483,9 +520,9 @@ def verify_instance(
     seed = operator.index(threshold_seed)
     if seed < 0:
         raise ValueError(f"threshold_seed must be non-negative, got {seed}")
-    plan, frame, marks_at, _ = _compiled(instance)
+    _, columns, marks_at, _ = _compiled(instance)
     n = instance.n
-    circuit_weight, circuit_fitness, circuit_valid = _circuit_columns(plan, frame)
+    circuit_weight, circuit_fitness, circuit_valid = columns()
     weight, fitness, valid = _classical_columns(instance)
 
     disagree = (circuit_weight != weight) | (circuit_fitness != fitness) | (circuit_valid != valid)

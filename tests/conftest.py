@@ -11,7 +11,7 @@ from hypothesis import settings
 import reference_engine as ref
 from qsmax import arithmetic as ar
 from qsmax import statevector as sv
-from qsmax.knapsack import KnapsackInstance, _compiled, plan_registers
+from qsmax.knapsack import KnapsackInstance, _classical_columns, _compiled, plan_registers
 
 # Property tests draw the same examples on every run (no example database,
 # no wall-clock deadline), so Tier-1 stays deterministic on a loaded host.
@@ -33,9 +33,11 @@ DEMO_BEST_FITNESS = 18
 
 @pytest.fixture(autouse=True)
 def cold_search_memo():
-    """Every test starts with nothing compiled for ``maximize``, so what a
-    test counts or patches does not depend on the tests run before it."""
+    """Every test starts with nothing compiled for ``maximize`` and no
+    brute-force reference built, so what a test counts or patches does not
+    depend on the tests run before it."""
     _compiled.cache_clear()
+    _classical_columns.cache_clear()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from qsmax.knapsack import (
     all_candidates,
     classical_evaluate,
     classical_max,
+    enumerate_table,
 )
 
 DEMO = str(DEMO_INSTANCE_FILE)
@@ -496,9 +498,9 @@ class TestRepeatedMain:
 
     def test_parser_is_built_once(self, monkeypatch, capsys):
         built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-        cli._parser.cache_clear()
+        build = cli._build_parsers
+        monkeypatch.setattr(cli, "_build_parsers", lambda: built.append(1) or build())
+        cli._parsers.cache_clear()
         cli.main(["estimate", DEMO])
         cli.main(["table", DEMO])
         capsys.readouterr()
@@ -568,6 +570,148 @@ class TestSearchMemo:
         capsys.readouterr()
         assert cli.main(["verify", DEMO]) == EXIT_MISMATCH
         assert capsys.readouterr().out.startswith("MISMATCH:")
+
+    def test_verify_then_table_read_each_column_once(self, monkeypatch):
+        read = []
+        columns = grover.PreparedFrame.columns
+        monkeypatch.setattr(
+            grover.PreparedFrame, "columns", lambda *args: read.append(1) or columns(*args)
+        )
+        built = knapsack._classical_columns.cache_info
+        first = [self._run([command, TWELVE]) for command in ("verify", "table")]
+        assert len(read) == 1 and built().misses == 1
+        second = [self._run([command, TWELVE]) for command in ("verify", "table")]
+        assert len(read) == 1 and built().misses == 1
+        assert second == first
+
+    def test_a_faulty_circuit_column_is_a_mismatch_after_a_table(self, monkeypatch, capsys):
+        # The table reads the faulty columns and builds the reference for
+        # its star; verify then reads both caches and still disagrees, so
+        # the reference is not derived from the circuit columns.
+        circuit_clean = knapsack._circuit_columns
+
+        def circuit_with_heavy_1100(plan, frame):
+            weight, fitness, valid = circuit_clean(plan, frame)
+            weight[3] += 1  # q value 3 is candidate "1100"
+            return weight, fitness, valid
+
+        monkeypatch.setattr(knapsack, "_circuit_columns", circuit_with_heavy_1100)
+        assert cli.main(["table", DEMO]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[13] == "     1100       14      12  invalid"
+        assert rows[8].endswith("0111       18       9  valid  *")
+        assert cli.main(["verify", DEMO]) == EXIT_MISMATCH
+        assert capsys.readouterr().out == (
+            "MISMATCH: candidate 1100: circuit computed (weight=12, fitness=14, valid=False), "
+            "classical reference (weight=11, fitness=14, valid=False)\n"
+        )
+
+
+def table_from_rows(instance) -> str:
+    """The ``table`` output formatted from ``enumerate_table``'s rows, with
+    the ``classical_max`` row starred."""
+    best = classical_max(instance).candidate
+    return "candidate  fitness  weight  validity\n" + "".join(
+        "%9s  %7d  %6d  %s%s\n" % (
+            row.candidate, row.fitness, row.weight, "valid" if row.valid else "invalid",
+            "  *" if row.candidate == best else "",
+        )
+        for row in enumerate_table(instance)
+    )
+
+
+class TestTableFromColumns:
+    """``table`` prints straight from the columns what formatting
+    ``enumerate_table``'s rows prints."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_output_equals_the_formatted_rows(self, tmp_path, capsys, seed):
+        # Even seeds draw fields from 0..3, so rows tie; odd seeds draw at
+        # least two of them from 2 below to 1 above 2^63 or 2^64, so the
+        # sums pass 2^63 and the columns hold Python ints.
+        rng = random.Random(seed)
+        n = rng.randint(1 + seed % 2, 8)
+        base = rng.choice((1 << 63, 1 << 64)) - 2 if seed % 2 else 0
+        items = [(base + rng.randint(0, 3), base + rng.randint(0, 3)) for _ in range(n)]
+        capacity = rng.randint(0, sum(w for w, _ in items))
+        body = f"capacity {capacity}\n" + "".join(f"item {w} {v}\n" for w, v in items)
+        path = write_instance(tmp_path, body)
+        assert cli.main(["table", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        knapsack._compiled.cache_clear()
+        assert out == table_from_rows(parse_instance(path))
+        assert out.count("*") == 1
+
+
+class TestDispatch:
+    """``main`` hands a known command straight to its own parser. What it
+    prints and returns is what the top parser's path prints and returns."""
+
+    @staticmethod
+    def _main(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit:
+                code = exit.code
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["bogus"],
+            ["solve"],
+            ["solve", "-h"],
+            ["solve", DEMO, "--seed", "-1"],
+            ["solve", DEMO, "--conf", "2", "--format", "machine"],  # an abbreviation
+            ["solve", DEMO, "--seed=3", "--format", "machine"],
+            ["solve", DEMO, "extra", "--bogus"],
+            ["verify", "a", "b"],
+            ["table"],
+        ],
+        ids=" ".join,
+    )
+    def test_same_output_as_the_top_parser(self, monkeypatch, argv):
+        direct = self._main(argv)
+        parser, _ = cli._parsers()
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))  # no command is known
+        assert self._main(argv) == direct
+
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (["verify", "a", "b"], "qsmax: error: unrecognized arguments: b\n"),
+            (
+                ["solve", DEMO, "extra", "--bogus"],
+                "qsmax: error: unrecognized arguments: extra --bogus\n",
+            ),
+            (["table"], "qsmax table: error: the following arguments are required: instance\n"),
+            (["bogus"], "qsmax: error: argument command: invalid choice: 'bogus' "
+                        "(choose from 'solve', 'verify', 'table', 'estimate')\n"),
+        ],
+    )
+    def test_error_text(self, argv, stderr):
+        code, out, err = self._main(argv)
+        usage = "usage: qsmax table [-h] instance\n" if argv == ["table"] else (
+            "usage: qsmax [-h] {solve,verify,table,estimate} ...\n"
+        )
+        assert (code, out, err) == (EXIT_INPUT, "", usage + stderr)
+
+    def test_a_known_command_skips_the_top_parser(self, monkeypatch, capsys):
+        parser, _ = cli._parsers()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top parser parsed a known command")
+
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        for command in ("verify", "table", "estimate"):
+            assert cli.main([command, DEMO]) == EXIT_OK
+        assert cli.main(["solve", DEMO, "--seed", "2", "--format", "machine"]) == EXIT_OK
+        capsys.readouterr()
+
 
 
 # Run in a fresh interpreter: replaces the oracle compiler with one whose

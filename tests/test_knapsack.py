@@ -788,7 +788,8 @@ class TestBuiltOnce:
 
 class TestSearchMemo:
     """``maximize``, ``verify_instance`` and ``enumerate_table`` read one
-    compile of the last instance: its frame, marks and evaluations."""
+    compile of the last instance: its frame, circuit columns, marks and
+    evaluations."""
 
     COMMANDS = {
         "maximize": lambda instance: maximize(instance, seed=7),
@@ -836,10 +837,28 @@ class TestSearchMemo:
         for seed in (1, 2):
             maximize(demo_instance, seed=seed, initial_threshold=13, max_rounds=1)
         assert len(searched) == 2 and searched[0] is searched[1]
-        _, _, marks_at, _ = kp._compiled(demo_instance)
+        _, columns, marks_at, _ = kp._compiled(demo_instance)
         assert marks_at(13) is searched[0]
         with pytest.raises(ValueError, match="read-only"):
             searched[0][0] = not searched[0][0]
+        # A search never reads the circuit columns.
+        assert columns.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["int64", "object"])
+    def test_shared_columns_are_read_only(self, demo_instance, wide):
+        instance = demo_instance
+        if wide:  # fields past 2^63: both sides are object arrays
+            instance = KnapsackInstance(((1 << 63, 1 << 63), (1, 1)), 1 << 63)
+        assert verify_instance(instance).ok
+        _, columns, _, _ = kp._compiled(instance)
+        shared = columns() + kp._classical_columns(instance)
+        again = columns() + kp._classical_columns(instance)
+        assert all(column is other for column, other in zip(shared, again))
+        assert [column.dtype == object for column in shared] == [wide, wide, False] * 2
+        for column in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        assert verify_instance(instance).ok
 
     def test_unrepresentable_initial_threshold_raises_on_every_call(self, demo_instance):
         maximize(demo_instance, seed=0, initial_threshold=13)
@@ -853,7 +872,7 @@ class TestSearchMemo:
 
     def test_at_most_256_thresholds_are_kept(self, monkeypatch):
         instance = KnapsackInstance(((1, 300), (1, 1)), 2)  # f holds [-512, 511]
-        _, _, marks_at, _ = kp._compiled(instance)
+        _, columns, marks_at, _ = kp._compiled(instance)
         for threshold in range(300):
             marks_at(threshold)
         info = marks_at.cache_info()
@@ -862,6 +881,9 @@ class TestSearchMemo:
         marks_at(299)  # kept
         marks_at(0)  # dropped, so compiled and pushed again
         assert called == ["compile_oracle", "oracle_marks"]
+        # The columns are one more entry of the memo, not a threshold's.
+        weight, _, _ = columns()
+        assert weight is columns()[0] and marks_at.cache_info().currsize == 256
 
     def test_a_faulty_prepare_reaches_verify_and_table_after_a_solve(
         self, demo_instance, monkeypatch
