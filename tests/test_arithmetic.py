@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import apply_to_basis, operand_registers
+from conftest import REPO_ROOT, apply_to_basis, operand_registers
 from qsmax import arithmetic as ar
 from qsmax import statevector as sv
 from qsmax.arithmetic import (
@@ -21,6 +23,8 @@ from qsmax.arithmetic import (
     build_signed_comparator,
     build_subtractor,
 )
+from qsmax.cli import parse_instance
+from qsmax.knapsack import KnapsackInstance, compile_prepare, plan_registers
 from qsmax.statevector import GateKind, x
 
 WIDTHS = [2, 3, 4, 5]
@@ -388,3 +392,39 @@ class TestMemoizedBuilders:
                 build_load_constant(8, a)
             with pytest.raises(ValueError, match="overlap"):
                 build_adder(a, a, 5)
+
+
+
+# SHA-256 of the canonical gate lists of ``_pinned_circuits``: any change to
+# which gates a block emits, or their order or operands, changes it.
+PINNED_CIRCUITS_SHA256 = "6ff459d8b5ed4d106f82384f5cd412860eae980c9cdd69d86f9b18ce411c0c8b"
+
+
+def _pinned_circuits():
+    """Every controlled block at widths 1-11 in three disjoint register
+    layouts, each with the control below and above the registers, then the
+    compute stage of the demo, the wide instance and 50 seeded instances."""
+    for n in range(1, 12):
+        for a_at, b_at, high in ((1, 1 + n, 1 + 2 * n), (2 + n, 1, 1 + n), (3, 4 + n, 1)):
+            a, b = RegisterRef("a", a_at, n), RegisterRef("b", b_at, n)
+            for ctrl in (0, max(*a.bits, *b.bits, high) + 1):
+                yield build_controlled_adder(ctrl, a, b, high)
+                yield build_controlled_modular_adder(ctrl, a, b)
+                yield build_controlled_negate(ctrl, b)
+    for name in ("knapsack4.txt", "knapsack_wide.txt"):
+        instance = parse_instance(str(REPO_ROOT / "instances" / name))
+        yield compile_prepare(instance, plan_registers(instance))
+    rng = np.random.default_rng(26)
+    for _ in range(50):
+        items = rng.integers(0, 200, size=(int(rng.integers(1, 9)), 2))
+        capacity = int(rng.integers(0, 600))
+        instance = KnapsackInstance(tuple((int(w), int(v)) for w, v in items), capacity)
+        yield compile_prepare(instance, plan_registers(instance))
+
+
+def test_circuits_are_pinned_gate_for_gate():
+    digest = hashlib.sha256()
+    for circuit in _pinned_circuits():
+        canonical = [(g.kind.value, g.targets, g.controls) for g in circuit]
+        digest.update(repr(canonical).encode())
+    assert digest.hexdigest() == PINNED_CIRCUITS_SHA256

@@ -468,10 +468,13 @@ class TestGoldenFiles:
         assert cli.main(["verify", path]) == EXIT_OK
         assert capsys.readouterr() == (f"OK ({count} candidates checked)\n", "")
 
-    def test_estimate_output(self):
+    @pytest.mark.parametrize(
+        "path, name", [(DEMO, "estimate.golden"), (WIDE, "estimate_wide.golden")], ids=["demo", "wide"]
+    )
+    def test_estimate_output(self, path, name):
         out = io.StringIO()
-        cli.cmd_estimate(DEMO, out=out)
-        assert out.getvalue() == self._golden("estimate.golden")
+        cli.cmd_estimate(path, out=out)
+        assert out.getvalue() == self._golden(name)
 
 
     def test_demo_trace_digest(self):
