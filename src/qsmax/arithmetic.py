@@ -10,9 +10,12 @@ unwinding pass merged into Peres gates, so the emitted inventory is
 Peres/CNOT/Toffoli. Subtraction uses the complement identity
 ``b - a = (b' + a)'``, the comparator computes only the carry chain and
 uncomputes it, and the modular adder reuses the top bit of ``b`` as the
-carry-out. Every builder is a pure function returning a tuple of gates and
-is verified against the classical integer semantics on all basis inputs in
-the test suite.
+carry-out. The controlled adder, controlled modular adder and controlled
+negation are not written out: one transform, ``_controlled``, derives each
+from its uncontrolled circuit, so the adder the oracle runs under an item
+qubit is the adder the tests check. Every builder is a pure function
+returning a tuple of gates and is verified against the classical integer
+semantics on all basis inputs in the test suite.
 
 The ``build_*`` functions are memoized (``functools.lru_cache``, at most
 ``_BUILDER_CACHE_SIZE`` circuits each), so a block is built once per process
@@ -30,15 +33,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Sequence
 
-from .statevector import (
-    Gate,
-    cnot,
-    controlled_x,
-    mcx,
-    peres,
-    toffoli,
-    x,
-)
+from .statevector import Gate, GateKind, cnot, controlled_x, peres, toffoli, x
 
 _BUILDER_CACHE_SIZE = 256
 _memoize = functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE)
@@ -199,38 +194,41 @@ def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> tuple[Gate, ...]:
     return tuple(gates)
 
 
+def _controlled(gates: Sequence[Gate], ctrl: int, work: Sequence[int]) -> tuple[Gate, ...]:
+    """``gates`` (X, CNOT, Toffoli, MCX, Peres) applied when ``ctrl`` is |1>.
+
+    Each Peres gate is split into its Toffoli and then its CNOT. Every gate
+    that writes a qubit outside ``work`` gains ``ctrl`` as its first
+    control; the gates that write ``work`` stay as they are. That is right
+    only if, once the other gates are skipped, the gates on ``work`` undo
+    each other, as the adder's carry bookkeeping inside ``a`` does.
+    """
+    out = []
+    for gate in gates:
+        if gate.kind is GateKind.PERES:
+            a, b, c = gate.targets
+            split = (toffoli(a, b, c), cnot(a, b))
+        else:
+            split = (gate,)
+        for g in split:
+            (target,) = g.targets
+            out.append(g if target in work else controlled_x((ctrl, *g.controls), target))
+    return tuple(out)
+
+
 @_memoize
 def build_controlled_adder(
     ctrl: int, a: RegisterRef, b: RegisterRef, high: int
 ) -> tuple[Gate, ...]:
     """Adder applied when ``ctrl`` is |1>, identity when |0>.
 
-    Only the gates that write into ``b`` or ``high`` gain the extra control;
-    the carry bookkeeping inside ``a`` cancels on its own when the sum bits
-    are never written.
+    Derived from ``build_adder``: only the gates that write into ``b`` or
+    ``high`` gain the extra control, and the carry bookkeeping inside ``a``
+    cancels on its own when the sum bits are never written.
     """
     _check_same_width(a, b)
     _check_disjoint([a, b], [high, ctrl])
-    n = a.width
-    if n == 1:
-        return (mcx((ctrl, a.bit(0), b.bit(0)), high), toffoli(ctrl, a.bit(0), b.bit(0)))
-    gates: list[Gate] = []
-    for i in range(1, n):
-        gates.append(toffoli(ctrl, a.bit(i), b.bit(i)))
-    gates.append(toffoli(ctrl, a.bit(n - 1), high))
-    for i in range(n - 1, 1, -1):
-        gates.append(cnot(a.bit(i - 1), a.bit(i)))
-    for i in range(n - 1):
-        gates.append(toffoli(a.bit(i), b.bit(i), a.bit(i + 1)))
-    gates.append(mcx((ctrl, a.bit(n - 1), b.bit(n - 1)), high))
-    for i in range(n - 1, 0, -1):
-        gates.append(toffoli(ctrl, a.bit(i), b.bit(i)))
-        gates.append(toffoli(a.bit(i - 1), b.bit(i - 1), a.bit(i)))
-    for i in range(1, n - 1):
-        gates.append(cnot(a.bit(i), a.bit(i + 1)))
-    for i in range(n):
-        gates.append(toffoli(ctrl, a.bit(i), b.bit(i)))
-    return tuple(gates)
+    return _controlled(build_adder(a, b, high), ctrl, a.bits)
 
 
 @_memoize
@@ -253,16 +251,14 @@ def build_modular_adder(a: RegisterRef, b: RegisterRef) -> tuple[Gate, ...]:
 def build_controlled_modular_adder(
     ctrl: int, a: RegisterRef, b: RegisterRef
 ) -> tuple[Gate, ...]:
-    """Controlled (A+B) mod 2^n; the workhorse of the oracle compiler."""
+    """Controlled (A+B) mod 2^n; the workhorse of the oracle compiler.
+
+    Derived from ``build_modular_adder`` as the controlled adder is from
+    ``build_adder``: the gates that write ``b`` gain the extra control.
+    """
     _check_same_width(a, b)
     _check_disjoint([a, b], [ctrl])
-    n = a.width
-    if n == 1:
-        return (toffoli(ctrl, a.bit(0), b.bit(0)),)
-    low_a, low_b = a.slice(n - 1), b.slice(n - 1)
-    return build_controlled_adder(ctrl, low_a, low_b, b.bit(n - 1)) + (
-        toffoli(ctrl, a.bit(n - 1), b.bit(n - 1)),
-    )
+    return _controlled(build_modular_adder(a, b), ctrl, a.bits)
 
 
 @_memoize
@@ -333,14 +329,12 @@ def build_load_constant(value: int, reg: RegisterRef) -> tuple[Gate, ...]:
 def build_controlled_negate(ctrl: int, f: RegisterRef) -> tuple[Gate, ...]:
     """Two's-complement negation of ``f`` when ``ctrl`` is |1>.
 
-    Complement all bits, then add one (controlled increment). Negating the
-    most negative value -2^(p-1) wraps to itself, the standard two's
-    complement behaviour.
+    Complement all bits, then add one: bit k flips when every bit below it
+    is 1, from the top bit down. Every gate of that negation gains the
+    extra control. Negating the most negative value -2^(p-1) wraps to
+    itself, the standard two's complement behaviour.
     """
     _check_disjoint([f], [ctrl])
-    p = f.width
-    gates: list[Gate] = [cnot(ctrl, f.bit(i)) for i in range(p)]
-    for k in range(p - 1, 0, -1):
-        gates.append(controlled_x((ctrl, *[f.bit(j) for j in range(k)]), f.bit(k)))
-    gates.append(cnot(ctrl, f.bit(0)))
-    return tuple(gates)
+    complement = tuple(x(q) for q in f.bits)
+    increment = tuple(controlled_x(f.bits[:k], f.bit(k)) for k in range(f.width - 1, 0, -1))
+    return _controlled(complement + increment + (x(f.bit(0)),), ctrl, ())

@@ -232,11 +232,11 @@ def index_to_candidate(index: int, n: int) -> str:
     return format(index, f"0{n}b")[::-1]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _table_order(n: int) -> bytes:
     """Every candidate's q value in table order, as int64 bytes: d with its n
-    bits reversed, in n shift-and-or passes over ``arange(2^n)``. Built once
-    per n; bytes are immutable, so all callers can share them."""
+    bits reversed, in n shift-and-or passes over ``arange(2^n)``. Kept for
+    the last n; bytes are immutable, so all callers can share them."""
     rows = np.arange(1 << n, dtype=np.int64)
     q_values = np.zeros_like(rows)
     for b in range(n):
@@ -244,9 +244,9 @@ def _table_order(n: int) -> bytes:
     return q_values.tobytes()
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _candidate_strings(n: int) -> tuple[str, ...]:
-    """Every candidate string in table order, formatted once per n."""
+    """Every candidate string in table order, kept for the last n."""
     return tuple(format(d, f"0{n}b") for d in range(1 << n))
 
 
@@ -525,22 +525,20 @@ def verify_instance(
     circuit_weight, circuit_fitness, circuit_valid = columns()
     weight, fitness, valid = _classical_columns(instance)
 
+    def report(thresholds: tuple[int, ...], mismatch: str | None = None) -> VerifyReport:
+        return VerifyReport(mismatch is None, 1 << n, thresholds, mismatch)
+
     disagree = (circuit_weight != weight) | (circuit_fitness != fitness) | (circuit_valid != valid)
     if disagree.any():
         first = _first_in_table_order(disagree, n)
         classical = classical_evaluate(instance, index_to_candidate(first, n))
-        return VerifyReport(
-            ok=False,
-            candidates_checked=1 << n,
-            thresholds_checked=(),
-            mismatch=(
-                f"candidate {classical.candidate}: circuit computed "
-                f"(weight={circuit_weight[first]}, fitness={circuit_fitness[first]}, "
-                f"valid={circuit_valid[first]}), classical reference "
-                f"(weight={classical.weight}, fitness={classical.fitness}, "
-                f"valid={classical.valid})"
-            ),
-        )
+        return report((), (
+            f"candidate {classical.candidate}: circuit computed "
+            f"(weight={circuit_weight[first]}, fitness={circuit_fitness[first]}, "
+            f"valid={circuit_valid[first]}), classical reference "
+            f"(weight={classical.weight}, fitness={classical.fitness}, "
+            f"valid={classical.valid})"
+        ))
 
     draw, top = random.Random(seed).randint, sum(instance.values)
     thresholds = tuple(draw(0, top) for _ in range(5))
@@ -548,27 +546,17 @@ def verify_instance(
         try:
             marks = marks_at(threshold)
         except IntegrityError as err:
-            return VerifyReport(
-                ok=False,
-                candidates_checked=1 << n,
-                thresholds_checked=thresholds,
-                mismatch=f"threshold {threshold}: {err}",
-            )
+            return report(thresholds, f"threshold {threshold}: {err}")
         expected = valid & (fitness > threshold)
         wrong = marks != expected
         if wrong.any():
             first = _first_in_table_order(wrong, n)
-            return VerifyReport(
-                ok=False,
-                candidates_checked=1 << n,
-                thresholds_checked=thresholds,
-                mismatch=(
-                    f"candidate {index_to_candidate(first, n)} at threshold {threshold}: "
-                    f"kickback phase disagrees with the classical predicate "
-                    f"(expected marked={bool(expected[first])})"
-                ),
-            )
-    return VerifyReport(ok=True, candidates_checked=1 << n, thresholds_checked=thresholds)
+            return report(thresholds, (
+                f"candidate {index_to_candidate(first, n)} at threshold {threshold}: "
+                f"kickback phase disagrees with the classical predicate "
+                f"(expected marked={bool(expected[first])})"
+            ))
+    return report(thresholds)
 
 
 def maximize(

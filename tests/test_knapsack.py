@@ -143,6 +143,17 @@ class TestInstance:
         assert candidate_indices(n).tolist() == [candidate_to_index(c, n) for c in strings]
         assert all_candidates(n) == strings
 
+    def test_table_caches_keep_only_the_last_item_count(self):
+        indices, candidates = candidate_indices(3), all_candidates(5)
+        for cache in (kp._table_order, kp._candidate_strings):
+            assert cache.cache_info().maxsize == 1
+            assert cache.cache_info().currsize == 1
+        # an array still reads the order it was made from after an eviction
+        assert indices.tolist() == [candidate_to_index(format(d, "03b"), 3) for d in range(8)]
+        assert candidates == [format(d, "05b") for d in range(32)]
+        assert candidate_indices(5).tolist() == [candidate_to_index(c, 5) for c in candidates]
+        assert all_candidates(3) == [format(d, "03b") for d in range(8)]
+
     def test_bad_candidate_strings(self):
         with pytest.raises(ValueError):
             candidate_to_index("012", 3)
