@@ -443,14 +443,29 @@ class TestGoldenFiles:
 
         return (REPO_ROOT / "tests" / "data" / name).read_text(encoding="utf-8")
 
-    def test_solve_seed1_machine_output(self):
+    @pytest.mark.parametrize(
+        "path, options, name, best",
+        [
+            (DEMO, ["--seed", "1"], "solve_seed1_machine.golden", "0111 final_fitness=18"),
+            (WIDE, [], "solve_wide_machine.golden", "0110 final_fitness=2007005755219599215828"),
+            (
+                WIDE,
+                ["--confirmations", "3"],
+                "solve_wide_confirm3_machine.golden",
+                "0110 final_fitness=2007005755219599215828",
+            ),
+        ],
+        ids=["demo-seed1", "wide", "wide-confirm3"],
+    )
+    def test_solve_machine_output(self, path, options, name, best):
         out = io.StringIO()
-        cli.cmd_solve(DEMO, seed=1, output_format="machine", out=out)
-        golden = self._golden("solve_seed1_machine.golden")
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["solve", path, *options, "--format", "machine"]) == EXIT_OK
+        golden = self._golden(name)
         assert out.getvalue() == golden
         # the pinned transcript must itself agree with the brute-force optimum
         final = golden.strip().splitlines()[-1]
-        assert "final_candidate=0111 final_fitness=18" in final
+        assert f"final_candidate={best} " in final
 
     @pytest.mark.parametrize(
         "path, name", [(DEMO, "table_demo.golden"), (WIDE, "table_wide.golden")], ids=["demo", "wide"]
