@@ -5,17 +5,16 @@ with bit 0 the least significant. Signed values use two's complement; the
 most significant bit is the sign (0 = '+', 1 = '-').
 
 The in-place adder is the ancilla-free ripple scheme of Takahashi, Tani and
-Kunihiro (arXiv:0910.2530), with the adjacent Toffoli/CNOT pairs of its
-unwinding pass merged into Peres gates, so the emitted inventory is
-Peres/CNOT/Toffoli. Subtraction uses the complement identity
-``b - a = (b' + a)'``, the comparator computes only the carry chain and
-uncomputes it, and the modular adder reuses the top bit of ``b`` as the
-carry-out. The controlled adder, controlled modular adder and controlled
-negation are not written out: one transform, ``_controlled``, derives each
-from its uncontrolled circuit, so the adder the oracle runs under an item
-qubit is the adder the tests check. Every builder is a pure function
-returning a tuple of gates and is verified against the classical integer
-semantics on all basis inputs in the test suite.
+Kunihiro (arXiv:0910.2530), emitted as Toffoli and CNOT gates only: its
+unwinding pass is a Toffoli then a CNOT per bit. Subtraction uses the
+complement identity ``b - a = (b' + a)'``, the comparator computes only the
+carry chain and uncomputes it, and the modular adder reuses the top bit of
+``b`` as the carry-out. The controlled adder, controlled modular adder and
+controlled negation are not written out: one transform, ``_controlled``,
+derives each from its uncontrolled circuit, so the adder the oracle runs
+under an item qubit is the adder the tests check. Every builder is a pure
+function returning a tuple of gates and is verified against the classical
+integer semantics on all basis inputs in the test suite.
 
 The ``build_*`` functions are memoized (``functools.lru_cache``, at most
 ``_BUILDER_CACHE_SIZE`` circuits each), so a block is built once per process
@@ -33,7 +32,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple, Sequence
 
-from .statevector import Gate, GateKind, cnot, controlled_x, peres, toffoli, x
+from .statevector import Gate, cnot, controlled_x, toffoli, x
 
 _BUILDER_CACHE_SIZE = 256
 _memoize = functools.lru_cache(maxsize=_BUILDER_CACHE_SIZE)
@@ -181,11 +180,11 @@ def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> tuple[Gate, ...]:
     _check_disjoint([a, b], [high])
     n = a.width
     if n == 1:
-        return (peres(a.bit(0), b.bit(0), high),)
+        return (toffoli(a.bit(0), b.bit(0), high), cnot(a.bit(0), b.bit(0)))
     gates = _carry_prefix(a, b, high)
-    gates.append(peres(a.bit(n - 1), b.bit(n - 1), high))
+    gates += (toffoli(a.bit(n - 1), b.bit(n - 1), high), cnot(a.bit(n - 1), b.bit(n - 1)))
     for j in range(n - 2, 0, -1):
-        gates.append(peres(a.bit(j), b.bit(j), a.bit(j + 1)))
+        gates += (toffoli(a.bit(j), b.bit(j), a.bit(j + 1)), cnot(a.bit(j), b.bit(j)))
     gates.append(toffoli(a.bit(0), b.bit(0), a.bit(1)))
     for i in range(1, n - 1):
         gates.append(cnot(a.bit(i), a.bit(i + 1)))
@@ -195,24 +194,17 @@ def build_adder(a: RegisterRef, b: RegisterRef, high: int) -> tuple[Gate, ...]:
 
 
 def _controlled(gates: Sequence[Gate], ctrl: int, work: Sequence[int]) -> tuple[Gate, ...]:
-    """``gates`` (X, CNOT, Toffoli, MCX, Peres) applied when ``ctrl`` is |1>.
+    """``gates`` (X, CNOT, Toffoli, MCX) applied when ``ctrl`` is |1>.
 
-    Each Peres gate is split into its Toffoli and then its CNOT. Every gate
-    that writes a qubit outside ``work`` gains ``ctrl`` as its first
-    control; the gates that write ``work`` stay as they are. That is right
-    only if, once the other gates are skipped, the gates on ``work`` undo
-    each other, as the adder's carry bookkeeping inside ``a`` does.
+    Every gate that writes a qubit outside ``work`` gains ``ctrl`` as its
+    first control; the gates that write ``work`` stay as they are. That is
+    right only if, once the other gates are skipped, the gates on ``work``
+    undo each other, as the adder's carry bookkeeping inside ``a`` does.
     """
     out = []
     for gate in gates:
-        if gate.kind is GateKind.PERES:
-            a, b, c = gate.targets
-            split = (toffoli(a, b, c), cnot(a, b))
-        else:
-            split = (gate,)
-        for g in split:
-            (target,) = g.targets
-            out.append(g if target in work else controlled_x((ctrl, *g.controls), target))
+        (target,) = gate.targets
+        out.append(gate if target in work else controlled_x((ctrl, *gate.controls), target))
     return tuple(out)
 
 

@@ -654,10 +654,10 @@ def maximize(
 
 
 def _toffoli_equivalents(kind: GateKind, gate_qubits: int, controls: int) -> int:
-    """Documented accounting: TOFFOLI and PERES (either direction) count 1;
-    MCX with k controls counts 2(k-1)-1; the m-operand zero-subspace phase
-    flip counts like an MCX with m-1 controls; X/H/CNOT count 0."""
-    if kind in (GateKind.TOFFOLI, GateKind.PERES, GateKind.PERES_INV):
+    """Documented accounting: TOFFOLI counts 1; MCX with k controls counts
+    2(k-1)-1; the m-operand zero-subspace phase flip counts like an MCX with
+    m-1 controls; X/H/CNOT count 0."""
+    if kind is GateKind.TOFFOLI:
         return 1
     if kind is GateKind.MCX:
         return max(2 * (controls - 1) - 1, 0)

@@ -6,11 +6,12 @@ Conventions used throughout the package:
   (little-endian). Human-readable bitstrings elsewhere are rendered
   most-significant-first and never leak into this module.
 
-Gate set: X, H, CNOT, TOFFOLI, MCX (multi-controlled X), PERES and its
-adjoint, and a phase flip on the all-zero subspace of a qubit list (the
-phase core of the inversion-about-average operator). All of them except H
-and the phase flip permute basis states; ``permute_planes`` runs a circuit
-of those as an integer map on a set of basis states, with no amplitudes.
+Gate set: X, H, CNOT, TOFFOLI, MCX (multi-controlled X) and a phase flip
+on the all-zero subspace of a qubit list (the phase core of the
+inversion-about-average operator). Every gate is its own inverse. All of
+them except H and the phase flip permute basis states; ``permute_planes``
+runs a circuit of those as an integer map on a set of basis states, with
+no amplitudes.
 The states are held bit-sliced: one Python int per qubit holds that qubit's
 bit of every state (a bit plane), so a gate costs one or two big-int
 operations however many states there are. A register may be any width,
@@ -20,7 +21,7 @@ state vector engine it is checked against lives with the tests.
 
 A circuit is a plain tuple of frozen Gates, so both can be shared freely;
 the arithmetic builders cache whole circuits, and ``inverse`` derives a
-circuit's adjoint where it is run.
+circuit's adjoint, its gates in reverse order, where it is run.
 """
 
 from __future__ import annotations
@@ -39,15 +40,12 @@ class GateKind(enum.Enum):
     H = "H"
     CNOT = "CNOT"
     TOFFOLI = "TOFFOLI"
-    PERES = "PERES"
-    PERES_INV = "PERES_INV"
     MCX = "MCX"
     CPHASE_FLIP_ZERO = "CPHASE_FLIP_ZERO"
 
 
 # The plane kernel dispatches on these: a global is cheaper than an enum lookup.
 _X, _CNOT, _TOFFOLI, _MCX = GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX
-_PERES, _PERES_INV = GateKind.PERES, GateKind.PERES_INV
 
 
 # Operand-count rule (targets, controls) of each gate kind.
@@ -57,8 +55,6 @@ _OPERAND_RULES = {
     GateKind.CNOT: lambda nt, nc: nt == 1 and nc == 1,
     GateKind.TOFFOLI: lambda nt, nc: nt == 1 and nc == 2,
     GateKind.MCX: lambda nt, nc: nt == 1 and nc >= 1,
-    GateKind.PERES: lambda nt, nc: nt == 3 and nc == 0,
-    GateKind.PERES_INV: lambda nt, nc: nt == 3 and nc == 0,
     GateKind.CPHASE_FLIP_ZERO: lambda nt, nc: nt >= 1 and nc == 0,
 }
 
@@ -67,10 +63,9 @@ _OPERAND_RULES = {
 class Gate:
     """One primitive gate addressed by qubit index.
 
-    ``targets`` for PERES/PERES_INV is the ordered operand triple (a, b, c);
-    PERES maps basis bits (a, b, c) -> (a, a XOR b, (a AND b) XOR c).
-    CPHASE_FLIP_ZERO multiplies the amplitude by -1 on basis states where
-    every listed operand qubit is 0.
+    X, H, CNOT, TOFFOLI and MCX act on their one target. CPHASE_FLIP_ZERO
+    multiplies the amplitude by -1 on basis states where every listed
+    operand qubit is 0.
     """
 
     kind: GateKind
@@ -97,15 +92,6 @@ class Gate:
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.controls + self.targets
-
-    def inverse(self) -> "Gate":
-        """Adjoint gate. Everything except PERES is self-inverse."""
-        kind = self.kind
-        if kind is _PERES:
-            return peres_inv(*self.targets)
-        if kind is _PERES_INV:
-            return peres(*self.targets)
-        return self
 
 
 def x(target: int) -> Gate:
@@ -140,21 +126,13 @@ def controlled_x(controls: Sequence[int], target: int) -> Gate:
     return mcx(controls, target)
 
 
-def peres(a: int, b: int, c: int) -> Gate:
-    return Gate(GateKind.PERES, (a, b, c))
-
-
-def peres_inv(a: int, b: int, c: int) -> Gate:
-    return Gate(GateKind.PERES_INV, (a, b, c))
-
-
 def cphase_flip_zero(qubits: Sequence[int]) -> Gate:
     return Gate(GateKind.CPHASE_FLIP_ZERO, tuple(qubits))
 
 
 def inverse(gates: Sequence[Gate]) -> tuple[Gate, ...]:
-    """The adjoint circuit: reversed order, each gate replaced by its adjoint."""
-    return tuple(gate.inverse() for gate in reversed(gates))
+    """The adjoint circuit: every gate is self-inverse, so the reversed order."""
+    return tuple(reversed(gates))
 
 
 def permute_planes(planes: Sequence[int], gates: Iterable[Gate], size: int) -> list[int]:
@@ -162,10 +140,9 @@ def permute_planes(planes: Sequence[int], gates: Iterable[Gate], size: int) -> l
 
     The states are given as bit planes: ``planes[k]`` is one Python int whose
     bit i is qubit k's bit of state i, one plane per qubit. X, CNOT,
-    TOFFOLI, MCX, PERES and PERES_INV send every basis state to one basis
-    state, so each gate XORs its target plane with all ``size`` ones (X) or
-    with the AND of its control planes (PERES: a Toffoli then a CNOT,
-    PERES_INV the reverse): one or two big-int operations per gate, whatever
+    TOFFOLI and MCX send every basis state to one basis state, so each gate
+    XORs its target plane with all ``size`` ones (X) or with the AND of its
+    control planes: one or two big-int operations per gate, whatever
     ``size`` is. Returns a new list; planes no gate touches are the input's
     own ints. Raises ValueError on H or CPHASE_FLIP_ZERO, which do not
     permute the basis, and IndexError on a qubit past the last plane.
@@ -187,14 +164,6 @@ def permute_planes(planes: Sequence[int], gates: Iterable[Gate], size: int) -> l
             for c in controls[1:]:
                 fire &= p[c]
             p[gate.targets[0]] ^= fire
-        elif kind is _PERES:
-            a, b, c = gate.targets
-            p[c] ^= p[a] & p[b]
-            p[b] ^= p[a]
-        elif kind is _PERES_INV:
-            a, b, c = gate.targets
-            p[b] ^= p[a]
-            p[c] ^= p[a] & p[b]
         else:
             raise ValueError(f"{kind.value} does not permute basis states")
     return p

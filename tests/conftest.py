@@ -77,8 +77,6 @@ _PERMUTATION_KINDS = (
     sv.GateKind.CNOT,
     sv.GateKind.TOFFOLI,
     sv.GateKind.MCX,
-    sv.GateKind.PERES,
-    sv.GateKind.PERES_INV,
 )
 _ALL_KINDS = _PERMUTATION_KINDS + (sv.GateKind.H, sv.GateKind.CPHASE_FLIP_ZERO)
 
@@ -97,9 +95,6 @@ def random_gate(rng: np.random.Generator, num_qubits: int, kinds=_ALL_KINDS) -> 
         k = int(rng.integers(1, min(4, num_qubits)))
         qubits = rng.choice(num_qubits, size=k + 1, replace=False)
         return sv.mcx([int(q) for q in qubits[:-1]], int(qubits[-1]))
-    if kind in (sv.GateKind.PERES, sv.GateKind.PERES_INV) and num_qubits >= 3:
-        a, b, c = rng.choice(num_qubits, size=3, replace=False)
-        return sv.Gate(kind, (int(a), int(b), int(c)))
     if kind is sv.GateKind.CPHASE_FLIP_ZERO:
         k = int(rng.integers(1, min(4, num_qubits) + 1))
         qubits = rng.choice(num_qubits, size=k, replace=False)

@@ -112,13 +112,6 @@ def index_step(indices: np.ndarray, gate: Gate) -> np.ndarray:
     elif kind is GateKind.TOFFOLI or kind is GateKind.CNOT or kind is GateKind.MCX:
         cmask = sum(1 << c for c in gate.controls)
         out ^= ((out & cmask) == cmask) * (1 << gate.targets[0])
-    elif kind is GateKind.PERES or kind is GateKind.PERES_INV:
-        a, b, c = gate.targets
-        abit = (out >> a) & 1
-        bbit = (out >> b) & 1
-        if kind is GateKind.PERES_INV:
-            bbit ^= abit  # its CNOT runs first, so its Toffoli reads a XOR b
-        out ^= (abit << b) ^ ((abit & bbit) << c)
     else:
         raise ValueError(f"{kind.value} does not permute basis states")
     return out
@@ -152,8 +145,6 @@ _KERNELS = {
     GateKind.CNOT: _permute,
     GateKind.TOFFOLI: _permute,
     GateKind.MCX: _permute,
-    GateKind.PERES: _permute,
-    GateKind.PERES_INV: _permute,
     GateKind.H: _hadamard,
     GateKind.CPHASE_FLIP_ZERO: _phase_flip_zero,
 }

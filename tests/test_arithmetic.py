@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -97,10 +98,16 @@ class TestAdder:
                 total = basis_a + basis_b
                 assert _fields(out, n) == (basis_a, total % (1 << n), total >> n)
 
-    def test_gate_inventory_is_peres_cnot_toffoli(self):
-        a, b, high, _ = operand_registers(5)
-        kinds = {g.kind for g in build_adder(a, b, high)}
-        assert kinds <= {GateKind.PERES, GateKind.CNOT, GateKind.TOFFOLI}
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_gate_inventory_is_exact(self, n):
+        # Width 1 is one Toffoli and one CNOT; from width 2 the carry ripple
+        # and its unwinding give 2n-1 Toffolis and 5n-5 CNOTs.
+        a, b, high, _ = operand_registers(n)
+        counts = Counter(g.kind for g in build_adder(a, b, high))
+        if n == 1:
+            assert counts == {GateKind.TOFFOLI: 1, GateKind.CNOT: 1}
+        else:
+            assert counts == {GateKind.TOFFOLI: 2 * n - 1, GateKind.CNOT: 5 * n - 5}
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -22,8 +22,6 @@ from qsmax.statevector import (
     h,
     inverse,
     mcx,
-    peres,
-    peres_inv,
     permute_planes,
     toffoli,
     x,
@@ -77,12 +75,6 @@ def gate_unitary(num_qubits: int, gate: Gate) -> np.ndarray:
         return _kron(num_qubits, {gate.targets[0]: _H2})
     if kind in (GateKind.CNOT, GateKind.TOFFOLI, GateKind.MCX):
         return _controlled_x(num_qubits, gate.controls, gate.targets[0])
-    if kind in (GateKind.PERES, GateKind.PERES_INV):
-        a, b, c = gate.targets
-        toffoli_abc = _controlled_x(num_qubits, (a, b), c)
-        cnot_ab = _controlled_x(num_qubits, (a,), b)
-        # PERES is the Toffoli, then the CNOT; PERES_INV the reverse.
-        return cnot_ab @ toffoli_abc if kind is GateKind.PERES else toffoli_abc @ cnot_ab
     if kind is GateKind.CPHASE_FLIP_ZERO:
         zero = _kron(num_qubits, {q: _P0 for q in gate.targets})
         return np.eye(1 << num_qubits) - 2.0 * zero
@@ -151,37 +143,6 @@ class TestGateSemantics:
         assert get_amplitude(apply_gate(new_basis_state(4, 0b0111), gate), 0b1111) == 1.0
         assert get_amplitude(apply_gate(new_basis_state(4, 0b0011), gate), 0b0011) == 1.0
 
-    @staticmethod
-    def _peres_expected(a: int, b: int, c: int) -> tuple[int, int, int]:
-        return a, a ^ b, (a & b) ^ c
-
-    def test_peres_truth_table(self):
-        for bits in range(8):
-            a, b, c = (bits >> 2) & 1, (bits >> 1) & 1, bits & 1
-            state = apply_gate(new_basis_state(3, bits), peres(2, 1, 0))
-            ea, eb, ec = self._peres_expected(a, b, c)
-            assert get_amplitude(state, (ea << 2) | (eb << 1) | ec) == 1.0
-
-    def test_peres_example_110(self):
-        # (a, b, c) = (1, 1, 0) -> (1, 0, 1)
-        state = apply_gate(new_basis_state(3, 0b110), peres(2, 1, 0))
-        assert get_amplitude(state, 0b101) == 1.0
-
-    def test_peres_equals_toffoli_then_cnot(self):
-        for bits in range(8):
-            lhs = apply_gate(new_basis_state(3, bits), peres(2, 1, 0))
-            rhs = new_basis_state(3, bits)
-            apply_gate(rhs, toffoli(2, 1, 0))
-            apply_gate(rhs, cnot(2, 1))
-            np.testing.assert_array_equal(amplitude_vector(lhs), amplitude_vector(rhs))
-
-    def test_peres_inverse_roundtrip(self):
-        for bits in range(8):
-            state = new_basis_state(3, bits)
-            apply_gate(state, peres(2, 1, 0))
-            apply_gate(state, peres_inv(2, 1, 0))
-            assert get_amplitude(state, bits) == 1.0
-
     def test_cphase_flips_only_all_zero(self):
         state = new_zero_state(2)
         apply_gate(state, h(0))
@@ -193,7 +154,7 @@ class TestGateSemantics:
         with pytest.raises(ValueError, match="duplicate"):
             cnot(1, 1)
         with pytest.raises(ValueError, match="operand"):
-            Gate(GateKind.PERES, (0, 1))
+            Gate(GateKind.TOFFOLI, (0, 1), (2,))
         with pytest.raises(ValueError, match="operand"):
             Gate(GateKind.X, (0, 1))
         with pytest.raises(ValueError):
@@ -211,16 +172,15 @@ class TestSequences:
         apply_sequence(state, ())
         np.testing.assert_array_equal(amplitude_vector(state), before)
 
-    def test_reverse_swaps_peres_direction(self):
-        seq = (x(0), peres(0, 1, 2), h(1))
-        kinds = [g.kind for g in inverse(seq)]
-        assert kinds == [GateKind.H, GateKind.PERES_INV, GateKind.X]
+    def test_inverse_is_the_reversed_circuit(self):
+        # Every gate kind is self-inverse, so the adjoint only reverses the order.
+        seq = (x(0), toffoli(0, 1, 2), cnot(2, 1), mcx([0, 1, 2], 3), h(1), cphase_flip_zero([0, 3]))
+        assert inverse(seq) == tuple(reversed(seq))
+        assert inverse(list(seq)) == tuple(reversed(seq))
 
     def test_inverse_of_inverse_is_the_circuit(self):
-        seq = (x(0), peres(0, 1, 2))
+        seq = (x(0), toffoli(0, 1, 2), cnot(2, 1))
         assert inverse(inverse(seq)) == seq
-        assert peres(0, 1, 2).inverse() == peres_inv(0, 1, 2)
-        assert peres_inv(0, 1, 2).inverse() == peres(0, 1, 2)
 
     def test_invalid_gate_raises_on_every_call(self):
         for _ in range(2):
@@ -229,7 +189,7 @@ class TestSequences:
             with pytest.raises(ValueError, match="duplicate"):
                 mcx([1, 1], 2)
             with pytest.raises(ValueError, match="operand counts"):
-                Gate(GateKind.PERES, (0, 1))
+                Gate(GateKind.TOFFOLI, (0, 1), (2,))
 
     def test_four_hadamards_make_uniform(self):
         state = new_zero_state(4)
@@ -350,10 +310,8 @@ class TestEngineProperties:
             gate_unitary(2, cphase_flip_zero([0, 1])), np.diag([-1.0, 1.0, 1.0, 1.0])
         )
         for bits in range(8):
-            a, b, c = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
-            image = a | ((a ^ b) << 1) | (((a & b) ^ c) << 2)
-            assert gate_unitary(3, peres(0, 1, 2))[image, bits] == 1.0
-            assert gate_unitary(3, peres_inv(0, 1, 2))[bits, image] == 1.0
+            image = bits ^ ((bits & (bits >> 1) & 1) << 2)
+            assert gate_unitary(3, toffoli(0, 1, 2))[image, bits] == 1.0
 
     def test_active_set_entries_outside_support_are_exact_zero(self):
         # The stored indices are sorted, distinct and in range, and hold every
@@ -405,7 +363,7 @@ class TestIndexMap:
 
     def test_input_is_not_modified(self):
         planes = [0b10101010, 0b11001100, 0b11110000]
-        image = permute_planes(planes, [x(0), cnot(0, 1), peres(0, 1, 2)], 8)
+        image = permute_planes(planes, [x(0), cnot(0, 1), toffoli(0, 1, 2)], 8)
         assert planes == [0b10101010, 0b11001100, 0b11110000]
         assert image != planes
 
@@ -446,7 +404,7 @@ class TestPlaneKernel:
             self._check(num_qubits, seq, basis)
 
     def test_empty_array(self):
-        seq = (x(0), cnot(0, 1), peres(0, 1, 2))
+        seq = (x(0), cnot(0, 1), toffoli(0, 1, 2))
         assert permute_planes([0, 0, 0], seq, 0) == [0, 0, 0]
 
     @pytest.mark.parametrize("count", [1, 3, 4, 9])
@@ -469,13 +427,6 @@ class TestPlaneKernel:
     def test_wide_mcx(self):
         seq = (x(0), mcx([0, 1, 2, 3, 4], 5), mcx([6, 5, 4, 3, 2, 1], 0))
         self._check(7, seq, np.arange(128, dtype=np.int64))
-
-    def test_mixed_peres_directions(self):
-        rng = np.random.default_rng(72)
-        kinds = (GateKind.PERES, GateKind.PERES_INV)
-        for _ in range(4):
-            seq = random_sequence(rng, 5, 30, kinds=kinds)
-            self._check(5, seq, np.arange(32, dtype=np.int64))
 
     def test_qubits_past_int64_width(self):
         # The same circuits with every operand shifted by 64, on states shifted
