@@ -152,18 +152,20 @@ def _plane_bits(plane: int, n: int) -> np.ndarray:
 
 
 def prepare_frame(
-    prepare: tuple[Gate, ...], q_register: RegisterRef, kickback_qubit: int, num_qubits: int
+    prepare: tuple[Gate, ...], q_register: RegisterRef, kickback_qubit: int
 ) -> PreparedFrame:
     """Write the frame's bit planes in closed form and push them through ``prepare``.
 
-    q bit b of entry i is bit b of i: blocks of 2^b zeros then 2^b ones, so
-    its plane is one such pair of blocks repeated over the N bits, written
-    by shift-doubling in O(N) bit operations; every other plane is 0.
-    ``prepare`` is pushed over the planes below the kickback only, so a gate
-    on the kickback (or past it) raises ValueError at no cost per gate. A
-    layout ``PreparedFrame`` refuses is refused before any plane is written.
+    The kickback is the top qubit, so the frame has ``kickback_qubit + 1``
+    planes. q bit b of entry i is bit b of i: blocks of 2^b zeros then 2^b
+    ones, so its plane is one such pair of blocks repeated over the N bits,
+    written by shift-doubling in O(N) bit operations; every other plane is
+    0. ``prepare`` is pushed over the planes below the kickback only, so a
+    gate on the kickback (or past it) raises ValueError at no cost per gate.
+    A kickback that does not sit above q is refused, as ``PreparedFrame``
+    refuses it, before any plane is written.
     """
-    frame = PreparedFrame(prepare, q_register, kickback_qubit, (0,) * num_qubits)
+    frame = PreparedFrame(prepare, q_register, kickback_qubit, (0,) * (kickback_qubit + 1))
     candidates = 1 << q_register.width
     planes = [0] * kickback_qubit
     for b, qubit in enumerate(q_register.bits):

@@ -40,11 +40,13 @@ threshold's marks against the classical predicate column, with no
 permutation and no candidate string. Table order appears only where rows
 leave the package: the table (``_table_columns``, which ``enumerate_table``
 zips into rows and ``table`` prints), the tie-break of ``classical_max``
-and a mismatch report gather by ``candidate_indices``, an int64 bit
-reversal built once per item count; the table's candidate strings are
-formatted once per item count. The per-string ``classical_evaluate`` stays the
-independent reference: ``maximize`` checks each measured candidate with
-it, and a verify mismatch report states its row.
+and a mismatch report see a column in table order by a reshape
+(``_in_table_order``: reversing n axes of length 2 reverses the index
+bits), with no index array and nothing kept; the table's candidate
+strings are formatted once per item count. The per-string
+``classical_evaluate`` stays the independent reference: ``maximize``
+checks each measured candidate with it, and a verify mismatch report
+states its row.
 
 Register file (in qubit order): ``q`` candidate bits (item k is qubit k-1,
 so item 1 is the least significant), ``w`` accumulated weight, ``g`` shared
@@ -233,18 +235,6 @@ def index_to_candidate(index: int, n: int) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _table_order(n: int) -> bytes:
-    """Every candidate's q value in table order, as int64 bytes: d with its n
-    bits reversed, in n shift-and-or passes over ``arange(2^n)``. Kept for
-    the last n; bytes are immutable, so all callers can share them."""
-    rows = np.arange(1 << n, dtype=np.int64)
-    q_values = np.zeros_like(rows)
-    for b in range(n):
-        q_values |= ((rows >> b) & 1) << (n - 1 - b)
-    return q_values.tobytes()
-
-
-@functools.lru_cache(maxsize=1)
 def _candidate_strings(n: int) -> tuple[str, ...]:
     """Every candidate string in table order, kept for the last n."""
     return tuple(format(d, f"0{n}b") for d in range(1 << n))
@@ -255,14 +245,18 @@ def all_candidates(n: int) -> list[str]:
     return list(_candidate_strings(n))
 
 
-def candidate_indices(n: int) -> np.ndarray:
-    """q-register value of every candidate in table order, as read-only int64.
+def _in_table_order(column: np.ndarray, n: int) -> np.ndarray:
+    """A q-order column of 2^n entries in table order, of any dtype.
 
     String position k is item k+1, i.e. q bit k, and the table reads the
-    string as a binary number, so entry d is d with its n bits reversed.
-    The array is a view of cached bytes, so it can never be made writeable.
+    string as a binary number, so table row d is q value d with its n bits
+    reversed. Seen as n axes of length 2, axis a of the column is q bit
+    n-1-a; reversing the axes (``.T``) reverses the bits, with no index
+    array. n <= ``MAX_ITEMS`` axes stays far below the 32 axes numpy 1.x
+    allows (64 from numpy 2). Callers only read the result: at n = 1 it is
+    the column itself, seen through a view.
     """
-    return np.frombuffer(_table_order(n), np.int64)
+    return column.reshape((2,) * n).T.reshape(-1)
 
 
 def plan_registers(instance: KnapsackInstance) -> RegisterPlan:
@@ -336,10 +330,12 @@ def _classical_columns(
     return _read_only(weight, fitness, weight <= min(instance.capacity, total_weight))
 
 
-def _first_in_table_order(mask: np.ndarray, n: int) -> int:
-    """q value of the first set entry of a q-order mask, in table order."""
-    order = candidate_indices(n)
-    return int(order[np.argmax(mask[order])])
+def _first_in_table_order(column: np.ndarray, n: int) -> int:
+    """q value of the first largest entry of a q-order column in table
+    order (of a mask, its first set entry): one argmax over the column's
+    table view, which returns the first maximum."""
+    row = int(np.argmax(_in_table_order(column, n)))
+    return candidate_to_index(format(row, f"0{n}b"), n)
 
 
 def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
@@ -347,12 +343,12 @@ def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
 
     Invalid candidates score -1 (the empty selection is always valid with
     fitness 0, so a best candidate always exists), and ties break toward
-    the smallest candidate in table order (``_first_in_table_order``).
-    Sums of 2^63 or more are added as Python ints, so they cannot overflow.
+    the smallest candidate in table order, the score's first maximum in
+    that order (``_first_in_table_order``). Sums of 2^63 or more are added
+    as Python ints, so they cannot overflow.
     """
     weight, fitness, valid = _classical_columns(instance)
-    score = np.where(valid, fitness, -1)
-    best = _first_in_table_order(score == score.max(), instance.n)
+    best = _first_in_table_order(np.where(valid, fitness, -1), instance.n)
     return CandidateEvaluation(
         index_to_candidate(best, instance.n), int(weight[best]), int(fitness[best]), True
     )
@@ -391,7 +387,7 @@ def compile_prepare(instance: KnapsackInstance, plan: RegisterPlan) -> tuple[Gat
 
 def compile_frame(instance: KnapsackInstance, plan: RegisterPlan) -> PreparedFrame:
     """Compile the compute stage and push every candidate through it once."""
-    return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r, plan.total_qubits)
+    return prepare_frame(compile_prepare(instance, plan), plan.q, plan.r)
 
 
 def compile_oracle(plan: RegisterPlan, threshold: int) -> tuple[Gate, ...]:
@@ -468,12 +464,12 @@ def _circuit_columns(
 
 def _table_columns(instance: KnapsackInstance) -> tuple[tuple[str, ...], list, list, list]:
     """Candidate strings and the circuit's weight, fitness and validity
-    lists, all in table order: the memo's columns (``_compiled``) gathered
-    by ``candidate_indices``. The one table path, for ``enumerate_table``
-    and the ``table`` command."""
+    lists, all in table order: the memo's q-order columns (``_compiled``)
+    seen in table order (``_in_table_order``). The one table path, for
+    ``enumerate_table`` and the ``table`` command."""
     _, columns, _, _ = _compiled(instance)
-    order = candidate_indices(instance.n)
-    return (_candidate_strings(instance.n), *(column[order].tolist() for column in columns()))
+    n = instance.n
+    return (_candidate_strings(n), *(_in_table_order(column, n).tolist() for column in columns()))
 
 
 def enumerate_table(instance: KnapsackInstance) -> list[CandidateEvaluation]:

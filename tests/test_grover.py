@@ -79,7 +79,7 @@ def toy_oracle(n: int, marked: set[int], extra_ancillas: int = 0) -> Oracle:
         gates.extend(off)
         gates.append(mcx(q.bits, kickback))
         gates.extend(off)
-    return prepare_frame((), q, kickback, kickback + 1), tuple(gates)
+    return prepare_frame((), q, kickback), tuple(gates)
 
 
 def demo_oracle(threshold: int) -> Oracle:
@@ -289,18 +289,17 @@ class TestIterationCount:
 
 class TestOracleContract:
     def test_kickback_outside_the_plan_is_refused(self):
-        # The kickback must sit above q, as the top qubit: inside q it would
-        # overwrite a q plane, below q the frame would not be in sorted
-        # full-register order, and only the top plane is left out of the push.
+        # The kickback must sit above q: inside q it would overwrite a q
+        # plane, and below q the frame would not be in sorted full-register
+        # order. It is the top qubit, so the frame has kickback + 1 planes.
         q = RegisterRef("q", 1, 2)
-        for kickback in (-1, 0, 1, 2, 4, 5):  # below q, inside q, at and past num_qubits
+        for kickback in (-1, 0, 1, 2):  # below q, inside q
             with pytest.raises(ValueError, match="kickback qubit out of range"):
-                prepare_frame((), q, kickback, 4)
+                prepare_frame((), q, kickback)
         with pytest.raises(ValueError, match="kickback qubit out of range"):
-            prepare_frame((), RegisterRef("q", 0, 3), 1, 4)
-        with pytest.raises(ValueError, match="kickback qubit out of range"):
-            prepare_frame((), q, 3, 5)  # above q, but not the top qubit
-        assert prepare_frame((), q, 3, 4).num_qubits == 4
+            prepare_frame((), RegisterRef("q", 0, 3), 1)
+        assert prepare_frame((), q, 3).num_qubits == 4
+        assert prepare_frame((), q, 5).num_qubits == 6
 
     @pytest.mark.parametrize(
         "gate",
@@ -317,7 +316,7 @@ class TestOracleContract:
     def test_prepare_on_the_kickback_is_refused(self, gate):
         # q = qubits 0-1, ancilla 2, kickback 3: prepare may not touch the kickback.
         with pytest.raises(ValueError, match="prepare acts on kickback qubit 3 or above it$"):
-            prepare_frame((cnot(0, 2), gate, cnot(0, 2)), RegisterRef("q", 0, 2), 3, 4)
+            prepare_frame((cnot(0, 2), gate, cnot(0, 2)), RegisterRef("q", 0, 2), 3)
 
     def test_frame_record_refuses_what_prepare_frame_refuses(self):
         # Direct construction, _make, _replace and unpickling all go through
@@ -359,7 +358,7 @@ class TestOracleContract:
         # q sits at qubit 0, one spare qubit right above it, the kickback on top.
         n = 1 << width
         q = RegisterRef("q", 0, width)
-        frame = prepare_frame((), q, width + 1, width + 2)
+        frame = prepare_frame((), q, width + 1)
         # Entry e is q value e; the spare and kickback planes stay 0.
         expected = [sum(1 << e for e in range(n) if e >> b & 1) for b in range(width)]
         assert list(frame.planes) == expected + [0, 0]
@@ -833,7 +832,7 @@ class TestFusedSearch:
             mark = (mcx([int(c) for c in controls], 5),)
             if rng.random() < 0.5:
                 mark += (random_gate(rng, 6, permutation_kinds()),)
-            frame = prepare_frame(prepare, q, 5, 6)
+            frame = prepare_frame(prepare, q, 5)
             marks, bad = whole_oracle_marks(frame, mark)
             if any(5 in gate.qubits and gate.targets != (5,) for gate in mark):
                 with pytest.raises(IntegrityError, match="the mark reads kickback qubit 5$"):

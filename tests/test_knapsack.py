@@ -26,7 +26,6 @@ from qsmax.knapsack import (
     CapacityError,
     KnapsackInstance,
     all_candidates,
-    candidate_indices,
     candidate_to_index,
     classical_evaluate,
     classical_max,
@@ -120,39 +119,38 @@ class TestInstance:
         assert candidate_to_index("0111", 4) == 14
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_candidate_indices_match_candidate_to_index(self, n):
-        expected = [candidate_to_index(c, n) for c in all_candidates(n)]
-        assert candidate_indices(n).tolist() == expected
+    def test_table_view_is_the_gather_by_candidate_to_index(self, n):
+        order = [candidate_to_index(c, n) for c in all_candidates(n)]
+        q_values = np.arange(1 << n, dtype=np.int64)
+        for column in (q_values, q_values % 3 == 0, q_values.astype(object) << 70):
+            view = kp._in_table_order(column, n)
+            assert view.dtype == column.dtype
+            assert view.tolist() == column[order].tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 6, 12])
-    def test_cached_table_order_cannot_be_mutated(self, n):
+    def test_cached_candidate_strings_cannot_be_mutated(self, n):
         strings = [format(d, f"0{n}b") for d in range(1 << n)]
-        indices = candidate_indices(n)
-        assert indices.dtype == np.int64
-        assert indices.tolist() == [candidate_to_index(c, n) for c in strings]
         assert all_candidates(n) == strings
-        with pytest.raises(ValueError):
-            indices[0] = 1
-        with pytest.raises(ValueError):
-            indices.setflags(write=True)
-        # Each call returns its own view and its own list of the cached order.
-        indices.shape = (1, -1)
+        # Each call returns its own list of the cached strings.
         candidates = all_candidates(n)
         candidates[0] = "x"
-        assert candidate_indices(n).shape == (1 << n,)
-        assert candidate_indices(n).tolist() == [candidate_to_index(c, n) for c in strings]
         assert all_candidates(n) == strings
 
     def test_table_caches_keep_only_the_last_item_count(self):
-        indices, candidates = candidate_indices(3), all_candidates(5)
-        for cache in (kp._table_order, kp._candidate_strings):
-            assert cache.cache_info().maxsize == 1
-            assert cache.cache_info().currsize == 1
-        # an array still reads the order it was made from after an eviction
-        assert indices.tolist() == [candidate_to_index(format(d, "03b"), 3) for d in range(8)]
+        candidates = all_candidates(5)
+        assert kp._candidate_strings.cache_info().maxsize == 1
+        assert kp._candidate_strings.cache_info().currsize == 1
         assert candidates == [format(d, "05b") for d in range(32)]
-        assert candidate_indices(5).tolist() == [candidate_to_index(c, 5) for c in candidates]
         assert all_candidates(3) == [format(d, "03b") for d in range(8)]
+
+    def test_the_module_keeps_three_caches(self):
+        # The search memo, the brute-force columns and the candidate strings;
+        # the table order is a reshape, with nothing kept.
+        caches = {
+            name for name, f in vars(kp).items()
+            if hasattr(f, "cache_info") and f.__module__ == kp.__name__
+        }
+        assert caches == {"_compiled", "_classical_columns", "_candidate_strings"}
 
     def test_bad_candidate_strings(self):
         with pytest.raises(ValueError):
@@ -464,7 +462,7 @@ class TestVerify:
         def refuse(*args):
             raise AssertionError("verify_instance left q order")
 
-        for name in ("candidate_indices", "all_candidates", "index_to_candidate"):
+        for name in ("_in_table_order", "all_candidates", "index_to_candidate"):
             monkeypatch.setattr(kp, name, refuse)
         report = verify_instance(demo_instance)
         assert report.ok, report.mismatch
@@ -545,8 +543,9 @@ def edge_instances(draw, max_items=6, field=st.integers(0, 15), huge=(20, 40, 63
 
 def column_rows(instance):
     """The brute-force columns' rows, gathered from q order into table order."""
-    order = candidate_indices(instance.n)
-    weight, fitness, valid = (column[order] for column in kp._classical_columns(instance))
+    weight, fitness, valid = (
+        kp._in_table_order(column, instance.n) for column in kp._classical_columns(instance)
+    )
     return list(zip(weight.tolist(), fitness.tolist(), valid.tolist()))
 
 
@@ -582,11 +581,18 @@ class TestThreeWayAgreement:
         assert_circuit_matches_reference(instance)
 
     @pytest.mark.parametrize(
-        "items, capacity", [(((1, 1), (1, 1)), 1), (((1, 1), (2, 1)), 2)], ids=["equal", "unequal"]
+        "items, capacity",
+        [
+            (((1, 1), (1, 1)), 1),
+            (((1, 1), (2, 1)), 2),
+            (((1 << 64, 1 << 64), (1 << 64, 1 << 64)), 1 << 64),
+        ],
+        ids=["equal", "unequal", "past-int64"],
     )
     def test_ties_break_in_table_order_not_q_order(self, items, capacity):
-        # "01" and "10" tie at fitness 1; "10" is q value 1 and "01" q value
-        # 2, so an argmax in q order would pick "10".
+        # "01" and "10" tie at the best fitness; "10" is q value 1 and "01"
+        # q value 2, so an argmax in q order would pick "10". Past 2^63 the
+        # score is an object column.
         instance = KnapsackInstance(items, capacity)
         assert classical_max(instance) == classical_evaluate(instance, "01")
 
