@@ -40,8 +40,8 @@ from .knapsack import (
     CapacityError,
     KnapsackInstance,
     SearchTrace,
+    _best_row,
     _table_columns,
-    classical_max,
     estimate_resources,
     maximize,
     plan_registers,
@@ -72,14 +72,22 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def parse_instance(path: str) -> KnapsackInstance:
-    """Parse an instance file; errors carry the line number."""
+    """Parse an instance file; errors carry the line number.
+
+    The file is read in one unbuffered binary ``read`` and decoded as UTF-8
+    (an undecodable byte is a parse error that gives its offset from the
+    start of the file). Lines end as in text mode's universal newlines:
+    at LF, CRLF or a lone CR, and nowhere else, so a form feed, NEL or
+    LINE SEPARATOR inside a line is whitespace within it, where
+    ``str.splitlines`` would split."""
     capacity: int | None = None
     items: list[tuple[int, int]] = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        with open(path, "rb", buffering=0) as handle:
+            text = handle.read().decode("utf-8")
     except UnicodeDecodeError as err:
         raise InstanceParseError(str(err)) from None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -233,22 +241,22 @@ def cmd_verify(path: str, out=None) -> int:
 def cmd_table(path: str, out=None) -> int:
     """Print every candidate's fitness/weight/validity, best row starred.
 
-    Rows are formatted straight from the table-order columns
-    (``_table_columns``); the star marks row d, the best candidate read as
-    a binary number. At most 2^``MAX_ITEMS`` = 4,096 rows, so the table is
-    written as one string."""
+    The rows are the table-order columns (``_table_columns``), rendered by
+    one ``%`` over the row template repeated once per row. The star is
+    appended to the validity word of row ``_best_row``: the row of
+    ``classical_max``'s candidate, read as a table index. At most
+    2^``MAX_ITEMS`` = 4,096 rows, so the table is written as one string."""
     out = out or sys.stdout
     instance = parse_instance(path)
     candidates, weights, fitnesses, valids = _table_columns(instance)
-    best = int(classical_max(instance).candidate, 2)
-    out.write("candidate  fitness  weight  validity\n" + "".join(
-        "%9s  %7d  %6d  %s%s\n" % (
-            candidate, fitness, weight, "valid" if valid else "invalid", "  *" if d == best else "",
-        )
-        for d, (candidate, weight, fitness, valid) in enumerate(
-            zip(candidates, weights, fitnesses, valids)
-        )
-    ))
+    words = ["valid" if valid else "invalid" for valid in valids]
+    words[_best_row(instance)] += "  *"
+    fields = [None] * (4 * len(words))
+    fields[0::4], fields[1::4], fields[2::4], fields[3::4] = candidates, fitnesses, weights, words
+    out.write(
+        "candidate  fitness  weight  validity\n"
+        + ("%9s  %7d  %6d  %s\n" * len(words)) % tuple(fields)
+    )
     return EXIT_OK
 
 

@@ -40,7 +40,8 @@ threshold's marks against the classical predicate column, with no
 permutation and no candidate string. Table order appears only where rows
 leave the package: the table (``_table_columns``, which ``enumerate_table``
 zips into rows and ``table`` prints), the tie-break of ``classical_max``
-and a mismatch report see a column in table order by a reshape
+(``_best_row``, a row index, which ``table`` stars with no candidate
+string) and a mismatch report see a column in table order by a reshape
 (``_in_table_order``: reversing n axes of length 2 reverses the index
 bits), with no index array and nothing kept; the table's candidate
 strings are formatted once per item count. The per-string
@@ -330,12 +331,25 @@ def _classical_columns(
     return _read_only(weight, fitness, weight <= min(instance.capacity, total_weight))
 
 
+def _first_row(column: np.ndarray, n: int) -> int:
+    """Table row of the first largest entry of a q-order column (of a
+    mask, its first set entry): one argmax over the column's table view,
+    which returns the first maximum."""
+    return int(np.argmax(_in_table_order(column, n)))
+
+
 def _first_in_table_order(column: np.ndarray, n: int) -> int:
-    """q value of the first largest entry of a q-order column in table
-    order (of a mask, its first set entry): one argmax over the column's
-    table view, which returns the first maximum."""
-    row = int(np.argmax(_in_table_order(column, n)))
-    return candidate_to_index(format(row, f"0{n}b"), n)
+    """q value of ``_first_row``: the row read as a candidate string."""
+    return candidate_to_index(format(_first_row(column, n), f"0{n}b"), n)
+
+
+def _best_row(instance: KnapsackInstance) -> int:
+    """Table row of the best valid candidate, the first maximum of the
+    brute-force score (``_first_row``): fitness, or -1 where invalid. The
+    one scoring of ``classical_max``, which the ``table`` command stars by
+    this row."""
+    _, fitness, valid = _classical_columns(instance)
+    return _first_row(np.where(valid, fitness, -1), instance.n)
 
 
 def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
@@ -344,14 +358,14 @@ def classical_max(instance: KnapsackInstance) -> CandidateEvaluation:
     Invalid candidates score -1 (the empty selection is always valid with
     fitness 0, so a best candidate always exists), and ties break toward
     the smallest candidate in table order, the score's first maximum in
-    that order (``_first_in_table_order``). Sums of 2^63 or more are added
-    as Python ints, so they cannot overflow.
+    that order (``_best_row``). Sums of 2^63 or more are added as Python
+    ints, so they cannot overflow.
     """
-    weight, fitness, valid = _classical_columns(instance)
-    best = _first_in_table_order(np.where(valid, fitness, -1), instance.n)
-    return CandidateEvaluation(
-        index_to_candidate(best, instance.n), int(weight[best]), int(fitness[best]), True
-    )
+    n = instance.n
+    candidate = format(_best_row(instance), f"0{n}b")
+    best = candidate_to_index(candidate, n)
+    weight, fitness, _ = _classical_columns(instance)
+    return CandidateEvaluation(candidate, int(weight[best]), int(fitness[best]), True)
 
 
 def compile_prepare(instance: KnapsackInstance, plan: RegisterPlan) -> tuple[Gate, ...]:

@@ -156,6 +156,64 @@ class TestParseInstance:
         with pytest.raises(InstanceParseError, match="no item"):
             parse_instance(write_instance(tmp_path, "capacity 5\n"))
 
+    # The demo instance behind a comment and a blank line, and three bodies
+    # that fail on a later line, each with its message on "\n" line ends.
+    LINE_END_BODIES = {
+        "demo": ("# demo\ncapacity 10\n\nitem 7 4\nitem 4 10\nitem 2 5\nitem 3 3\n", None),
+        "short-item": (
+            "capacity 10\n\nitem 7 4\nitem 4\n",
+            "line 4: expected 'item <weight> <value>', got 'item 4'",
+        ),
+        "duplicate": ("capacity 10\nitem 1 1\n\n\ncapacity 2\n", "line 5: duplicate capacity"),
+        "unknown": ("# x\n\n\nwhat 1\n", "line 4: unknown directive 'what'"),
+    }
+    LINE_ENDS = {
+        "crlf": lambda text: text.replace("\n", "\r\n"),
+        "cr": lambda text: text.replace("\n", "\r"),
+        # "\r\n", "\n" and "\r" in turn; no lone "\r" precedes a "\n", or
+        # the two would be one CRLF.
+        "mixed": lambda text: "".join(
+            line + ("\r\n", "\n", "\r")[k % 3]
+            for k, line in enumerate(text.split("\n")[:-1])
+        ),
+        "no-final-newline": lambda text: text[:-1],
+    }
+
+    @pytest.mark.parametrize("ends", LINE_ENDS)
+    @pytest.mark.parametrize("body", LINE_END_BODIES)
+    def test_line_ends_read_as_in_text_mode(self, tmp_path, body, ends):
+        text, message = self.LINE_END_BODIES[body]
+        lf = tmp_path / "lf.txt"
+        lf.write_bytes(text.encode())
+        other = tmp_path / "other.txt"
+        other.write_bytes(self.LINE_ENDS[ends](text).encode())
+        if message is None:
+            assert parse_instance(str(other)) == parse_instance(str(lf)) == parse_instance(DEMO)
+            return
+        for path in (lf, other):
+            with pytest.raises(InstanceParseError) as err:
+                parse_instance(str(path))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "char, shown",
+        [("\x0b", "\\x0b"), ("\x0c", "\\x0c"), ("\x1c", "\\x1c"), ("\x85", "\\x85"),
+         ("\u2028", "\\u2028")],
+        ids=["vt", "ff", "fs", "nel", "line-separator"],
+    )
+    def test_other_line_breaks_stay_inside_their_line(self, tmp_path, char, shown):
+        # str.splitlines would end a line at each of these; text mode does not.
+        path = write_instance(tmp_path, f"capacity 5\nitem 1 1{char}item 2 2\n")
+        with pytest.raises(InstanceParseError) as err:
+            parse_instance(path)
+        assert str(err.value) == (
+            f"line 2: expected 'item <weight> <value>', got 'item 1 1{shown}item 2 2'"
+        )
+        # As whitespace they count no line: the short item is line 4.
+        path = write_instance(tmp_path, f"capacity 5{char}\nitem 1 1\n{char}\nitem 1\n")
+        with pytest.raises(InstanceParseError, match="^line 4: expected"):
+            parse_instance(path)
+
     def test_too_many_items(self, tmp_path):
         with pytest.raises(CapacityError, match="item count 13"):
             parse_instance(write_instance(tmp_path, THIRTEEN_ITEMS_BODY))
@@ -352,6 +410,15 @@ class TestExitCodes:
         assert cli.main(["table", str(path)]) == EXIT_INPUT
         assert "can't decode byte 0xff" in capsys.readouterr().err
 
+    def test_undecodable_byte_is_placed_from_the_start_of_the_file(self, tmp_path, capsys):
+        # 11 + 10,000 bytes precede the bad one, past any 8 KiB read chunk.
+        path = tmp_path / "late.txt"
+        path.write_bytes(b"capacity 5\n" + b"#\n" * 5000 + b"\xff\n")
+        assert cli.main(["verify", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff in position 10011" in err
+
     def test_internal_value_error_is_not_an_exit_code(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal bug")
@@ -404,6 +471,40 @@ class TestTableCommand:
             "       10        1       1  valid\n"
             "       11        2       2  invalid\n"
         )
+
+
+class TestTableStar:
+    """Exactly one row is starred, ``classical_max``'s candidate, however
+    many rows tie."""
+
+    @staticmethod
+    def bodies(n):
+        rng = random.Random(f"star/{n}")
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        item = (rng.randint(0, 3), rng.randint(0, 3))
+        cases = {
+            "zero-values": [(w, 0) for w in weights],
+            "all-zero": [(0, 0)] * n,
+            "duplicates": [item] * n,
+            "two-values": [(w, rng.randint(0, 1)) for w in weights],
+        }
+        for name, items in cases.items():
+            capacity = rng.randint(0, sum(w for w, _ in items))
+            yield name, f"capacity {capacity}\n" + "".join(f"item {w} {v}\n" for w, v in items)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_one_star_on_the_classical_max_row(self, tmp_path, capsys, n):
+        for name, body in self.bodies(n):
+            path = write_instance(tmp_path, body, f"{name}.txt")
+            best = classical_max(parse_instance(path)).candidate
+            direct = io.StringIO()
+            assert cli.cmd_table(path, out=direct) == EXIT_OK
+            assert cli.main(["table", path]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert out == direct.getvalue()
+            starred = [line for line in out.splitlines() if line.endswith("  *")]
+            assert len(starred) == 1 and out.count("*") == 1, name
+            assert starred[0].split()[0] == best, name
 
 
 class TestEstimateCommand:
